@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.lrr import low_rank_representation
 from repro.core.mic import select_reference_locations
-from repro.core.rsvd import SOLVER_BACKENDS
 from repro.core.self_augmented import SelfAugmentedConfig, self_augmented_rsvd
 from repro.core.updater import UpdaterConfig
 from repro.localization.omp import OMPLocalizer
@@ -24,6 +23,7 @@ from repro.service.shard import ShardConfig
 from repro.service.synthetic import synthesize_fleet
 from repro.simulation.campaign import CampaignConfig
 from repro.simulation.collector import CollectionConfig
+from tests.oracles import self_augmented_rsvd_looped, update_looped
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,8 @@ def test_kernel_self_augmented_solver(benchmark, office_matrix):
 
 
 def test_kernel_solver_backend_comparison(office_matrix):
-    """Time the looped vs batched ALS backends on the office-sized problem.
+    """Time the batched ALS solver vs its looped oracle on the office-sized
+    problem.
 
     Runs without the ``benchmark`` fixture so the comparison is recorded even
     when pytest-benchmark is unavailable; results are printed as ``BENCH_*``
@@ -78,16 +79,17 @@ def test_kernel_solver_backend_comparison(office_matrix):
     reference = campaign.collector.collect_reference(mic.indices, elapsed_days=45.0)
     prediction = lrr.predict(reference)
 
+    config = SelfAugmentedConfig(max_iterations=10)
+    solvers = {"looped": self_augmented_rsvd_looped, "batched": self_augmented_rsvd}
     timings = {}
     estimates = {}
-    for backend in SOLVER_BACKENDS:
-        config = SelfAugmentedConfig(max_iterations=10, solver_backend=backend)
+    for name, solve in solvers.items():
         rounds = []
         # Best-of-3 so one scheduler stall on a loaded CI runner cannot sink
         # the measured ratio below the assertion threshold.
         for _ in range(3):
             start = time.perf_counter()
-            result = self_augmented_rsvd(
+            result = solve(
                 observed,
                 mask,
                 original.locations_per_link,
@@ -96,8 +98,8 @@ def test_kernel_solver_backend_comparison(office_matrix):
                 rng=1,
             )
             rounds.append(time.perf_counter() - start)
-        timings[backend] = min(rounds)
-        estimates[backend] = result.estimate
+        timings[name] = min(rounds)
+        estimates[name] = result.estimate
 
     speedup = timings["looped"] / timings["batched"]
     deviation = float(np.max(np.abs(estimates["batched"] - estimates["looped"])))
@@ -107,13 +109,13 @@ def test_kernel_solver_backend_comparison(office_matrix):
     print(f"BENCH_solver_backend_speedup: {speedup:.2f}x")
     print(f"BENCH_solver_backend_max_deviation_db: {deviation:.3e}")
 
-    # The two backends iterate the same fixed-point map; at the default
+    # The two paths iterate the same fixed-point map; at the default
     # (ill-conditioned) rank the iterates may drift apart by BLAS rounding
     # noise, but never by a physically meaningful RSS amount.
     assert deviation < 1e-4
     if os.environ.get("REPRO_SKIP_PERF_ASSERT"):
         pytest.skip("REPRO_SKIP_PERF_ASSERT set; BENCH_ rows recorded above")
-    assert speedup > 1.5, f"batched backend not measurably faster ({speedup:.2f}x)"
+    assert speedup > 1.5, f"batched solver not measurably faster ({speedup:.2f}x)"
 
 
 @pytest.fixture(scope="module")
@@ -140,33 +142,24 @@ def test_fleet_vs_looped_updates(paper_fleet_requests):
     * ``stacked``  — one ``UpdateService.update_fleet`` call; every sweep is
       a single stacked batched solve across all sites.
     * ``persite``  — a Python loop over single-site service calls, each with
-      the batched ALS backend (what looping ``IUpdater.update`` costs).
+      the batched ALS solver (what looping ``IUpdater.update`` costs).
     * ``looped``   — the same per-site loop on the per-column reference
-      backend (the pre-batching baseline).
+      solver of ``tests/oracles.py`` (the pre-batching baseline).
 
     Runs without the ``benchmark`` fixture so the BENCH_ rows are recorded
     even when pytest-benchmark is unavailable.
     """
     solver = SelfAugmentedConfig(max_iterations=10)
     service = UpdateService()
-
-    def requests_with(backend):
-        rebuilt = []
-        for request in paper_fleet_requests:
-            rebuilt.append(
-                replace(
-                    request,
-                    config=replace(
-                        request.config, solver=solver, solver_backend=backend
-                    ),
-                )
-            )
-        return rebuilt
+    requests = [
+        replace(request, config=replace(request.config, solver=solver))
+        for request in paper_fleet_requests
+    ]
 
     variants = {
-        "stacked": lambda: service.update_fleet(requests_with("batched")),
-        "persite": lambda: [service.update(r) for r in requests_with("batched")],
-        "looped": lambda: [service.update(r) for r in requests_with("looped")],
+        "stacked": lambda: service.update_fleet(requests),
+        "persite": lambda: [service.update(r) for r in requests],
+        "looped": lambda: [update_looped(r) for r in requests],
     }
     timings = {}
     estimates = {}

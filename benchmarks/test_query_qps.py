@@ -1,14 +1,15 @@
 """Serving throughput: looped vs vectorized queries/sec on the read path.
 
-A refreshed synthetic site is published into two :class:`QueryEngine`
-variants — the per-query ``"looped"`` reference backend and the batched
-``"vectorized"`` backend — and the same query workload is timed through
-both at batch sizes 1, 64 and 1024.  Answers must be identical (the parity
+A refreshed synthetic site is published into a :class:`QueryEngine`, and the
+same query workload is timed through the engine's vectorized
+``localize_batch`` and through the per-query loop of
+:func:`tests.oracles.localize_looped` over the engine's bound matcher, at
+batch sizes 1, 64 and 1024.  Answers must be identical (the parity
 invariant the serving engine rests on); the rows are printed as
 ``BENCH_query_qps_*`` (and optionally written as JSON for CI artifacts via
 ``REPRO_BENCH_JSON``).
 
-The hard performance assertion — the vectorized backend clears ≥ 10x the
+The hard performance assertion — the vectorized path clears ≥ 10x the
 looped throughput at the 1024-query batch — is the point of the read path:
 one distance-matrix GEMM instead of 1024 per-query evaluations.  It can be
 skipped on noisy runners via ``REPRO_SKIP_PERF_ASSERT``; the parity
@@ -26,6 +27,7 @@ from repro.query import QueryConfig, QueryEngine
 from repro.service.service import UpdateService
 from repro.service.synthetic import synthesize_fleet
 from repro.service.types import FleetReport
+from tests.oracles import localize_looped
 
 BATCH_SIZES = (1, 64, 1024)
 REPEATS = 3
@@ -34,25 +36,26 @@ MIN_SPEEDUP_AT_1024 = 10.0
 
 @pytest.fixture(scope="module")
 def served_site():
-    """One genuinely refreshed site published into both engine backends."""
+    """One genuinely refreshed site published into the engine."""
     requests = synthesize_fleet(
         1, elapsed_days=45.0, seed=11, link_count=8, locations_per_link=8
     )
     reports = UpdateService().update_fleet(requests)
     report = FleetReport(elapsed_days=45.0, reports=tuple(reports))
-    engines = {
-        backend: QueryEngine(QueryConfig(matcher="knn", matcher_backend=backend))
-        for backend in ("looped", "vectorized")
-    }
-    for engine in engines.values():
-        engine.publish_report(report)
+    engine = QueryEngine(QueryConfig(matcher="knn"))
+    engine.publish_report(report)
     site = report.sites[0]
-    return engines, site, report.report_for(site).matrix
+    matcher = engine.store.current().sites[site].matcher
+    paths = {
+        "looped": lambda queries: localize_looped(matcher, queries),
+        "vectorized": lambda queries: engine.localize_batch(site, queries),
+    }
+    return paths, report.report_for(site).matrix
 
 
 def test_query_qps_vectorized_vs_looped(served_site):
     """Identical answers, ≥ 10x throughput at the 1024-query batch."""
-    engines, site, matrix = served_site
+    paths, matrix = served_site
     rng = np.random.default_rng(29)
 
     rows = {
@@ -67,21 +70,19 @@ def test_query_qps_vectorized_vs_looped(served_site):
             0.0, 0.5, size=(batch_size, matrix.link_count)
         )
         answers = {}
-        for backend, engine in engines.items():
+        for name, localize in paths.items():
             best = float("inf")
             for _ in range(REPEATS):
                 start = time.perf_counter()
-                answers[backend] = engine.localize_batch(site, queries)
+                answers[name] = localize(queries)
                 best = min(best, time.perf_counter() - start)
-            qps[(backend, batch_size)] = batch_size / best
+            qps[(name, batch_size)] = batch_size / best
 
         # Hard invariant: vectorization never changes an answer.
-        np.testing.assert_array_equal(
-            answers["vectorized"].indices, answers["looped"].indices
-        )
-        np.testing.assert_allclose(
-            answers["vectorized"].points, answers["looped"].points, atol=1e-10
-        )
+        fast = answers["vectorized"]
+        looped_indices, looped_points = answers["looped"]
+        np.testing.assert_array_equal(fast.indices, looped_indices)
+        np.testing.assert_allclose(fast.points, looped_points, atol=1e-10)
 
         rows[f"looped_qps_b{batch_size}"] = round(qps[("looped", batch_size)], 1)
         rows[f"vectorized_qps_b{batch_size}"] = round(
@@ -105,7 +106,7 @@ def test_query_qps_vectorized_vs_looped(served_site):
     largest = BATCH_SIZES[-1]
     speedup = rows[f"speedup_b{largest}"]
     assert speedup >= MIN_SPEEDUP_AT_1024, (
-        f"vectorized backend only {speedup:.1f}x over looped at "
+        f"vectorized path only {speedup:.1f}x over looped at "
         f"{largest}-query batches; the GEMM path should clear "
         f"{MIN_SPEEDUP_AT_1024:.0f}x"
     )

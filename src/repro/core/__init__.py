@@ -39,7 +39,7 @@ from repro.core.self_augmented import (
     self_augmented_rsvd,
     solve_state,
 )
-from repro.core.stacked import run_stacked_sweeps, solve_states
+from repro.core.stacked import run_stacked_sweeps
 from repro.core.updater import IUpdater, UpdaterConfig, UpdateResult
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "self_augmented_rsvd",
     "solve_state",
     "run_stacked_sweeps",
-    "solve_states",
     "IUpdater",
     "UpdaterConfig",
     "UpdateResult",

@@ -23,35 +23,15 @@ from typing import Optional
 
 import numpy as np
 
-from repro.utils.linalg import batched_safe_solve, masked_gram_stack, safe_solve
+from repro.utils.linalg import batched_safe_solve, masked_gram_stack
 from repro.utils.random import RngLike, make_rng
 from repro.utils.validation import check_2d, check_matching_shapes
 
 __all__ = [
-    "SOLVER_BACKENDS",
-    "validate_solver_backend",
     "RSVDConfig",
     "RSVDResult",
     "rsvd_complete",
 ]
-
-#: Recognised values of the ``solver_backend`` configuration fields.
-#: ``"batched"`` stacks the per-column normal equations into one
-#: ``(n, r, r)`` tensor solve; ``"looped"`` is the per-column reference
-#: implementation kept for parity testing and the Fig. 16 ablations.
-SOLVER_BACKENDS = ("batched", "looped")
-
-
-def validate_solver_backend(value: Optional[str], allow_none: bool = False) -> None:
-    """Raise ``ValueError`` unless ``value`` names a known solver backend."""
-    if value is None and allow_none:
-        return
-    if value not in SOLVER_BACKENDS:
-        suffix = " or None" if allow_none else ""
-        raise ValueError(
-            f"solver_backend must be one of {SOLVER_BACKENDS}{suffix}, got {value!r}"
-        )
-
 
 @dataclass(frozen=True)
 class RSVDConfig:
@@ -72,10 +52,6 @@ class RSVDConfig:
         Relative change in the objective below which iteration stops early.
     init_scale:
         Standard deviation of the random initialisation of ``L``.
-    solver_backend:
-        ``"batched"`` (default) solves all per-column/per-row ridge systems
-        of a sweep in one stacked ``np.linalg.solve``; ``"looped"`` is the
-        original per-column reference path.
     """
 
     rank: Optional[int] = None
@@ -83,7 +59,6 @@ class RSVDConfig:
     max_iterations: int = 60
     tolerance: float = 1e-7
     init_scale: float = 1.0
-    solver_backend: str = "batched"
 
     def __post_init__(self) -> None:
         if self.rank is not None and self.rank <= 0:
@@ -96,7 +71,6 @@ class RSVDConfig:
             raise ValueError("tolerance must be positive")
         if self.init_scale <= 0:
             raise ValueError("init_scale must be positive")
-        validate_solver_backend(self.solver_backend)
 
 
 @dataclass(frozen=True)
@@ -175,38 +149,20 @@ def rsvd_complete(
     lam = cfg.regularization
     identity = np.eye(rank)
 
-    batched = cfg.solver_backend == "batched"
     masked_observed = mask * observed
 
     previous_objective = np.inf
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        if batched:
-            # All n column systems (and then all m row systems) share the
-            # structure lhs = lam I + L^T diag(w) L, so stack them into one
-            # (batch, r, r) tensor and dispatch a single LAPACK call.
-            lhs = lam * identity[None, :, :] + masked_gram_stack(left, mask)
-            right = batched_safe_solve(lhs, masked_observed.T @ left)
+        # All n column systems (and then all m row systems) share the
+        # structure lhs = lam I + L^T diag(w) L, so stack them into one
+        # (batch, r, r) tensor and dispatch a single LAPACK call.
+        lhs = lam * identity[None, :, :] + masked_gram_stack(left, mask)
+        right = batched_safe_solve(lhs, masked_observed.T @ left)
 
-            lhs = lam * identity[None, :, :] + masked_gram_stack(right, mask.T)
-            left = batched_safe_solve(lhs, masked_observed @ right)
-        else:
-            # Update each column of R^T given L: ridge LS on the observed rows.
-            for j in range(n):
-                weights = mask[:, j]
-                lw = left * weights[:, None]
-                lhs = lam * identity + lw.T @ left
-                rhs = lw.T @ observed[:, j]
-                right[j, :] = safe_solve(lhs, rhs)
-
-            # Update each row of L given R: symmetric problem on the transpose.
-            for i in range(m):
-                weights = mask[i, :]
-                rw = right * weights[:, None]
-                lhs = lam * identity + rw.T @ right
-                rhs = rw.T @ observed[i, :]
-                left[i, :] = safe_solve(lhs, rhs)
+        lhs = lam * identity[None, :, :] + masked_gram_stack(right, mask.T)
+        left = batched_safe_solve(lhs, masked_observed @ right)
 
         objective = _objective(left, right, observed, mask, lam)
         if previous_objective < np.inf:

@@ -36,8 +36,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.constraints import continuity_matrix, similarity_matrix
-from repro.core.rsvd import validate_solver_backend
-from repro.utils.linalg import batched_safe_solve, masked_gram_stack, safe_solve
+from repro.utils.linalg import batched_safe_solve, masked_gram_stack
 from repro.utils.random import RngLike, make_rng
 from repro.utils.validation import check_2d, check_matching_shapes
 
@@ -81,10 +80,6 @@ class SelfAugmentedConfig:
         of the masked observations (``scipy.sparse.linalg.svds`` with a
         deterministic start vector, dense ``np.linalg.svd`` when the rank is
         full or SciPy is unavailable).
-    solver_backend:
-        ``"batched"`` (default) stacks every per-column/per-row ridge system
-        of a sweep into one ``(batch, r, r)`` tensor solve; ``"looped"`` is
-        the per-column reference implementation.
     """
 
     rank: Optional[int] = None
@@ -97,7 +92,6 @@ class SelfAugmentedConfig:
     use_structure_constraint: bool = True
     init_scale: float = 1.0
     init: str = "random"
-    solver_backend: str = "batched"
 
     def __post_init__(self) -> None:
         if self.rank is not None and self.rank <= 0:
@@ -118,7 +112,6 @@ class SelfAugmentedConfig:
             raise ValueError(
                 f"init must be 'random' or 'svd', got {self.init!r}"
             )
-        validate_solver_backend(self.solver_backend)
 
 
 @dataclass(frozen=True)
@@ -182,13 +175,17 @@ def _objective(
     return float(value)
 
 
+def _stripe_blocks(matrix: np.ndarray, locations_per_link: int) -> np.ndarray:
+    """``(M, M, width)`` view of an ``M x (M * width)`` matrix: block
+    ``[i, k]`` is link ``i``'s row over link ``k``'s stripe of columns."""
+    m = matrix.shape[0]
+    return matrix.reshape(m, m, locations_per_link)
+
+
 def _extract_stripes(matrix: np.ndarray, locations_per_link: int) -> np.ndarray:
     """Largely-decrease matrix of an estimate (diagonal stripe extraction)."""
-    m = matrix.shape[0]
-    xd = np.zeros((m, locations_per_link))
-    for i in range(m):
-        xd[i, :] = matrix[i, i * locations_per_link : (i + 1) * locations_per_link]
-    return xd
+    links = np.arange(matrix.shape[0])
+    return _stripe_blocks(matrix, locations_per_link)[links, links]
 
 
 def _svd_init(target: np.ndarray, rank: int, rng: RngLike) -> np.ndarray:
@@ -230,8 +227,8 @@ class SweepState:
     :meth:`left_systems`, :meth:`finish_sweep` — which is what lets the
     fleet-stacked solver (:mod:`repro.core.stacked`) advance many sites in
     lockstep while concatenating their per-sweep systems into a single
-    batched solve.  Driving a single state to convergence reproduces the
-    batched backend of :func:`self_augmented_rsvd` bit for bit.
+    batched solve.  Driving a single state to convergence reproduces
+    :func:`self_augmented_rsvd` bit for bit.
     """
 
     def __init__(
@@ -509,13 +506,7 @@ class SweepState:
         """Package the converged factors as a :class:`SelfAugmentedResult`."""
         estimate = self.left @ self.right.T
         if self.use_structure:
-            estimate = _smooth_stripes(
-                estimate,
-                self.locations_per_link,
-                g=np.asarray(self.g),
-                h=np.asarray(self.h),
-                weight=0.6,
-            )
+            estimate = _smooth_stripes(estimate, self.locations_per_link, weight=0.6)
         return SelfAugmentedResult(
             estimate=estimate,
             left=self.left,
@@ -564,114 +555,22 @@ def self_augmented_rsvd(
 
 
 def solve_state(state: SweepState) -> SelfAugmentedResult:
-    """Drive a prepared :class:`SweepState` to convergence.
+    """Drive a prepared :class:`SweepState` to convergence on its own.
 
-    Dispatches on the state's configured solver backend; this is the entry
-    point the fleet service uses for sites it cannot stack (looped backend)
-    and what :func:`self_augmented_rsvd` runs for a standalone solve.
+    One batched solve per half-sweep; this is what
+    :func:`self_augmented_rsvd` runs for a standalone solve.
     """
-    if state.cfg.solver_backend == "batched":
-        while state.active:
-            state.begin_sweep()
-            state.set_right(batched_safe_solve(*state.right_systems()))
-            state.set_left(batched_safe_solve(*state.left_systems()))
-            state.finish_sweep()
-        return state.finalize()
-    return _self_augmented_rsvd_looped(state)
-
-
-def _self_augmented_rsvd_looped(state: SweepState) -> SelfAugmentedResult:
-    """Per-column reference implementation driven off a prepared state.
-
-    Shares the :class:`SweepState` sweep lifecycle (structural-target
-    evaluation, convergence bookkeeping, result packaging) with the batched
-    backend and re-derives only the inner normal-equation solves the
-    per-column/per-row reference way, so the state's bookkeeping stays
-    authoritative for either backend.
-    """
-    observed, mask = state.observed, state.mask
-    prediction = state.prediction
-    use_reference = state.use_reference
-    g, h = state.g, state.h
-    m, n = state.m, state.n
-    lam, identity = state.lam, state.identity
-    w1, w2 = state.w1, state.w2
-    left, right = state.left, state.right
-    stripe_map = state.stripe_map
-
     while state.active:
         state.begin_sweep()
-        structure_active = state._structure_active
-        estimate_stripe = state._estimate_stripe
-
-        # ------------------------------------------ update R columns (looped)
-        for j in range(n):
-            ii, jj = int(stripe_map[j, 0]), int(stripe_map[j, 1])
-            weights = mask[:, j]
-            lw = left * weights[:, None]
-            lhs = lam * identity + lw.T @ left
-            rhs = lw.T @ observed[:, j]
-            if use_reference:
-                lhs = lhs + w1 * (left.T @ left)
-                rhs = rhs + w1 * (left.T @ np.asarray(prediction)[:, j])
-            if structure_active:
-                l_row = left[ii, :]
-                # Continuity: column jj of G weights how strongly the
-                # stripe element at j participates in the Laplacian
-                # penalty.
-                g_weight = float(np.sum(np.asarray(g)[:, jj] ** 2))
-                # Similarity: row differences through H acting on link ii.
-                h_weight = float(np.sum(np.asarray(h)[:, ii] ** 2))
-                structural = w2 * (g_weight + h_weight)
-                lhs = lhs + structural * np.outer(l_row, l_row)
-                neighbour_target = _neighbour_average(estimate_stripe, ii, jj)
-                adjacent_target = _adjacent_link_value(estimate_stripe, ii, jj)
-                rhs = rhs + w2 * (
-                    g_weight * neighbour_target + h_weight * adjacent_target
-                ) * l_row
-            right[j, :] = safe_solve(lhs, rhs)
-
-        # ---------------------------------------------- update L rows (looped)
-        for i in range(m):
-            weights = mask[i, :]
-            rw = right * weights[:, None]
-            lhs = lam * identity + rw.T @ right
-            rhs = rw.T @ observed[i, :]
-            if use_reference:
-                lhs = lhs + w1 * (right.T @ right)
-                rhs = rhs + w1 * (right.T @ np.asarray(prediction)[i, :])
-            left[i, :] = safe_solve(lhs, rhs)
-
+        state.set_right(batched_safe_solve(*state.right_systems()))
+        state.set_left(batched_safe_solve(*state.left_systems()))
         state.finish_sweep()
-
     return state.finalize()
 
 
-def _neighbour_average(stripes: np.ndarray, link: int, offset: int) -> float:
-    """Average of the stripe neighbours of element (link, offset)."""
-    width = stripes.shape[1]
-    neighbours = []
-    if offset > 0:
-        neighbours.append(stripes[link, offset - 1])
-    if offset < width - 1:
-        neighbours.append(stripes[link, offset + 1])
-    if not neighbours:
-        return float(stripes[link, offset])
-    return float(np.mean(neighbours))
-
-
-def _adjacent_link_value(stripes: np.ndarray, link: int, offset: int) -> float:
-    """Value of the adjacent link at the same relative stripe position."""
-    m = stripes.shape[0]
-    if link > 0:
-        return float(stripes[link - 1, offset])
-    if link + 1 < m:
-        return float(stripes[link + 1, offset])
-    return float(stripes[link, offset])
-
-
 def _neighbour_average_stripes(stripes: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`_neighbour_average` over the whole stripe matrix."""
+    """Average of each stripe element's along-link neighbours (the element
+    itself when its stripe has width 1)."""
     width = stripes.shape[1]
     if width == 1:
         return stripes.astype(float, copy=True)
@@ -683,7 +582,9 @@ def _neighbour_average_stripes(stripes: np.ndarray) -> np.ndarray:
 
 
 def _adjacent_link_stripes(stripes: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`_adjacent_link_value` over the whole stripe matrix."""
+    """Value of the adjacent link at the same relative stripe position: the
+    previous link, the next one for link 0, the element itself when there is
+    a single link."""
     m = stripes.shape[0]
     if m == 1:
         return stripes.astype(float, copy=True)
@@ -696,8 +597,6 @@ def _adjacent_link_stripes(stripes: np.ndarray) -> np.ndarray:
 def _smooth_stripes(
     estimate: np.ndarray,
     locations_per_link: int,
-    g: np.ndarray,
-    h: np.ndarray,
     weight: float,
     outlier_sigmas: float = 2.0,
 ) -> np.ndarray:
@@ -712,23 +611,17 @@ def _smooth_stripes(
     well-behaved elements are left untouched so the discriminative structure
     of the fingerprint columns is preserved.
     """
-    m = estimate.shape[0]
     result = estimate.copy()
     stripes = _extract_stripes(estimate, locations_per_link)
-    deviations = np.zeros_like(stripes)
-    targets = np.zeros_like(stripes)
-    for i in range(m):
-        for u in range(locations_per_link):
-            neighbour = _neighbour_average(stripes, i, u)
-            adjacent = _adjacent_link_value(stripes, i, u)
-            targets[i, u] = 0.7 * neighbour + 0.3 * adjacent
-            deviations[i, u] = stripes[i, u] - neighbour
+    neighbour = _neighbour_average_stripes(stripes)
+    targets = 0.7 * neighbour + 0.3 * _adjacent_link_stripes(stripes)
+    deviations = stripes - neighbour
     scale = float(np.std(deviations))
     if scale <= 0:
         return result
     smoothed = stripes.copy()
     outliers = np.abs(deviations) > outlier_sigmas * scale
     smoothed[outliers] = (1.0 - weight) * stripes[outliers] + weight * targets[outliers]
-    for i in range(m):
-        result[i, i * locations_per_link : (i + 1) * locations_per_link] = smoothed[i, :]
+    links = np.arange(estimate.shape[0])
+    _stripe_blocks(result, locations_per_link)[links, links] = smoothed
     return result

@@ -11,14 +11,12 @@ Python-level solver over the sites.
 
 Because batched LU factorises each ``(r, r)`` slice independently, every
 site's iterates are bit-identical to what a standalone
-:func:`~repro.core.self_augmented.self_augmented_rsvd` run with the batched
-backend would produce — sites that converge early simply drop out of the
+:func:`~repro.core.self_augmented.self_augmented_rsvd` run would produce — sites that converge early simply drop out of the
 stack while the rest keep sweeping.
 
 The same independence is what makes the fleet *shardable*: a shard (any
-subset of the states) advanced through :func:`run_stacked_sweeps` — or many
-shards through :func:`run_sharded_sweeps` — produces, per site, exactly the
-floats the full stack would have produced.  :func:`sweep_stack_nbytes`
+subset of the states) advanced through :func:`run_stacked_sweeps` produces,
+per site, exactly the floats the full stack would have produced.  :func:`sweep_stack_nbytes`
 estimates the per-sweep system-stack footprint of one state so the scheduler
 (:mod:`repro.service.shard`) can size shards to a byte budget.
 """
@@ -26,7 +24,7 @@ estimates the per-sweep system-stack footprint of one state so the scheduler
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.core.self_augmented import SelfAugmentedResult, SweepState
 from repro.utils.linalg import stacked_rank_solve, system_stack_nbytes
@@ -34,9 +32,7 @@ from repro.utils.linalg import stacked_rank_solve, system_stack_nbytes
 __all__ = [
     "ShardResult",
     "run_stacked_sweeps",
-    "run_sharded_sweeps",
     "solve_shard",
-    "solve_states",
     "sweep_stack_nbytes",
 ]
 
@@ -93,18 +89,6 @@ def run_stacked_sweeps(states: Sequence[SweepState]) -> int:
     return sweeps
 
 
-def run_sharded_sweeps(shards: Sequence[Sequence[SweepState]]) -> List[int]:
-    """Advance each shard of states independently; one lockstep run per shard.
-
-    Each shard only ever touches its own states, so the concatenated system
-    stacks stay bounded by the largest shard rather than the whole fleet,
-    while per-site results remain bit-identical to one unsharded lockstep run
-    (each LU slice is factorised independently either way).  Returns the
-    per-shard sweep counts in shard order.
-    """
-    return [run_stacked_sweeps(states) for states in shards]
-
-
 def sweep_stack_nbytes(state: SweepState) -> int:
     """Estimated peak system-stack bytes one sweep of ``state`` materialises.
 
@@ -129,8 +113,3 @@ def solve_shard(states: Sequence[SweepState]) -> ShardResult:
         results=tuple(state.finalize() for state in states), sweeps=sweeps
     )
 
-
-def solve_states(states: Sequence[SweepState]) -> List[SelfAugmentedResult]:
-    """Run :func:`run_stacked_sweeps` and package every state's result."""
-    run_stacked_sweeps(states)
-    return [state.finalize() for state in states]

@@ -18,14 +18,13 @@ together:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.lrr import LRRConfig, LRRResult, low_rank_representation
 from repro.core.mic import MICResult, select_reference_locations
-from repro.core.rsvd import validate_solver_backend
 from repro.core.self_augmented import SelfAugmentedConfig, SelfAugmentedResult
 from repro.fingerprint.matrix import FingerprintMatrix
 from repro.utils.random import RngLike
@@ -53,11 +52,6 @@ class UpdaterConfig:
         When True (default) the fresh reference columns are also added to the
         observation mask so the data-fit term sees them directly, in addition
         to Constraint 1.
-    solver_backend:
-        Convenience override of ``solver.solver_backend`` (``"batched"`` or
-        ``"looped"``); ``None`` keeps whatever the solver config says.  Lets
-        callers flip the whole pipeline between the vectorised and the
-        reference ALS core without rebuilding the nested solver config.
     """
 
     reference_count: Optional[int] = None
@@ -65,16 +59,6 @@ class UpdaterConfig:
     lrr: LRRConfig = field(default_factory=LRRConfig)
     solver: SelfAugmentedConfig = field(default_factory=SelfAugmentedConfig)
     include_reference_in_mask: bool = True
-    solver_backend: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        validate_solver_backend(self.solver_backend, allow_none=True)
-
-    def resolved_solver(self) -> SelfAugmentedConfig:
-        """Solver config with the pipeline-level backend override applied."""
-        if self.solver_backend is None:
-            return self.solver
-        return replace(self.solver, solver_backend=self.solver_backend)
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ class DaemonConfig:
         geometry changed — fall back to a cold solve per site.
     query:
         Configuration of the embedded :class:`~repro.query.engine.QueryEngine`
-        (matcher, backend, result cache).
+        (matcher, result cache).
     endpoints:
         Optional remote worker URLs (``fleet workers serve`` machines).
         When set, refresh jobs that ask for workers scatter their shards

@@ -36,9 +36,9 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["DaemonRequestHandler", "DaemonServer"]
+from repro.io.wire import checked_content_length
 
-_MAX_BODY_BYTES = 256 * 1024 * 1024  # refuse absurd uploads outright
+__all__ = ["DaemonRequestHandler", "DaemonServer"]
 
 
 class DaemonRequestHandler(BaseHTTPRequestHandler):
@@ -72,9 +72,12 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message})
 
     def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length < 0 or length > _MAX_BODY_BYTES:
-            raise ValueError(f"unreasonable request body size {length}")
+        try:
+            length = checked_content_length(self.headers.get("Content-Length"))
+        except ValueError:
+            # The body was never read, so the connection cannot be reused.
+            self.close_connection = True
+            raise
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -203,7 +206,6 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
             {
                 "site": answer.site,
                 "matcher": answer.matcher,
-                "backend": answer.backend,
                 "generation": answer.generation,
                 "indices": [int(i) for i in answer.indices],
                 "points": (

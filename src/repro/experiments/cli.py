@@ -351,12 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="localization matcher the engine binds per site",
     )
     query_run_parser.add_argument(
-        "--backend",
-        choices=("vectorized", "looped"),
-        default="vectorized",
-        help="matcher backend: batched GEMM path or the per-query reference",
-    )
-    query_run_parser.add_argument(
         "--cache",
         type=int,
         default=0,
@@ -365,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     query_bench_parser = query_sub.add_parser(
         "bench",
-        help="measure queries/sec of the looped vs vectorized backends",
+        help="measure the engine's queries/sec at several batch sizes",
     )
     query_bench_parser.add_argument(
         "--report",
@@ -398,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help=(
-            "fail (exit 1) unless the vectorized backend reaches this many "
+            "fail (exit 1) unless the engine reaches this many "
             "queries/sec at the largest batch size"
         ),
     )
@@ -965,11 +959,7 @@ def run_query_run(args) -> int:
         return 2
 
     engine = QueryEngine(
-        QueryConfig(
-            matcher=args.matcher,
-            matcher_backend=args.backend,
-            cache_size=args.cache,
-        )
+        QueryConfig(matcher=args.matcher, cache_size=args.cache)
     )
     locations = {
         batch.site: batch.locations
@@ -983,8 +973,7 @@ def run_query_run(args) -> int:
         return 2
     print(
         f"serving generation {generation.ordinal} ({generation.label}): "
-        f"{len(generation.sites)} sites, matcher={args.matcher}, "
-        f"backend={args.backend}"
+        f"{len(generation.sites)} sites, matcher={args.matcher}"
     )
 
     answers = []
@@ -1028,7 +1017,7 @@ def run_query_run(args) -> int:
 
 
 def run_query_bench(args) -> int:
-    """Run ``query bench``: looped vs vectorized queries/sec at several batches."""
+    """Run ``query bench``: the engine's queries/sec at several batch sizes."""
     import time
 
     import numpy as np
@@ -1058,17 +1047,10 @@ def run_query_bench(args) -> int:
         report = FleetReport(elapsed_days=45.0, reports=tuple(reports))
         print("no --report given; refreshed a 1-site fleet in-process")
 
-    engines = {
-        backend: QueryEngine(
-            QueryConfig(matcher=args.matcher, matcher_backend=backend)
-        )
-        for backend in ("looped", "vectorized")
-    }
-    for engine in engines.values():
-        engine.publish_report(report)
-    site = engines["vectorized"].sites[0]
-    site_report = report.report_for(site)
-    matrix = site_report.matrix
+    engine = QueryEngine(QueryConfig(matcher=args.matcher))
+    engine.publish_report(report)
+    site = engine.sites[0]
+    matrix = report.report_for(site).matrix
     rng = np.random.default_rng(args.seed)
 
     print(
@@ -1081,28 +1063,22 @@ def run_query_bench(args) -> int:
         queries = matrix.values.T[truth] + rng.normal(
             0.0, args.noise_db, size=(batch_size, matrix.link_count)
         )
-        qps = {}
-        for backend, engine in engines.items():
-            best = float("inf")
-            for _ in range(args.repeats):
-                start = time.perf_counter()
-                engine.localize_batch(site, queries)
-                best = min(best, time.perf_counter() - start)
-            qps[backend] = batch_size / best if best > 0 else float("inf")
-        speedup = qps["vectorized"] / qps["looped"]
-        print(
-            f"batch {batch_size:>5}: looped {qps['looped']:>12,.0f} q/s | "
-            f"vectorized {qps['vectorized']:>12,.0f} q/s | {speedup:6.1f}x"
-        )
+        best = float("inf")
+        for _ in range(args.repeats):
+            start = time.perf_counter()
+            engine.localize_batch(site, queries)
+            best = min(best, time.perf_counter() - start)
+        qps = batch_size / best if best > 0 else float("inf")
+        print(f"batch {batch_size:>5}: {qps:>12,.0f} q/s")
         if (
             args.qps_target is not None
             and batch_size == max(args.batch_sizes)
-            and qps["vectorized"] < args.qps_target
+            and qps < args.qps_target
         ):
             target_met = False
             print(
-                f"vectorized backend reached {qps['vectorized']:,.0f} q/s at "
-                f"batch {batch_size}, below the target {args.qps_target:,.0f}",
+                f"engine reached {qps:,.0f} q/s at batch {batch_size}, "
+                f"below the target {args.qps_target:,.0f}",
                 file=sys.stderr,
             )
     return 0 if target_met else 1

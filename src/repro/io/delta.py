@@ -38,6 +38,7 @@ import numpy as np
 from repro.service.shard import ShardPlan
 from repro.service.types import FleetReport, UpdateReport
 from repro.io.wire import (
+    WirePayloadError,
     _get_array,
     _read_payload,
     _site_key,
@@ -323,7 +324,7 @@ def apply_delta(base: FleetReport, delta: FleetDelta) -> FleetReport:
 
             reports.append(decode_site_report(entry, patched))
         except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ValueError(
+            raise WirePayloadError(
                 f"cannot apply delta for site {index} ({site!r}): {exc}"
             ) from exc
 

@@ -20,9 +20,11 @@ import numpy as np
 
 from repro.io.wire import (
     WIRE_VERSION,
+    WirePayloadError,
     _get_array,
     _read_payload,
     _write_payload,
+    check_legacy_value,
 )
 from repro.query.types import QueryAnswer, QueryBatch
 
@@ -40,6 +42,11 @@ QUERIES_FORMAT = "repro-query-batch"
 
 ANSWERS_FORMAT = "repro-query-answers"
 """Format tag of an answers payload."""
+
+ANSWER_BACKENDS = ("vectorized", "looped")
+"""Every value a v1 answer ``backend`` key has carried.  Matching has a
+single path, so writers always emit the first; readers validate the key
+against this tuple and ignore it."""
 
 
 def _batch_key(index: int) -> str:
@@ -133,7 +140,7 @@ def save_answers(path, answers: Sequence[QueryAnswer]) -> None:
         entry = {
             "site": answer.site,
             "matcher": answer.matcher,
-            "backend": answer.backend,
+            "backend": ANSWER_BACKENDS[0],
             "generation": int(answer.generation),
             "count": int(answer.count),
             "cache_hits": int(answer.cache_hits),
@@ -179,11 +186,11 @@ def load_answers(path) -> List[QueryAnswer]:
                     f"answer carries {indices.size} indices, manifest records "
                     f"{entry['count']}"
                 )
+            check_legacy_value(entry["backend"], ANSWER_BACKENDS, "backend")
             answers.append(
                 QueryAnswer(
                     site=str(entry["site"]),
                     matcher=str(entry["matcher"]),
-                    backend=str(entry["backend"]),
                     generation=int(entry["generation"]),
                     indices=indices,
                     points=points,
@@ -191,7 +198,7 @@ def load_answers(path) -> List[QueryAnswer]:
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
+            raise WirePayloadError(
                 f"corrupt answer {index} in {path!r}: {exc}"
             ) from exc
     return answers

@@ -52,11 +52,14 @@ from repro.service.types import (
 
 __all__ = [
     "WIRE_VERSION",
+    "MAX_BODY_BYTES",
     "REQUESTS_FORMAT",
     "REPORT_FORMAT",
     "SHARD_TASK_FORMAT",
     "SHARD_RESULT_FORMAT",
     "WirePayloadError",
+    "check_legacy_value",
+    "checked_content_length",
     "ShardTask",
     "save_requests",
     "load_requests",
@@ -87,6 +90,14 @@ SHARD_TASK_FORMAT = "repro-shard-task"
 SHARD_RESULT_FORMAT = "repro-shard-result"
 """Format tag of a remote shard-result payload (gather direction)."""
 
+SOLVER_BACKENDS = ("batched", "looped")
+"""Every value a v1 ``solver_backend`` key has carried.  The solver has a
+single path, so writers always emit the first; readers validate the key
+against this tuple and ignore it."""
+
+MAX_BODY_BYTES = 256 * 1024 * 1024
+"""Largest request body an HTTP endpoint (daemon API, shard worker) reads."""
+
 
 class WirePayloadError(ValueError):
     """A wire payload failed validation (corrupt, truncated, wrong format).
@@ -98,6 +109,34 @@ class WirePayloadError(ValueError):
     fuzz suite can assert corruption *always* surfaces as this one typed
     error instead of a silent wrong result or a stray exception.
     """
+
+
+def check_legacy_value(value, allowed: Sequence, key: str) -> None:
+    """Validate a v1 key that only ever has one meaning now.
+
+    Historical values are accepted (and then ignored by the caller); any
+    other value means the payload was not written by this format.
+    """
+    if value not in allowed:
+        raise WirePayloadError(
+            f"unknown {key} {value!r}; expected one of {tuple(allowed)}"
+        )
+
+
+def checked_content_length(header: Optional[str]) -> int:
+    """Validate a ``Content-Length`` header before reading any body byte.
+
+    A missing header means an empty body.  A negative, non-integer or
+    above-:data:`MAX_BODY_BYTES` value raises ``ValueError`` so the endpoint
+    can answer 400 at once instead of blocking on bytes that never come.
+    """
+    try:
+        length = int(header or 0)
+    except ValueError:
+        raise ValueError(f"invalid Content-Length {header!r}") from None
+    if length < 0 or length > MAX_BODY_BYTES:
+        raise ValueError(f"unreasonable request body size {length}")
+    return length
 
 
 # --------------------------------------------------------------------- common
@@ -115,7 +154,7 @@ def _encode_config(config: UpdaterConfig) -> dict:
         "reference_count": config.reference_count,
         "mic_strategy": config.mic_strategy,
         "include_reference_in_mask": config.include_reference_in_mask,
-        "solver_backend": config.solver_backend,
+        "solver_backend": SOLVER_BACKENDS[0],
         "lrr": _dataclass_scalars(config.lrr),
         "solver": _dataclass_scalars(config.solver),
     }
@@ -123,16 +162,25 @@ def _encode_config(config: UpdaterConfig) -> dict:
 
 def _decode_config(data: dict) -> UpdaterConfig:
     try:
+        # The top-level key was an optional override (null by default); the
+        # nested one a solver field that older writers also emitted.
+        check_legacy_value(
+            data["solver_backend"], (None, *SOLVER_BACKENDS), "solver_backend"
+        )
+        solver = dict(data["solver"])
+        if "solver_backend" in solver:
+            check_legacy_value(
+                solver.pop("solver_backend"), SOLVER_BACKENDS, "solver.solver_backend"
+            )
         return UpdaterConfig(
             reference_count=data["reference_count"],
             mic_strategy=data["mic_strategy"],
             include_reference_in_mask=data["include_reference_in_mask"],
-            solver_backend=data["solver_backend"],
             lrr=LRRConfig(**data["lrr"]),
-            solver=SelfAugmentedConfig(**data["solver"]),
+            solver=SelfAugmentedConfig(**solver),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"corrupt updater config in payload: {exc}") from exc
+        raise WirePayloadError(f"corrupt updater config in payload: {exc}") from exc
 
 
 def _encode_seed(rng, site: str):
@@ -690,7 +738,7 @@ def encode_site_report(site_report: UpdateReport) -> Tuple[dict, Dict[str, np.nd
         "site": site_report.site,
         "sweeps": int(site_report.sweeps),
         "converged": bool(site_report.converged),
-        "solver_backend": site_report.solver_backend,
+        "solver_backend": SOLVER_BACKENDS[0],
         # Optional key (absent pre-incremental payloads; read with .get).
         "warm_started": bool(site_report.warm_started),
         "locations_per_link": int(matrix.locations_per_link),
@@ -744,6 +792,7 @@ def decode_site_report(entry: dict, get_array) -> UpdateReport:
         reference_weight=float(solver_meta["reference_weight"]),
         structure_weight=float(solver_meta["structure_weight"]),
     )
+    check_legacy_value(entry["solver_backend"], SOLVER_BACKENDS, "solver_backend")
     mic_meta = entry["mic"]
     mic = MICResult(
         indices=tuple(int(i) for i in mic_meta["indices"]),
@@ -773,7 +822,6 @@ def decode_site_report(entry: dict, get_array) -> UpdateReport:
         result=result,
         sweeps=int(entry["sweeps"]),
         converged=bool(entry["converged"]),
-        solver_backend=str(entry["solver_backend"]),
         warm_started=bool(entry.get("warm_started", False)),
     )
 
@@ -831,7 +879,7 @@ def load_report(path) -> FleetReport:
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
+            raise WirePayloadError(
                 f"corrupt report site {index} in {path!r}: {exc}"
             ) from exc
 

@@ -9,10 +9,10 @@ users localizing against those refreshed databases:
   a refreshed :class:`~repro.service.types.FleetReport`, in memory or
   loaded from the :mod:`repro.io` wire format.
 * :mod:`repro.query.matchers` — every :mod:`repro.localization` matcher
-  (kNN / OMP / SVR / RASS) in a fully **vectorized** batched backend (one
+  (kNN / OMP / SVR / RASS), fully **vectorized** over a query batch (one
   distance-matrix GEMM per kNN batch, batched OMP correlation projections,
-  batched SVR kernels) plus the per-query ``"looped"`` reference backend it
-  is pinned against (≤ 1e-10).
+  batched SVR kernels) and pinned ≤ 1e-10 against the per-query
+  :mod:`repro.localization` methods.
 * :class:`~repro.query.engine.QueryEngine` — ``localize_batch(site,
   measurements)`` over a :class:`~repro.query.engine.GenerationStore` that
   **hot-swaps database generations atomically** (in-flight batches finish
@@ -33,7 +33,7 @@ from repro.query.engine import (
     QueryEngine,
 )
 from repro.query.index import QueryIndex, grid_locations, indexes_from_report
-from repro.query.matchers import BACKENDS, MATCHERS, BoundMatcher, bind_matcher
+from repro.query.matchers import MATCHERS, BoundMatcher, bind_matcher
 from repro.query.types import QueryAnswer, QueryBatch
 
 __all__ = [
@@ -52,5 +52,4 @@ __all__ = [
     "ResultCache",
     "CacheStats",
     "MATCHERS",
-    "BACKENDS",
 ]

@@ -70,14 +70,13 @@ class ResultCache:
         site: str,
         generation: int,
         matcher: str,
-        backend: str,
         measurement: np.ndarray,
     ) -> Tuple:
         """Cache key of one query: identity fields + the quantized vector."""
         quantized = np.round(
             np.asarray(measurement, dtype=float) / self.quantum_db
         ).astype(np.int64)
-        return (site, int(generation), matcher, backend, quantized.tobytes())
+        return (site, int(generation), matcher, quantized.tobytes())
 
     def get(self, key: Hashable) -> Optional[object]:
         """Look up a key, refreshing its LRU position on a hit."""

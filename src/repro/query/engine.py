@@ -10,8 +10,7 @@ UpdateService`: the write path refreshes fingerprint databases, the
   site, with the configured matcher bound (per-generation precompute — SVR
   fits, centred dictionaries) at publish time.
 * :meth:`QueryEngine.localize_batch` answers a whole batch through the
-  bound matcher's vectorized backend (or the per-query looped reference,
-  pinned ≤ 1e-10 — see :mod:`repro.query.matchers`).
+  bound matcher's vectorized path (see :mod:`repro.query.matchers`).
 * The :class:`GenerationStore` hot-swaps generations **atomically**: a
   batch in flight finishes entirely on the generation snapshot it grabbed;
   new batches see the new one.  No locks are held while matching.
@@ -33,7 +32,7 @@ from repro.localization.omp import OMPConfig
 from repro.localization.rass import RASSConfig
 from repro.query.cache import CacheStats, ResultCache
 from repro.query.index import QueryIndex, indexes_from_report
-from repro.query.matchers import BACKENDS, MATCHERS, BoundMatcher, bind_matcher
+from repro.query.matchers import MATCHERS, BoundMatcher, bind_matcher
 from repro.query.types import QueryAnswer, QueryBatch
 from repro.service.types import FleetReport
 from repro.utils.validation import check_2d
@@ -50,9 +49,6 @@ class QueryConfig:
     matcher:
         Which matcher answers queries: ``"knn"`` (default), ``"omp"``,
         ``"svr"`` or ``"rass"``.
-    matcher_backend:
-        ``"vectorized"`` (default, batched GEMM path) or ``"looped"`` (the
-        per-query :mod:`repro.localization` reference path).
     knn, omp, rass:
         Per-matcher configurations (``rass`` is shared by the ``"svr"``
         matcher, which forces feature centering off).
@@ -65,7 +61,6 @@ class QueryConfig:
     """
 
     matcher: str = "knn"
-    matcher_backend: str = "vectorized"
     knn: KNNConfig = field(default_factory=KNNConfig)
     omp: OMPConfig = field(default_factory=OMPConfig)
     rass: RASSConfig = field(default_factory=RASSConfig)
@@ -76,11 +71,6 @@ class QueryConfig:
         if self.matcher not in MATCHERS:
             raise ValueError(
                 f"unknown matcher {self.matcher!r}; expected one of {MATCHERS}"
-            )
-        if self.matcher_backend not in BACKENDS:
-            raise ValueError(
-                f"unknown matcher_backend {self.matcher_backend!r}; "
-                f"expected one of {BACKENDS}"
             )
         if self.cache_size < 0:
             raise ValueError("cache_size must be non-negative")
@@ -198,7 +188,6 @@ class QueryEngine:
                 index=index,
                 matcher=bind_matcher(
                     config.matcher,
-                    config.matcher_backend,
                     index,
                     knn=config.knn,
                     omp=config.omp,
@@ -274,16 +263,13 @@ class QueryEngine:
             return QueryAnswer(
                 site=site,
                 matcher=matcher.name,
-                backend=matcher.backend,
                 generation=generation.ordinal,
                 indices=indices,
                 points=points,
             )
 
         keys = [
-            self.cache.key(
-                site, generation.ordinal, matcher.name, matcher.backend, row
-            )
+            self.cache.key(site, generation.ordinal, matcher.name, row)
             for row in measurements
         ]
         cached = [self.cache.get(key) for key in keys]
@@ -313,7 +299,6 @@ class QueryEngine:
         return QueryAnswer(
             site=site,
             matcher=matcher.name,
-            backend=matcher.backend,
             generation=generation.ordinal,
             indices=indices,
             points=points,

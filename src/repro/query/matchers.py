@@ -1,16 +1,12 @@
 """Batched localization matchers over a :class:`~repro.query.index.QueryIndex`.
 
-Every matcher of :mod:`repro.localization` (kNN / OMP / SVR / RASS) is
-available in two backends:
-
-* ``"vectorized"`` — the serving path: a whole query batch is answered with
-  a constant number of GEMMs (one distance-matrix product for kNN, one
-  correlation product per OMP round, two kernel products for SVR/RASS)
-  instead of a Python loop per query.
-* ``"looped"`` — the reference path: the existing per-query
-  ``localize_index`` / ``localize_point`` methods, row by row.  This is the
-  paper-faithful baseline the vectorized backend is pinned against
-  (≤ 1e-10, ``tests/query/test_matchers.py``).
+Every matcher of :mod:`repro.localization` (kNN / OMP / SVR / RASS) answers
+a whole query batch with a constant number of GEMMs (one distance-matrix
+product for kNN, one correlation product per OMP round, two kernel products
+for SVR/RASS) instead of a Python loop per query.  The answers are pinned
+≤ 1e-10 against the per-query ``localize_index`` / ``localize_point``
+methods of :mod:`repro.localization`, row by row
+(``tests/query/test_matchers.py``).
 
 A matcher is *bound* to an index once per database generation
 (:func:`bind_matcher`), which is where the per-generation precomputation
@@ -31,14 +27,11 @@ from repro.localization.omp import OMPConfig, OMPLocalizer
 from repro.localization.rass import RASSConfig, RASSLocalizer
 from repro.query.index import QueryIndex
 
-__all__ = ["MATCHERS", "BACKENDS", "BoundMatcher", "bind_matcher"]
+__all__ = ["MATCHERS", "BoundMatcher", "bind_matcher"]
 
 MATCHERS = ("knn", "omp", "svr", "rass")
 """Matcher names the engine accepts (``"svr"`` is RASS without feature
 centering — the plain support-vector regression baseline)."""
-
-BACKENDS = ("vectorized", "looped")
-"""Matcher execution backends."""
 
 Answer = Tuple[np.ndarray, Optional[np.ndarray]]
 
@@ -48,25 +41,15 @@ class BoundMatcher:
 
     name: str = ""
 
-    def __init__(self, index: QueryIndex, backend: str) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown matcher backend {backend!r}; expected one of {BACKENDS}"
-            )
+    def __init__(self, index: QueryIndex) -> None:
         self.index = index
-        self.backend = backend
 
     def localize(self, measurements: np.ndarray) -> Answer:
         """Answer a validated ``(B, M)`` batch: ``(indices, points_or_None)``."""
-        if self.backend == "vectorized":
-            return self._localize_vectorized(measurements)
-        return self._localize_looped(measurements)
+        return self._match(measurements)
 
-    # Subclass hooks ------------------------------------------------------
-    def _localize_vectorized(self, measurements: np.ndarray) -> Answer:
-        raise NotImplementedError
-
-    def _localize_looped(self, measurements: np.ndarray) -> Answer:
+    def _match(self, measurements: np.ndarray) -> Answer:
+        """Subclass hook behind :meth:`localize`."""
         raise NotImplementedError
 
 
@@ -74,15 +57,15 @@ class BoundMatcher:
 class _KNNBound(BoundMatcher):
     name = "knn"
 
-    def __init__(self, index: QueryIndex, backend: str, config: KNNConfig) -> None:
-        super().__init__(index, backend)
+    def __init__(self, index: QueryIndex, config: KNNConfig) -> None:
+        super().__init__(index)
         self.config = config
         # Binding is the per-generation precompute: the localizer hoists the
-        # centred dictionary and column norms once, then both backends share
-        # it (satellite: figures and engine ride one code path).
+        # centred dictionary and column norms once (figures and engine ride
+        # one code path).
         self._localizer = KNNLocalizer(index.values, index.locations, config)
 
-    def _localize_vectorized(self, measurements: np.ndarray) -> Answer:
+    def _match(self, measurements: np.ndarray) -> Answer:
         indices = self._localizer.localize_batch(measurements)
         points = (
             self._localizer.localize_points_batch(measurements)
@@ -91,24 +74,13 @@ class _KNNBound(BoundMatcher):
         )
         return indices, points
 
-    def _localize_looped(self, measurements: np.ndarray) -> Answer:
-        indices = np.array(
-            [self._localizer.localize_index(row) for row in measurements], dtype=int
-        )
-        points = None
-        if self.index.locations is not None:
-            points = np.vstack(
-                [self._localizer.localize_point(row) for row in measurements]
-            )
-        return indices, points
-
 
 # ------------------------------------------------------------------------ OMP
 class _OMPBound(BoundMatcher):
     name = "omp"
 
-    def __init__(self, index: QueryIndex, backend: str, config: OMPConfig) -> None:
-        super().__init__(index, backend)
+    def __init__(self, index: QueryIndex, config: OMPConfig) -> None:
+        super().__init__(index)
         self.config = config
         self._localizer = OMPLocalizer(index.values, index.locations, config)
         # The matching dictionary OMP actually correlates against, plus the
@@ -128,7 +100,7 @@ class _OMPBound(BoundMatcher):
             batch = batch - batch.mean(axis=1, keepdims=True)
         return batch
 
-    def _localize_vectorized(self, measurements: np.ndarray) -> Answer:
+    def _match(self, measurements: np.ndarray) -> Answer:
         targets = self._center(measurements)
         sparsity = min(int(self.config.sparsity), self.index.location_count)
         if sparsity == 1:
@@ -148,7 +120,7 @@ class _OMPBound(BoundMatcher):
     def _omp_multi_atom(self, targets: np.ndarray, sparsity: int) -> Answer:
         """Batched multi-atom OMP: the correlation step is one GEMM per
         round over the still-active queries; the tiny per-query least-squares
-        re-fits stay looped (support size ≤ sparsity)."""
+        re-fits run per query (support size ≤ sparsity)."""
         dictionary = self._dictionary
         batch = targets.shape[0]
         residuals = targets.copy()
@@ -200,17 +172,6 @@ class _OMPBound(BoundMatcher):
                 points[q] = locations[best]
         return indices, points
 
-    def _localize_looped(self, measurements: np.ndarray) -> Answer:
-        indices = np.array(
-            [self._localizer.localize_index(row) for row in measurements], dtype=int
-        )
-        points = None
-        if self.index.locations is not None:
-            points = np.vstack(
-                [self._localizer.localize_point(row) for row in measurements]
-            )
-        return indices, points
-
 
 # ------------------------------------------------------------------- SVR/RASS
 def _snap_to_grid(points: np.ndarray, locations: np.ndarray) -> np.ndarray:
@@ -224,10 +185,8 @@ def _snap_to_grid(points: np.ndarray, locations: np.ndarray) -> np.ndarray:
 
 
 class _RASSBound(BoundMatcher):
-    def __init__(
-        self, index: QueryIndex, backend: str, config: RASSConfig, name: str
-    ) -> None:
-        super().__init__(index, backend)
+    def __init__(self, index: QueryIndex, config: RASSConfig, name: str) -> None:
+        super().__init__(index)
         self.name = name
         if index.locations is None:
             raise ValueError(
@@ -240,25 +199,15 @@ class _RASSBound(BoundMatcher):
         # paid once per hot-swap instead of per query.
         self._localizer = RASSLocalizer(config).fit(index.values, index.locations)
 
-    def _localize_vectorized(self, measurements: np.ndarray) -> Answer:
+    def _match(self, measurements: np.ndarray) -> Answer:
         points = self._localizer.localize_points_batch(measurements)
         indices = _snap_to_grid(points, self.index.locations)
-        return indices, points
-
-    def _localize_looped(self, measurements: np.ndarray) -> Answer:
-        points = np.vstack(
-            [self._localizer.localize_point(row) for row in measurements]
-        )
-        indices = np.array(
-            [self._localizer.localize_index(row) for row in measurements], dtype=int
-        )
         return indices, points
 
 
 # ---------------------------------------------------------------------- bind
 def bind_matcher(
     matcher: str,
-    backend: str,
     index: QueryIndex,
     knn: Optional[KNNConfig] = None,
     omp: Optional[OMPConfig] = None,
@@ -271,13 +220,13 @@ def bind_matcher(
     :class:`RASSConfig` as-is (centered by default).
     """
     if matcher == "knn":
-        return _KNNBound(index, backend, knn or KNNConfig())
+        return _KNNBound(index, knn or KNNConfig())
     if matcher == "omp":
-        return _OMPBound(index, backend, omp or OMPConfig())
+        return _OMPBound(index, omp or OMPConfig())
     if matcher == "svr":
         return _RASSBound(
-            index, backend, replace(rass or RASSConfig(), center_features=False), "svr"
+            index, replace(rass or RASSConfig(), center_features=False), "svr"
         )
     if matcher == "rass":
-        return _RASSBound(index, backend, rass or RASSConfig(), "rass")
+        return _RASSBound(index, rass or RASSConfig(), "rass")
     raise ValueError(f"unknown matcher {matcher!r}; expected one of {MATCHERS}")

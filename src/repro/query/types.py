@@ -9,7 +9,7 @@ request/response model (:mod:`repro.service.types`):
   that know the deployment geometry).
 * :class:`QueryAnswer` — the engine's response: per-query grid indices,
   estimated coordinates where a location table is available, and the serving
-  bookkeeping (matcher, backend, database generation, cache hits).
+  bookkeeping (matcher, database generation, cache hits).
 
 Both ride the :mod:`repro.io` wire format via
 :func:`repro.io.save_queries` / :func:`repro.io.save_answers`.
@@ -85,9 +85,6 @@ class QueryAnswer:
     matcher:
         Which matcher answered (``"knn"`` / ``"omp"`` / ``"svr"`` /
         ``"rass"``).
-    backend:
-        Which matcher backend ran (``"vectorized"`` or the per-query
-        ``"looped"`` reference).
     generation:
         Ordinal of the database generation the whole batch was answered
         from.  Hot-swaps are atomic: every row of one answer comes from the
@@ -103,7 +100,6 @@ class QueryAnswer:
 
     site: str
     matcher: str
-    backend: str
     generation: int
     indices: np.ndarray
     points: Optional[np.ndarray] = None

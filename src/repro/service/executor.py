@@ -106,7 +106,7 @@ class ShardExecutor(ABC):
 
     ``execute`` receives the prepared fleet and the plan, and must return
     the executed plan (per-shard sweep counts and fallback flags recorded)
-    plus one finalized solver result per *batched* prepared-site index.
+    plus one finalized solver result per prepared-site index.
     Implementations may mutate ``prepared`` entries only by replacing them
     with an equivalently prepared site (the serial fallback path does, so
     report metadata always reflects the states that actually solved).

@@ -43,10 +43,6 @@ class PreparedSite:
     reference_indices: Tuple[int, ...]
     state: SweepState
 
-    @property
-    def backend(self) -> str:
-        return self.state.cfg.solver_backend
-
     def report(self, solver_result: SelfAugmentedResult) -> UpdateReport:
         request = self.request
         baseline = request.baseline
@@ -69,7 +65,6 @@ class PreparedSite:
             result=result,
             sweeps=solver_result.iterations,
             converged=solver_result.converged,
-            solver_backend=self.backend,
             warm_started=self.state.warm_started,
         )
 
@@ -122,7 +117,7 @@ def prepare_request(request: UpdateRequest) -> PreparedSite:
         mask,
         request.baseline.locations_per_link,
         prediction=prediction,
-        config=config.resolved_solver(),
+        config=config.solver,
         rng=request.rng,
     )
     if request.warm_start is not None:

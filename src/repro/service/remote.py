@@ -61,6 +61,7 @@ from repro.core.self_augmented import SelfAugmentedResult
 from repro.core.stacked import ShardResult
 from repro.io.wire import (
     WirePayloadError,
+    checked_content_length,
     requests_to_bytes,
     shard_fingerprint,
     shard_result_from_bytes,
@@ -267,9 +268,14 @@ class _WorkerRequestHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"unknown route {path!r}"})
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length) if length > 0 else b""
-            task = shard_task_from_bytes(body)
+            length = checked_content_length(self.headers.get("Content-Length"))
+        except ValueError as exc:
+            # The body was never read, so the connection cannot be reused.
+            self.close_connection = True
+            self._send_json(400, {"error": str(exc)})
+            return
+        try:
+            task = shard_task_from_bytes(self.rfile.read(length))
         except (WirePayloadError, ValueError) as exc:
             self._send_json(400, {"error": str(exc)})
             return

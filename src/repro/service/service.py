@@ -12,7 +12,7 @@ and runs the whole fleet through a three-stage pipeline:
    (:func:`~repro.service.prepare.prepare_request`).  Requests can come from
    anywhere: built in memory by :class:`~repro.service.fleet.FleetCampaign`,
    or loaded from a serialized payload via :func:`repro.io.load_requests`.
-2. **Plan** — :func:`~repro.service.shard.plan_shards` groups the batched
+2. **Plan** — :func:`~repro.service.shard.plan_shards` groups the
    sites by factorisation rank (equal-rank stacks concatenate without
    padding, preserving the bitwise-parity guarantee; identity-padding is NOT
    bit-exact) and splits each rank group into shards sized by the
@@ -42,10 +42,6 @@ every executor backend — pinned by ``tests/service/test_fleet_parity.py``
 and ``tests/service/test_executor.py``: batched LU factorises each slice
 independently, and heterogeneous ranks are solved per rank group rather
 than padded, so no site's floating-point result is perturbed.
-
-Sites configured with the ``"looped"`` reference backend cannot ride the
-stacked solve; the service runs them through the same reference path
-``IUpdater`` would use, so mixed fleets stay correct.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.self_augmented import solve_state
 from repro.core.stacked import sweep_stack_nbytes
 from repro.service.executor import ShardExecutor, resolve_executor
 from repro.service.prepare import PreparedSite, prepare_request
@@ -153,8 +148,6 @@ class UpdateService:
 
         Returns the per-site reports in request order; any shard split and
         any executor backend yields bit-identical per-site results.
-        Looped-backend sites are solved with the per-column reference
-        implementation as before.
         """
         requests = list(requests)
         backend = resolve_executor(executor)
@@ -182,12 +175,9 @@ class UpdateService:
             (shard.sweeps for shard in plan.shards), default=0
         )
 
-        reports = []
-        for index, site in enumerate(prepared):
-            if site.backend == "batched":
-                reports.append(site.report(solver_results[index]))
-            else:
-                reports.append(site.report(solve_state(site.state)))
+        reports = [
+            site.report(solver_results[index]) for index, site in enumerate(prepared)
+        ]
 
         self._last_sweeps_saved = {}
         if warm_from is not None:
@@ -226,7 +216,7 @@ class UpdateService:
             return request
         solver = previous.result.solver
         m, n = request.baseline.shape
-        cfg = request.config.resolved_solver()
+        cfg = request.config.solver
         rank = min(cfg.rank if cfg.rank is not None else m, m, n)
         if solver.left.shape != (m, rank) or solver.right.shape != (n, rank):
             return request
@@ -243,20 +233,10 @@ class UpdateService:
     def _plan(
         self, prepared: Sequence[PreparedSite], config: ShardConfig
     ) -> ShardPlan:
-        """Build the rank-grouped, byte-budgeted schedule of the batched sites.
-
-        Looped-backend sites never ride the stacked solve, so they stay out
-        of the plan and run on the per-column reference path at report time.
-        """
-        stacked = [
-            (index, site)
-            for index, site in enumerate(prepared)
-            if site.backend == "batched"
-        ]
+        """Build the rank-grouped, byte-budgeted schedule of every site."""
         return plan_shards(
-            sites=[site.request.site for _, site in stacked],
-            ranks=[site.state.rank for _, site in stacked],
-            stack_bytes=[sweep_stack_nbytes(site.state) for _, site in stacked],
+            sites=[site.request.site for site in prepared],
+            ranks=[site.state.rank for site in prepared],
+            stack_bytes=[sweep_stack_nbytes(site.state) for site in prepared],
             config=config,
-            indices=[index for index, _ in stacked],
         )

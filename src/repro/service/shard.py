@@ -1,6 +1,6 @@
 """Shard planning: split a fleet into cache-sized, rank-grouped batches.
 
-The fleet service used to stack *every* batched site into one lockstep
+The fleet service used to stack *every* site into one lockstep
 solve, so a 500-site fleet built one enormous ``(Σ columns, r, r)`` system
 stack per sweep regardless of cache size.  The scheduler in this module
 turns that into an explicit plan:

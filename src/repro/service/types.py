@@ -8,7 +8,7 @@ The service speaks three value types:
   solver seed.
 * :class:`UpdateReport` — the per-site outcome, wrapping the familiar
   :class:`~repro.core.updater.UpdateResult` with service-level bookkeeping
-  (which backend ran, how many sweeps, convergence).
+  (how many sweeps, convergence, warm start).
 * :class:`FleetReport` — one refresh of a whole fleet: the per-site reports
   plus reconstruction-error summaries against ground truth where the caller
   (typically :class:`~repro.service.fleet.FleetCampaign`) knows it.
@@ -83,7 +83,7 @@ class UpdateRequest:
         Column indices the reference measurements correspond to; ``None``
         defers to the site's own MIC selection.
     config:
-        Pipeline configuration (MIC strategy, LRR, solver, backend).
+        Pipeline configuration (MIC strategy, LRR, solver).
     rng:
         Seed or generator for the solver's random initialisation.
     correlation:
@@ -170,9 +170,6 @@ class UpdateReport:
         Alternating sweeps this site consumed.
     converged:
         Whether the site's solve met its tolerance within budget.
-    solver_backend:
-        Which ALS backend produced the result (``"batched"`` sites ride the
-        fleet-stacked solve; ``"looped"`` sites run the reference path).
     warm_started:
         Whether this site's solve resumed from a previous generation's
         factors instead of a cold init.
@@ -182,7 +179,6 @@ class UpdateReport:
     result: UpdateResult
     sweeps: int
     converged: bool
-    solver_backend: str
     warm_started: bool = False
 
     @property

@@ -145,8 +145,8 @@ def batched_safe_solve(
     sweeps turn ``n`` tiny per-column ridge solves into one LAPACK call.
     NumPy raises ``LinAlgError`` if *any* slice is singular, in which case we
     fall back to :func:`safe_solve` per slice so only the offending systems
-    pay for the regularised least-squares retry — mirroring the looped
-    reference path exactly.
+    pay for the regularised least-squares retry, exactly as a per-slice
+    :func:`safe_solve` would.
     """
     lhs, rhs = _check_stack(lhs, rhs)
     try:

@@ -1,12 +1,12 @@
-"""Parity regression tests between the ``looped`` and ``batched`` ALS backends.
+"""Parity regression tests between the batched ALS solver and its looped oracle.
 
-The batched backend must reproduce the looped reference path to floating-point
-noise (≤ 1e-10 on the final estimates) across the solver matrix: basic RSVD
-and the self-augmented solver, with and without Constraints 1/2, on masked and
-fully-observed matrices.  The parity configurations use a moderate rank and
-regularisation so the per-sweep normal equations are well conditioned —
-with near-singular systems (rank = M, tiny lambda) both backends remain valid
-ALS iterates but BLAS summation-order noise is amplified beyond any sensible
+The batched solver must reproduce the per-column reference loop
+(:mod:`tests.oracles`) to floating-point noise (≤ 1e-10 on the final
+estimates) across the solver matrix: basic RSVD and the self-augmented solver,
+with and without Constraints 1/2, on masked and fully-observed matrices.  The
+parity configurations use a moderate rank and regularisation so the per-sweep
+normal equations are well conditioned — with near-singular systems (rank = M,
+tiny lambda) both paths remain valid ALS iterates but BLAS summation-order noise is amplified beyond any sensible
 bitwise-comparison threshold.
 """
 
@@ -14,8 +14,17 @@ import numpy as np
 import pytest
 
 from repro.core.rsvd import RSVDConfig, rsvd_complete
-from repro.core.self_augmented import SelfAugmentedConfig, self_augmented_rsvd
+from repro.core.self_augmented import (
+    SelfAugmentedConfig,
+    _adjacent_link_stripes,
+    _extract_stripes,
+    _neighbour_average_stripes,
+    _smooth_stripes,
+    self_augmented_rsvd,
+)
 from repro.utils.linalg import batched_safe_solve, masked_gram_stack, safe_solve
+from tests import oracles
+from tests.oracles import rsvd_complete_looped, self_augmented_rsvd_looped
 
 PARITY_TOL = 1e-10
 
@@ -77,28 +86,19 @@ class TestBatchedSolvePrimitives:
 class TestRSVDBackendParity:
     def test_estimates_agree(self, observation):
         observed, mask, _ = observation
-        results = {}
-        for backend in ("looped", "batched"):
-            config = RSVDConfig(
-                rank=5, regularization=0.5, max_iterations=10, solver_backend=backend
-            )
-            results[backend] = rsvd_complete(observed, mask, config, rng=7)
+        config = RSVDConfig(rank=5, regularization=0.5, max_iterations=10)
+        batched = rsvd_complete(observed, mask, config, rng=7)
+        looped = rsvd_complete_looped(observed, mask, config, rng=7)
         np.testing.assert_allclose(
-            results["batched"].estimate,
-            results["looped"].estimate,
-            atol=PARITY_TOL,
-            rtol=0.0,
+            batched.estimate, looped.estimate, atol=PARITY_TOL, rtol=0.0
         )
-        np.testing.assert_allclose(
-            results["batched"].objective,
-            results["looped"].objective,
-            rtol=1e-10,
-        )
-        assert results["batched"].iterations == results["looped"].iterations
+        np.testing.assert_allclose(batched.objective, looped.objective, rtol=1e-10)
+        assert batched.iterations == looped.iterations
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            RSVDConfig(solver_backend="vectorised")
+        """The solver has a single path: the backend knob is gone."""
+        with pytest.raises(TypeError):
+            RSVDConfig(solver_backend="batched")
 
 
 class TestSelfAugmentedBackendParity:
@@ -108,51 +108,71 @@ class TestSelfAugmentedBackendParity:
     )
     def test_estimates_agree(self, observation, use_reference, use_structure):
         observed, mask, prediction = observation
-        results = {}
-        for backend in ("looped", "batched"):
-            config = SelfAugmentedConfig(
-                rank=5,
-                regularization=0.5,
-                max_iterations=8,
-                use_reference_constraint=use_reference,
-                use_structure_constraint=use_structure,
-                solver_backend=backend,
-            )
-            results[backend] = self_augmented_rsvd(
-                observed,
-                mask,
-                STRIPE_WIDTH,
-                prediction=prediction,
-                config=config,
-                rng=7,
-            )
-        np.testing.assert_allclose(
-            results["batched"].estimate,
-            results["looped"].estimate,
-            atol=PARITY_TOL,
-            rtol=0.0,
+        config = SelfAugmentedConfig(
+            rank=5,
+            regularization=0.5,
+            max_iterations=8,
+            use_reference_constraint=use_reference,
+            use_structure_constraint=use_structure,
         )
-        assert results["batched"].iterations == results["looped"].iterations
-        assert results["batched"].reference_weight == results["looped"].reference_weight
-        assert results["batched"].structure_weight == results["looped"].structure_weight
+        args = (observed, mask, STRIPE_WIDTH)
+        kwargs = dict(prediction=prediction, config=config, rng=7)
+        batched = self_augmented_rsvd(*args, **kwargs)
+        looped = self_augmented_rsvd_looped(*args, **kwargs)
+        np.testing.assert_allclose(
+            batched.estimate, looped.estimate, atol=PARITY_TOL, rtol=0.0
+        )
+        assert batched.iterations == looped.iterations
+        assert batched.reference_weight == looped.reference_weight
+        assert batched.structure_weight == looped.structure_weight
 
     def test_no_prediction_parity(self, observation):
         observed, mask, _ = observation
-        results = {}
-        for backend in ("looped", "batched"):
-            config = SelfAugmentedConfig(
-                rank=5, regularization=0.5, max_iterations=8, solver_backend=backend
-            )
-            results[backend] = self_augmented_rsvd(
-                observed, mask, STRIPE_WIDTH, prediction=None, config=config, rng=7
-            )
+        config = SelfAugmentedConfig(rank=5, regularization=0.5, max_iterations=8)
+        args = (observed, mask, STRIPE_WIDTH)
+        kwargs = dict(prediction=None, config=config, rng=7)
         np.testing.assert_allclose(
-            results["batched"].estimate,
-            results["looped"].estimate,
+            self_augmented_rsvd(*args, **kwargs).estimate,
+            self_augmented_rsvd_looped(*args, **kwargs).estimate,
             atol=PARITY_TOL,
             rtol=0.0,
         )
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            SelfAugmentedConfig(solver_backend="vectorised")
+        """The solver has a single path: the backend knob is gone."""
+        with pytest.raises(TypeError):
+            SelfAugmentedConfig(solver_backend="batched")
+
+
+class TestStripeHelpers:
+    """The vectorized stripe helpers against the scalar reference, bit for bit."""
+
+    @pytest.mark.parametrize("width", (1, 2, 9))
+    @pytest.mark.parametrize("links", (1, 2, 8))
+    def test_bit_identical_to_scalar_loop(self, links, width):
+        rng = np.random.default_rng(100 * links + width)
+        estimate = rng.normal(-60.0, 5.0, size=(links, links * width))
+        # Plant outliers so the smoothing pass actually moves elements.
+        estimate[rng.random(estimate.shape) < 0.1] += 25.0
+        stripes = _extract_stripes(estimate, width)
+        np.testing.assert_array_equal(
+            stripes, oracles.extract_stripes_looped(estimate, width)
+        )
+        expected_neighbour = np.array(
+            [[oracles.neighbour_average(stripes, i, u) for u in range(width)] for i in range(links)]
+        )
+        expected_adjacent = np.array(
+            [[oracles.adjacent_link_value(stripes, i, u) for u in range(width)] for i in range(links)]
+        )
+        np.testing.assert_allclose(
+            _neighbour_average_stripes(stripes), expected_neighbour, atol=0, rtol=0
+        )
+        np.testing.assert_allclose(
+            _adjacent_link_stripes(stripes), expected_adjacent, atol=0, rtol=0
+        )
+        np.testing.assert_allclose(
+            _smooth_stripes(estimate, width, weight=0.6),
+            oracles.smooth_stripes_looped(estimate, width, weight=0.6),
+            atol=0,
+            rtol=0,
+        )

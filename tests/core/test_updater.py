@@ -116,19 +116,7 @@ class TestUpdate:
         stale_error = small_database.original.reconstruction_error_db(ground_truth)
         assert result.matrix.reconstruction_error_db(ground_truth) < stale_error
 
-    def test_solver_backend_override(self, small_campaign, small_database):
-        config = UpdaterConfig(solver_backend="looped")
-        assert config.resolved_solver().solver_backend == "looped"
-        assert config.solver.solver_backend == "batched"  # nested config untouched
-        result = self._run(small_campaign, small_database, config=config)
-        ground_truth = small_database.get(45.0)
-        stale_error = small_database.original.reconstruction_error_db(ground_truth)
-        assert result.matrix.reconstruction_error_db(ground_truth) < stale_error
-
-    def test_solver_backend_default_passthrough(self):
-        config = UpdaterConfig(solver=SelfAugmentedConfig(solver_backend="looped"))
-        assert config.resolved_solver() is config.solver
-
     def test_invalid_solver_backend_rejected(self):
-        with pytest.raises(ValueError):
-            UpdaterConfig(solver_backend="vectorised")
+        """The pipeline has a single solver path: the backend knob is gone."""
+        with pytest.raises(TypeError):
+            UpdaterConfig(solver_backend="batched")

@@ -209,6 +209,22 @@ class TestErrorMapping:
         assert excinfo.value.code == 400
 
 
+    @pytest.mark.parametrize("length", (str(10**12), "-5", "ten"))
+    def test_bad_content_length_is_400_not_a_hang(self, client, length):
+        import http.client
+        import urllib.parse
+
+        url = urllib.parse.urlsplit(client.url)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=5.0)
+        try:
+            connection.putrequest("POST", "/api/jobs")
+            connection.putheader("Content-Length", length)
+            connection.endheaders(b"0123456789")
+            assert connection.getresponse().status == 400
+        finally:
+            connection.close()
+
+
 class TestDrainOverHttp:
     """Separate server: draining is terminal for the fixture coordinator."""
 

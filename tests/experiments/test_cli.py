@@ -262,9 +262,25 @@ class TestQueryParser:
         )
         assert args.query_command == "run"
         assert args.matcher == "knn"
-        assert args.backend == "vectorized"
         assert args.cache == 0
         assert args.out is None
+
+    def test_run_has_no_backend_flag(self, capsys):
+        """Matching has a single path, so ``--backend`` is not an option."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [
+                    "query",
+                    "run",
+                    "--report",
+                    "r.npz",
+                    "--queries",
+                    "q.npz",
+                    "--backend",
+                    "vectorized",
+                ]
+            )
+        capsys.readouterr()
 
     def test_run_rejects_unknown_matcher(self):
         with pytest.raises(SystemExit):
@@ -382,54 +398,6 @@ class TestQueryCommands:
             np.testing.assert_array_equal(answer.indices, expected.indices)
             np.testing.assert_allclose(answer.points, expected.points)
 
-    def test_run_looped_backend_matches_vectorized(
-        self, report_path, tmp_path, capsys
-    ):
-        from repro.io import load_answers
-
-        queries_path = str(tmp_path / "queries.npz")
-        assert (
-            main(
-                [
-                    "query",
-                    "export",
-                    "--report",
-                    report_path,
-                    "--out",
-                    queries_path,
-                    "--per-site",
-                    "6",
-                ]
-            )
-            == 0
-        )
-        paths = {}
-        for backend in ("vectorized", "looped"):
-            paths[backend] = str(tmp_path / f"{backend}.npz")
-            assert (
-                main(
-                    [
-                        "query",
-                        "run",
-                        "--report",
-                        report_path,
-                        "--queries",
-                        queries_path,
-                        "--backend",
-                        backend,
-                        "--out",
-                        paths[backend],
-                    ]
-                )
-                == 0
-            )
-        capsys.readouterr()
-        for fast, slow in zip(
-            load_answers(paths["vectorized"]), load_answers(paths["looped"])
-        ):
-            np.testing.assert_array_equal(fast.indices, slow.indices)
-            np.testing.assert_allclose(fast.points, slow.points, atol=1e-10)
-
     def test_run_with_cache_reports_hits(self, report_path, tmp_path, capsys):
         queries_path = str(tmp_path / "queries.npz")
         assert (
@@ -483,7 +451,8 @@ class TestQueryCommands:
         )
         output = capsys.readouterr().out
         assert "batch     1" in output
-        assert "vectorized" in output
+        assert "batch    16" in output
+        assert "q/s" in output
 
     def test_bench_unreachable_target_fails(self, report_path, capsys):
         assert (

@@ -8,6 +8,7 @@ import pytest
 from repro.io import (
     ANSWERS_FORMAT,
     QUERIES_FORMAT,
+    WirePayloadError,
     load_answers,
     load_queries,
     payload_info,
@@ -38,7 +39,6 @@ def answers(rng):
         QueryAnswer(
             site="site-a",
             matcher="knn",
-            backend="vectorized",
             generation=2,
             indices=np.array([1, 5, 9]),
             points=rng.normal(size=(3, 2)),
@@ -47,7 +47,6 @@ def answers(rng):
         QueryAnswer(
             site="site-b",
             matcher="omp",
-            backend="looped",
             generation=0,
             indices=np.array([4]),
         ),
@@ -99,7 +98,7 @@ class TestAnswersRoundTrip:
         loaded = load_answers(path)
         assert len(loaded) == 2
         first, second = loaded
-        assert (first.site, first.matcher, first.backend) == ("site-a", "knn", "vectorized")
+        assert (first.site, first.matcher) == ("site-a", "knn")
         assert first.generation == 2
         assert first.cache_hits == 2
         np.testing.assert_array_equal(first.indices, answers[0].indices)
@@ -178,3 +177,40 @@ class TestCorruptQueryPayloads:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read wire payload"):
             load_queries(tmp_path / "nope.npz")
+
+
+class TestAnswerBackendKey:
+    """The v1 per-answer ``backend`` key: written constant, read and ignored."""
+
+    def _with_backend(self, answers, tmp_path, backend):
+        src = tmp_path / "answers.npz"
+        dst = tmp_path / "legacy.npz"
+        save_answers(src, answers)
+
+        def mutate(manifest):
+            for entry in manifest["answers"]:
+                entry["backend"] = backend
+
+        _rewrite_manifest(src, dst, mutate)
+        return dst
+
+    def test_fresh_payload_carries_the_constant_key(self, answers, tmp_path):
+        path = tmp_path / "answers.npz"
+        save_answers(path, answers)
+        with np.load(path, allow_pickle=False) as payload:
+            manifest = json.loads(str(payload["manifest"][()]))
+        assert [entry["backend"] for entry in manifest["answers"]] == [
+            "vectorized",
+            "vectorized",
+        ]
+
+    @pytest.mark.parametrize("backend", ("vectorized", "looped"))
+    def test_historical_backends_load(self, answers, tmp_path, backend):
+        loaded = load_answers(self._with_backend(answers, tmp_path, backend))
+        np.testing.assert_array_equal(loaded[0].indices, answers[0].indices)
+        np.testing.assert_array_equal(loaded[0].points, answers[0].points)
+
+    @pytest.mark.parametrize("backend", ("gpu", None, 3))
+    def test_unknown_backend_rejected(self, answers, tmp_path, backend):
+        with pytest.raises(WirePayloadError, match="backend"):
+            load_answers(self._with_backend(answers, tmp_path, backend))

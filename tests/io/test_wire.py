@@ -9,16 +9,18 @@ or version-mismatched payloads fail with clear ``ValueError``s.
 
 import json
 import zipfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from repro.core.rsvd import RSVDConfig
 from repro.core.self_augmented import SelfAugmentedConfig
 from repro.core.updater import UpdaterConfig
 from repro.io import (
     REQUESTS_FORMAT,
     WIRE_VERSION,
+    WirePayloadError,
     load_report,
     load_requests,
     payload_info,
@@ -28,6 +30,7 @@ from repro.io import (
 from repro.service.service import UpdateService
 from repro.service.shard import ShardConfig
 from repro.service.synthetic import synthesize_fleet
+from repro.query import QueryConfig
 from repro.service.types import FleetReport
 
 
@@ -42,9 +45,7 @@ def fleet_requests():
         requests[1],
         config=UpdaterConfig(
             mic_strategy="gauss",
-            solver=SelfAugmentedConfig(
-                rank=3, max_iterations=17, tolerance=1e-6, solver_backend="looped"
-            ),
+            solver=SelfAugmentedConfig(rank=3, max_iterations=17, tolerance=1e-6),
         ),
         reference_indices=None,
         correlation=None,
@@ -92,7 +93,6 @@ class TestRequestRoundTrip:
             assert copy.rng == original.rng
             assert copy.reference_indices == original.reference_indices
             assert copy.config == original.config
-            assert copy.config.resolved_solver() == original.config.resolved_solver()
 
     def test_correlation_artifacts_preserved(self, fleet_requests, requests_path):
         loaded = load_requests(requests_path)
@@ -276,7 +276,6 @@ class TestReportRoundTrip:
             assert copy.site == original.site
             assert copy.sweeps == original.sweeps
             assert copy.converged == original.converged
-            assert copy.solver_backend == original.solver_backend
             np.testing.assert_array_equal(copy.estimate, original.estimate)
             np.testing.assert_array_equal(
                 copy.result.solver.left, original.result.solver.left
@@ -333,3 +332,91 @@ class TestReportRoundTrip:
         assert loaded.executor is None
         assert loaded.workers == 0
         assert loaded.sites == solved.sites
+
+
+def _manifest(path):
+    with np.load(path, allow_pickle=False) as payload:
+        return json.loads(str(payload["manifest"][()]))
+
+
+class TestLegacyBackendKeys:
+    """The v1 ``solver_backend`` keys: written constant, read and ignored."""
+
+    @pytest.fixture(scope="class")
+    def solved_locally(self, fleet_requests):
+        return UpdateService().update_fleet(fleet_requests)
+
+    @pytest.mark.parametrize(
+        "top, nested",
+        [("looped", None), (None, "looped"), ("looped", "looped"), ("batched", "batched")],
+    )
+    def test_historical_request_configs_load_and_solve(
+        self, fleet_requests, requests_path, solved_locally, tmp_path, top, nested
+    ):
+        legacy = tmp_path / "legacy.npz"
+
+        def mutate(manifest):
+            for entry in manifest["sites"]:
+                entry["config"]["solver_backend"] = top
+                if nested is not None:
+                    entry["config"]["solver"]["solver_backend"] = nested
+
+        _rewrite_manifest(requests_path, legacy, mutate)
+        loaded = load_requests(legacy)
+        assert [r.config for r in loaded] == [r.config for r in fleet_requests]
+        for a, b in zip(solved_locally, UpdateService().update_fleet(loaded)):
+            np.testing.assert_array_equal(a.estimate, b.estimate)
+
+    @pytest.mark.parametrize("where", ("top", "nested"))
+    def test_unknown_request_backend_rejected(self, requests_path, tmp_path, where):
+        bad = tmp_path / "bad.npz"
+
+        def mutate(manifest):
+            config = manifest["sites"][0]["config"]
+            (config if where == "top" else config["solver"])["solver_backend"] = "gpu"
+
+        _rewrite_manifest(requests_path, bad, mutate)
+        with pytest.raises(WirePayloadError, match="solver_backend"):
+            load_requests(bad)
+
+    @pytest.fixture(scope="class")
+    def report_path(self, solved_locally, tmp_path_factory):
+        path = tmp_path_factory.mktemp("report") / "report.npz"
+        save_report(path, FleetReport(elapsed_days=45.0, reports=tuple(solved_locally)))
+        return path
+
+    @pytest.mark.parametrize("backend", ("batched", "looped"))
+    def test_report_naming_a_backend_loads(
+        self, solved_locally, report_path, tmp_path, backend
+    ):
+        legacy = tmp_path / "legacy.npz"
+
+        def mutate(manifest):
+            for entry in manifest["sites"]:
+                entry["solver_backend"] = backend
+
+        _rewrite_manifest(report_path, legacy, mutate)
+        for a, b in zip(solved_locally, load_report(legacy).reports):
+            np.testing.assert_array_equal(a.estimate, b.estimate)
+
+    def test_unknown_report_backend_rejected(self, report_path, tmp_path):
+        bad = tmp_path / "bad.npz"
+        _rewrite_manifest(
+            report_path,
+            bad,
+            lambda m: m["sites"][0].update(solver_backend="gpu"),
+        )
+        with pytest.raises(WirePayloadError, match="solver_backend"):
+            load_report(bad)
+
+    def test_fresh_payloads_carry_the_constant_keys(self, requests_path, report_path):
+        """A v1 reader still finds every key it requires."""
+        for entry in _manifest(requests_path)["sites"]:
+            assert entry["config"]["solver_backend"] == "batched"
+        for entry in _manifest(report_path)["sites"]:
+            assert entry["solver_backend"] == "batched"
+
+    def test_no_config_field_names_a_backend(self):
+        for config in (RSVDConfig, SelfAugmentedConfig, UpdaterConfig, QueryConfig):
+            names = [f.name for f in fields(config)]
+            assert not [n for n in names if n.endswith("_backend")], config

@@ -15,21 +15,20 @@ from repro.query.engine import BoundSite
 
 
 def _bound_site(index):
-    return BoundSite(index=index, matcher=bind_matcher("knn", "vectorized", index))
+    return BoundSite(index=index, matcher=bind_matcher("knn", index))
 
 
 class TestQueryConfig:
     def test_defaults_valid(self):
         config = QueryConfig()
         assert config.matcher == "knn"
-        assert config.matcher_backend == "vectorized"
         assert config.cache_size == 0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"matcher": "nearest"},
-            {"matcher_backend": "gpu"},
+            {"cache_quantum_db": -0.25},
             {"cache_size": -1},
             {"cache_quantum_db": 0.0},
         ],
@@ -71,7 +70,7 @@ class TestQueryEngineServing:
         np.testing.assert_array_equal(answer.indices, np.arange(5))
         assert answer.points is not None and answer.points.shape == (5, 2)
         assert answer.generation == generation.ordinal
-        assert (answer.matcher, answer.backend) == ("knn", "vectorized")
+        assert answer.matcher == "knn"
 
     def test_sites_empty_before_publish(self):
         assert QueryEngine().sites == ()

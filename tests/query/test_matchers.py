@@ -1,9 +1,10 @@
-"""Batch-vs-loop parity of every matcher backend.
+"""Batch-vs-loop parity of every matcher.
 
-This is the ISSUE's central pin: for each matcher (kNN / OMP / SVR / RASS)
-the vectorized backend must reproduce the per-query looped reference —
-identical grid indices and coordinates within 1e-10 — so the serving engine
-can ride the GEMM path without changing any answer.
+The central pin of the read path: for each matcher (kNN / OMP / SVR / RASS)
+the vectorized path must reproduce the per-query looped oracle
+(:func:`tests.oracles.localize_looped`) — identical grid indices and
+coordinates within 1e-10 — so the serving engine can ride the GEMM path
+without changing any answer.
 """
 
 import numpy as np
@@ -13,24 +14,24 @@ from repro.localization.knn import KNNConfig
 from repro.localization.omp import OMPConfig
 from repro.query import QueryIndex, bind_matcher, grid_locations
 from repro.query.matchers import MATCHERS, _snap_to_grid
+from tests.oracles import localize_looped
 
 PARITY_ATOL = 1e-10
 
 
-def _bind_pair(matcher, index, **configs):
-    return (
-        bind_matcher(matcher, "vectorized", index, **configs),
-        bind_matcher(matcher, "looped", index, **configs),
-    )
+def _answer_pair(matcher, index, measurements, **configs):
+    """``(vectorized answer, looped-oracle answer)`` of one bound matcher."""
+    bound = bind_matcher(matcher, index, **configs)
+    return bound.localize(measurements), localize_looped(bound, measurements)
 
 
 class TestBackendParity:
     @pytest.mark.parametrize("matcher", MATCHERS)
     def test_vectorized_matches_looped(self, matcher, query_index, noisy_queries):
         measurements, _ = noisy_queries
-        vectorized, looped = _bind_pair(matcher, query_index)
-        v_indices, v_points = vectorized.localize(measurements)
-        l_indices, l_points = looped.localize(measurements)
+        (v_indices, v_points), (l_indices, l_points) = _answer_pair(
+            matcher, query_index, measurements
+        )
         np.testing.assert_array_equal(v_indices, l_indices)
         np.testing.assert_allclose(v_points, l_points, atol=PARITY_ATOL)
 
@@ -38,53 +39,53 @@ class TestBackendParity:
     def test_parity_without_locations(self, matcher, striped_fingerprint, noisy_queries):
         measurements, _ = noisy_queries
         index = QueryIndex.build("site", striped_fingerprint)
-        vectorized, looped = _bind_pair(matcher, index)
-        v_indices, v_points = vectorized.localize(measurements)
-        l_indices, l_points = looped.localize(measurements)
+        (v_indices, v_points), (l_indices, l_points) = _answer_pair(
+            matcher, index, measurements
+        )
         np.testing.assert_array_equal(v_indices, l_indices)
         assert v_points is None and l_points is None
 
     def test_knn_parity_uncentered_unweighted(self, query_index, noisy_queries):
         measurements, _ = noisy_queries
         config = KNNConfig(neighbours=1, weighted=False, center_columns=False)
-        vectorized, looped = _bind_pair("knn", query_index, knn=config)
-        v_indices, v_points = vectorized.localize(measurements)
-        l_indices, l_points = looped.localize(measurements)
+        (v_indices, v_points), (l_indices, l_points) = _answer_pair(
+            "knn", query_index, measurements, knn=config
+        )
         np.testing.assert_array_equal(v_indices, l_indices)
         np.testing.assert_allclose(v_points, l_points, atol=PARITY_ATOL)
 
     def test_omp_multi_atom_parity(self, query_index, noisy_queries):
         measurements, _ = noisy_queries
         config = OMPConfig(sparsity=3)
-        vectorized, looped = _bind_pair("omp", query_index, omp=config)
-        v_indices, v_points = vectorized.localize(measurements)
-        l_indices, l_points = looped.localize(measurements)
+        (v_indices, v_points), (l_indices, l_points) = _answer_pair(
+            "omp", query_index, measurements, omp=config
+        )
         np.testing.assert_array_equal(v_indices, l_indices)
         np.testing.assert_allclose(v_points, l_points, atol=PARITY_ATOL)
 
     def test_single_query_batch(self, query_index, striped_fingerprint):
         measurement = striped_fingerprint.column(7)[None, :]
         for matcher in MATCHERS:
-            vectorized, looped = _bind_pair(matcher, query_index)
-            v_indices, _ = vectorized.localize(measurement)
-            l_indices, _ = looped.localize(measurement)
+            (v_indices, _), (l_indices, _) = _answer_pair(
+                matcher, query_index, measurement
+            )
             np.testing.assert_array_equal(v_indices, l_indices)
 
 
 class TestMatcherBehaviour:
     def test_knn_recovers_exact_columns(self, query_index, striped_fingerprint):
-        matcher = bind_matcher("knn", "vectorized", query_index)
+        matcher = bind_matcher("knn", query_index)
         indices, _ = matcher.localize(striped_fingerprint.values.T[:6])
         np.testing.assert_array_equal(indices, np.arange(6))
 
     def test_omp_recovers_exact_columns(self, query_index, striped_fingerprint):
-        matcher = bind_matcher("omp", "vectorized", query_index)
+        matcher = bind_matcher("omp", query_index)
         indices, _ = matcher.localize(striped_fingerprint.values.T[:6])
         np.testing.assert_array_equal(indices, np.arange(6))
 
     def test_svr_differs_from_rass_by_centering(self, query_index):
-        svr = bind_matcher("svr", "vectorized", query_index)
-        rass = bind_matcher("rass", "vectorized", query_index)
+        svr = bind_matcher("svr", query_index)
+        rass = bind_matcher("rass", query_index)
         assert svr.config.center_features is False
         assert rass.config.center_features is True
         assert svr.name == "svr"
@@ -94,13 +95,14 @@ class TestMatcherBehaviour:
         index = QueryIndex.build("site", striped_fingerprint)
         for name in ("svr", "rass"):
             with pytest.raises(ValueError, match="location table"):
-                bind_matcher(name, "vectorized", index)
+                bind_matcher(name, index)
 
     def test_unknown_matcher_and_backend_rejected(self, query_index):
         with pytest.raises(ValueError, match="unknown matcher"):
-            bind_matcher("nearest", "vectorized", query_index)
-        with pytest.raises(ValueError, match="backend"):
-            bind_matcher("knn", "gpu", query_index)
+            bind_matcher("nearest", query_index)
+        # Matching has a single path: the backend argument is gone.
+        with pytest.raises(TypeError):
+            bind_matcher("knn", query_index, backend="vectorized")
 
     def test_snap_to_grid_recovers_exact_points(self):
         locations = grid_locations(3, 4)

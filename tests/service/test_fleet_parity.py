@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from repro.core.stacked import sweep_stack_nbytes
-from repro.core.updater import IUpdater, UpdaterConfig
+from repro.core.updater import IUpdater
 from repro.environments.base import EnvironmentSpec
 from repro.service.fleet import FleetCampaign, FleetConfig
 from repro.service.service import UpdateService
 from repro.service.shard import ShardConfig
-from repro.service.types import UpdateRequest
 from repro.simulation.campaign import CampaignConfig
 from repro.simulation.collector import CollectionConfig
 
@@ -99,8 +98,12 @@ class TestFleetParity:
     def test_report_order_matches_request_order(self, requests, fleet_reports):
         assert [r.site for r in fleet_reports] == [r.site for r in requests]
 
-    def test_sites_solve_on_the_batched_backend(self, fleet_reports):
-        assert all(report.solver_backend == "batched" for report in fleet_reports)
+    def test_sites_solve_on_the_batched_backend(self, requests):
+        """Every site rides the stacked solve: the plan covers all of them."""
+        service = UpdateService()
+        service.update_fleet(requests)
+        planned = sorted(m for shard in service.last_plan.shards for m in shard.members)
+        assert planned == list(range(len(requests)))
 
     def test_solver_metadata_matches_shapes(self, fleet, fleet_reports):
         for report in fleet_reports:
@@ -239,27 +242,3 @@ class TestShardParity:
         for shard in plan.shards:
             assert shard.stack_bytes == expected[shard.sites[0]]
 
-
-class TestMixedBackendFleet:
-    def test_looped_site_rides_the_reference_path(self, fleet, requests):
-        """A mixed fleet (batched + looped sites) stays per-site correct."""
-        looped_request = UpdateRequest(
-            site=requests[0].site,
-            baseline=requests[0].baseline,
-            no_decrease_matrix=requests[0].no_decrease_matrix,
-            no_decrease_mask=requests[0].no_decrease_mask,
-            reference_matrix=requests[0].reference_matrix,
-            reference_indices=requests[0].reference_indices,
-            config=UpdaterConfig(solver_backend="looped"),
-            rng=requests[0].rng,
-            correlation=requests[0].correlation,
-        )
-        reports = UpdateService().update_fleet([looped_request, requests[1]])
-        assert reports[0].solver_backend == "looped"
-        assert reports[1].solver_backend == "batched"
-        # The looped reference path and the batched path agree to solver
-        # parity tolerance on these well-conditioned problems.
-        batched = UpdateService().update(requests[0])
-        np.testing.assert_allclose(
-            reports[0].estimate, batched.estimate, atol=1e-4, rtol=0.0
-        )

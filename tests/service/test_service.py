@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.stacked import run_stacked_sweeps, solve_states
+from repro.core.stacked import ShardResult, run_stacked_sweeps, solve_shard
 from repro.core.self_augmented import SelfAugmentedConfig, SweepState, solve_state
 from repro.environments import ENVIRONMENT_FACTORIES, environment_by_name
 from repro.service.fleet import PAPER_FLEET, FleetCampaign, FleetConfig
@@ -11,6 +11,7 @@ from repro.service.service import UpdateService
 from repro.service.types import FleetReport, UpdateReport, UpdateRequest
 from repro.simulation.campaign import CampaignConfig
 from repro.simulation.collector import CollectionConfig
+from tests.oracles import solve_state_looped
 
 
 @pytest.fixture(scope="module")
@@ -173,35 +174,6 @@ class TestFleetCampaign:
         seeds = [c.config.seed for c in small_fleet.campaigns.values()]
         assert len(set(seeds)) == len(seeds)
 
-    def test_stacked_sweeps_ignores_looped_sites(self):
-        """Looped-backend sites never ride the stacked solve, so they must
-        not inflate the reported lockstep sweep count."""
-        from repro.core.updater import UpdaterConfig
-        from repro.environments.base import EnvironmentSpec
-
-        spec = EnvironmentSpec(
-            name="gamma", width_m=8.0, height_m=6.0, link_count=3, locations_per_link=4
-        )
-        fleet = FleetCampaign(
-            specs={"gamma": spec},
-            config=FleetConfig(
-                environments=("gamma",),
-                campaign=CampaignConfig(
-                    timestamps_days=(0.0, 45.0),
-                    collection=CollectionConfig(
-                        survey_samples=3, reference_samples=2, online_samples=1
-                    ),
-                    updater=UpdaterConfig(solver_backend="looped"),
-                    seed=3,
-                ),
-            ),
-        )
-        report = fleet.refresh(45.0)
-        assert report.reports[0].solver_backend == "looped"
-        assert report.reports[0].sweeps >= 1
-        # No site rode the stacked solve, so zero lockstep sweeps executed.
-        assert report.stacked_sweeps == 0
-
     def test_refresh_grades_against_ground_truth(self, small_fleet):
         report = small_fleet.refresh(45.0)
         assert isinstance(report, FleetReport)
@@ -247,7 +219,7 @@ class TestStackedDriver:
         return states
 
     def test_lockstep_matches_standalone_batched(self):
-        stacked_results = solve_states(self.make_states())
+        stacked_results = solve_shard(self.make_states()).results
         standalone_results = [
             solve_state(state) for state in self.make_states()
         ]
@@ -260,11 +232,11 @@ class TestStackedDriver:
 
     def test_empty_state_list_is_a_noop(self):
         assert run_stacked_sweeps([]) == 0
-        assert solve_states([]) == []
+        assert solve_shard([]) == ShardResult(results=(), sweeps=0)
 
     def test_looped_backend_keeps_state_bookkeeping(self):
-        """solve_state on a looped-backend state must leave the state's
-        convergence bookkeeping consistent with the returned result."""
+        """The looped oracle must leave the state's convergence bookkeeping
+        consistent with the returned result."""
         rng = np.random.default_rng(4)
         links, width = 4, 5
         truth = rng.normal(size=(links, 2)) @ rng.normal(size=(2, links * width))
@@ -274,10 +246,9 @@ class TestStackedDriver:
             regularization=0.5,
             max_iterations=6,
             use_structure_constraint=False,
-            solver_backend="looped",
         )
         state = SweepState(truth * mask, mask, width, config=config, rng=1)
-        result = solve_state(state)
+        result = solve_state_looped(state)
         assert state.iterations == result.iterations >= 1
         assert state.converged == result.converged
         assert float(state.previous_objective) == result.objective

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.stacked import run_sharded_sweeps, sweep_stack_nbytes
+from repro.core.stacked import solve_shard, sweep_stack_nbytes
 from repro.service.service import UpdateService
 from repro.service.shard import (
     DEFAULT_MAX_STACK_BYTES,
@@ -176,7 +176,7 @@ class TestServiceSharding:
 
 
 class TestShardedDriver:
-    def test_run_sharded_sweeps_matches_per_shard_lockstep(self):
+    def test_sharded_solve_matches_solo_lockstep(self):
         rng = np.random.default_rng(3)
         from repro.core.self_augmented import SelfAugmentedConfig, SweepState
 
@@ -199,14 +199,15 @@ class TestShardedDriver:
         rng_loads = [rng.normal(size=(2, 12)) for _ in range(4)]
         masks = [rng.random((3, 12)) for _ in range(4)]
 
-        sharded = make_states()
-        sweeps = run_sharded_sweeps([sharded[:2], sharded[2:]])
-        assert len(sweeps) == 2
-        solo = make_states()
-        for state in solo:
-            run_sharded_sweeps([[state]])
+        states = make_states()
+        sharded = [
+            result
+            for shard in (states[:2], states[2:])
+            for result in solve_shard(shard).results
+        ]
+        solo = [solve_shard([state]).results[0] for state in make_states()]
         for a, b in zip(sharded, solo):
-            np.testing.assert_array_equal(a.finalize().estimate, b.finalize().estimate)
+            np.testing.assert_array_equal(a.estimate, b.estimate)
 
     def test_sweep_stack_nbytes_uses_column_count(self):
         from repro.core.self_augmented import SelfAugmentedConfig, SweepState

@@ -92,8 +92,9 @@ class TestCliDocsSync:
         api = (REPO_ROOT / "docs" / "API.md").read_text()
         for flag in ("query export", "query run", "query bench"):
             assert flag in api, f"docs/API.md does not document `{flag}`"
-        for flag in ("--matcher", "--backend", "--qps-target", "--batch-sizes"):
+        for flag in ("--matcher", "--qps-target", "--batch-sizes", "--repeats"):
             assert flag in api, f"docs/API.md does not document `{flag}`"
+        assert "--backend" not in api, "docs/API.md documents the removed --backend"
         from repro.experiments.cli import build_parser
 
         assert "query" in build_parser().format_help()
@@ -298,14 +299,23 @@ class TestRemoteDocsSync:
 
 class TestQueryDocsSync:
     def test_matchers_and_backends_documented(self):
-        """Every matcher/backend the engine accepts must appear in API.md."""
-        from repro.query import BACKENDS, MATCHERS
+        """Every matcher the engine accepts must appear in API.md, and none
+        of the removed backend knobs or test-only helpers may."""
+        from repro.query import MATCHERS
 
         api = (REPO_ROOT / "docs" / "API.md").read_text()
-        for name in (*MATCHERS, *BACKENDS):
+        for name in MATCHERS:
             assert f'"{name}"' in api, (
-                f"docs/API.md does not document the {name!r} matcher/backend"
+                f"docs/API.md does not document the {name!r} matcher"
             )
+        for gone in (
+            "solver_backend",
+            "matcher_backend",
+            "BACKENDS",
+            "run_sharded_sweeps",
+            "solve_states",
+        ):
+            assert gone not in api, f"docs/API.md still mentions {gone!r}"
 
     def test_read_path_layers_in_architecture(self):
         """ARCHITECTURE.md must describe the report → index → engine → cache
