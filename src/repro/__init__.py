@@ -92,7 +92,6 @@ from repro.service import (
     FleetConfig,
     FleetReport,
     InvalidWorkerCountError,
-    PooledProcessExecutor,
     ProcessExecutor,
     RemoteExecutor,
     RemoteShardError,
@@ -123,7 +122,6 @@ __all__ = [
     "ShardExecutor",
     "SerialExecutor",
     "ProcessExecutor",
-    "PooledProcessExecutor",
     "RemoteExecutor",
     "WorkerServer",
     "Fault",

@@ -13,8 +13,8 @@ system that serves traffic:
   Refresh jobs solve through the existing
   :class:`~repro.service.executor.ShardExecutor` seam — serially in the
   job thread, or scattered over the coordinator's **one shared process
-  pool** via :class:`~repro.service.executor.PooledProcessExecutor`, each
-  job honoring its own ``workers`` budget and ``max_stack_bytes`` shard
+  pool** via :class:`~repro.service.executor.ProcessExecutor` (``pool=``),
+  each job honoring its own ``workers`` budget and ``max_stack_bytes`` shard
   config.  Results stay bit-identical to an offline serial refresh.
 * **Lifecycle unification**: a completed ``refresh_fleet`` job writes its
   :class:`~repro.service.types.FleetReport` to the spool *and*
@@ -295,7 +295,7 @@ class Coordinator:
             return self._pool
 
     def _executor_for(self, job: JobRecord):
-        from repro.service.executor import PooledProcessExecutor, SerialExecutor
+        from repro.service.executor import ProcessExecutor, SerialExecutor
 
         if job.workers <= 0:
             return SerialExecutor()
@@ -312,7 +312,7 @@ class Coordinator:
         pool = self._ensure_pool()
         if pool is None:
             return SerialExecutor()
-        return PooledProcessExecutor(pool, max_workers=job.workers)
+        return ProcessExecutor(job.workers, pool=pool)
 
     @staticmethod
     def _shards_for(job: JobRecord):

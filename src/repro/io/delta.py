@@ -21,10 +21,12 @@ bit-identical to loading a full report payload of the target
 Layout follows the :mod:`repro.io.wire` conventions: one compressed NPZ, a
 versioned JSON ``manifest`` entry, ``siteNNNN__<name>`` arrays (full sites)
 and ``siteNNNN__<name>__rows`` / ``__data`` array pairs (patched sites),
-``allow_pickle=False`` throughout.  Per-site metadata and arrays are encoded
-with the exact same :func:`repro.io.wire.encode_site_report` /
-:func:`repro.io.wire.decode_site_report` helpers the full format uses, so
-the two formats cannot drift apart field by field.
+``allow_pickle=False`` throughout, read through the same codec core.
+Per-site metadata and arrays are encoded with the exact same
+:func:`repro.io.wire.encode_site_report` /
+:func:`repro.io.wire.decode_site_report` helpers the full format uses, and
+the fleet-level header with the same encode/decode pair, so the two
+formats cannot drift apart field by field.
 """
 
 from __future__ import annotations
@@ -35,13 +37,17 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.service.shard import ShardPlan
 from repro.service.types import FleetReport, UpdateReport
 from repro.io.wire import (
+    WIRE_VERSION,
     WirePayloadError,
+    _decode_fleet_report,
+    _decoding,
+    _encode_fleet_header,
+    _Family,
     _get_array,
+    _prefixed,
     _read_payload,
-    _site_key,
     _write_payload,
     decode_site_report,
     encode_site_report,
@@ -64,6 +70,16 @@ DELTA_VERSION = 1
 """Delta layout version; bumped on layout changes."""
 
 _SITE_MODES = ("same", "patch", "full")
+
+# A delta has its own layout version and also pins the wire version of the
+# site entries it embeds; a reader must match both.
+_DELTA = _Family(
+    DELTA_FORMAT,
+    versions=(
+        ("version", DELTA_VERSION, "delta"),
+        ("wire_version", WIRE_VERSION, "wire"),
+    ),
+)
 
 
 def report_fingerprint(report: FleetReport) -> str:
@@ -165,13 +181,12 @@ def save_delta(path, base: FleetReport, target: FleetReport) -> None:
     arrays: Dict[str, np.ndarray] = {}
     site_entries: List[dict] = []
     for index, site_report in enumerate(target.reports):
-        key = _site_key(index)
+        key = _DELTA.key(index)
         entry, target_arrays = encode_site_report(site_report)
         previous = base_entries.get(site_report.site)
         if previous is None:
             entry["mode"] = "full"
-            for name, array in target_arrays.items():
-                arrays[f"{key}__{name}"] = array
+            arrays.update(_prefixed(key, target_arrays))
         else:
             base_entry, base_arrays = previous
             diffs: Dict[str, dict] = {}
@@ -195,70 +210,68 @@ def save_delta(path, base: FleetReport, target: FleetReport) -> None:
                 entry["array_diffs"] = diffs
         site_entries.append(entry)
 
-    manifest = {
-        "format": DELTA_FORMAT,
-        "version": DELTA_VERSION,
-        "wire_version": 1,
-        "count": len(site_entries),
+    header = {
         "base_fingerprint": report_fingerprint(base),
         "base_count": len(base.reports),
-        "elapsed_days": float(target.elapsed_days),
-        "stacked_sweeps": int(target.stacked_sweeps),
-        "errors_db": {k: float(v) for k, v in target.errors_db.items()},
-        "stale_errors_db": {
-            k: float(v) for k, v in target.stale_errors_db.items()
-        },
-        "plan": None if target.plan is None else target.plan.to_json(),
-        "executor": None if target.executor is None else str(target.executor),
-        "workers": int(target.workers),
-        "sweeps_saved": {k: int(v) for k, v in target.sweeps_saved.items()},
-        "sites": site_entries,
+        **_encode_fleet_header(target),
     }
-    _write_payload(path, manifest, arrays)
+    _write_payload(path, _DELTA.manifest(header, site_entries), arrays)
 
 
-def load_delta(path) -> FleetDelta:
-    """Load and validate a delta payload (format tag, version, site modes).
+def _check_site_entry(entry: dict, _get) -> dict:
+    if "site" not in entry:
+        raise WirePayloadError("not a site record")
+    if entry.get("mode") not in _SITE_MODES:
+        raise WirePayloadError(f"unknown mode {entry.get('mode')!r}")
+    return entry
 
-    Raises ``ValueError`` for wrong formats, unknown versions, or manifests
-    whose site entries are malformed; array completeness against the base is
-    checked at :func:`apply_delta` time, when the base is in hand.
-    """
-    manifest, payload = _read_delta_payload(path)
-    sites = manifest.get("sites")
-    if not isinstance(sites, list) or manifest.get("count") != len(sites):
-        raise ValueError(
-            f"corrupt manifest in {path!r}: site list/count mismatch"
-        )
+
+def _to_delta(manifest: dict, _entries, arrays) -> FleetDelta:
     if not isinstance(manifest.get("base_fingerprint"), str):
-        raise ValueError(f"corrupt manifest in {path!r}: no base fingerprint")
-    for index, entry in enumerate(sites):
-        if not isinstance(entry, dict) or "site" not in entry:
-            raise ValueError(
-                f"corrupt site entry {index} in {path!r}: not a site record"
-            )
-        if entry.get("mode") not in _SITE_MODES:
-            raise ValueError(
-                f"corrupt site entry {index} in {path!r}: unknown mode "
-                f"{entry.get('mode')!r}"
-            )
-    arrays = {name: payload[name] for name in payload.files if name != "manifest"}
+        raise WirePayloadError("no base fingerprint")
     return FleetDelta(manifest=manifest, arrays=arrays)
 
 
-def _read_delta_payload(path):
-    """Format/version gate mirroring :func:`repro.io.wire._read_payload`."""
-    try:
-        return _read_payload(path, DELTA_FORMAT)
-    except ValueError as exc:
-        # _read_payload validates against WIRE_VERSION; re-map the message
-        # to the delta's own version lineage.
-        if "wire version" in str(exc):
-            raise ValueError(
-                f"{path!r} is not a readable {DELTA_FORMAT} v{DELTA_VERSION} "
-                f"payload: {exc}"
-            ) from exc
-        raise
+def load_delta(path) -> FleetDelta:
+    """Load and validate a delta payload (format tag, versions, site modes).
+
+    Raises :class:`WirePayloadError` for wrong formats, unknown delta or
+    wire versions, or manifests whose site entries are malformed; array
+    completeness against the base is checked at :func:`apply_delta` time,
+    when the base is in hand.
+    """
+    return _read_payload(path, _DELTA, _check_site_entry, _to_delta)
+
+
+def _apply_site(
+    key: str, entry: dict, base_reports: Dict[str, UpdateReport], arrays
+) -> UpdateReport:
+    """One target site from its delta entry and the base report."""
+    site = str(entry["site"])
+    mode = entry["mode"]
+    if mode == "same":
+        return base_reports[site]
+
+    def shipped(name):
+        return _get_array(arrays, f"{key}__{name}")
+
+    if mode == "full":
+        return decode_site_report(entry, shipped)
+    base_arrays = encode_site_report(base_reports[site])[1]
+    diffs = entry.get("array_diffs") or {}
+
+    def patched(name):
+        diff = diffs.get(name) or {"mode": "same"}
+        if diff["mode"] == "full":
+            return shipped(name)
+        array = base_arrays[name]
+        if diff["mode"] == "same":
+            return array
+        result = array.copy()
+        result[shipped(f"{name}__rows")] = shipped(f"{name}__data")
+        return result
+
+    return decode_site_report(entry, patched)
 
 
 def apply_delta(base: FleetReport, delta: FleetDelta) -> FleetReport:
@@ -266,84 +279,23 @@ def apply_delta(base: FleetReport, delta: FleetDelta) -> FleetReport:
 
     Verifies the delta's base fingerprint against ``base`` first — applying
     a delta to a report other than the one it was computed against raises a
-    ``ValueError`` naming both fingerprints.  The reconstruction is
-    bit-identical to the full target payload.
+    :class:`WirePayloadError` naming both fingerprints, as does a site the
+    shipped arrays cannot rebuild.  The reconstruction is bit-identical to
+    the full target payload.
     """
     actual = report_fingerprint(base)
     expected = delta.base_fingerprint
     if actual != expected:
-        raise ValueError(
+        raise WirePayloadError(
             "delta does not apply to this base report: base fingerprint is "
             f"{actual[:16]}…, delta was computed against {expected[:16]}…"
         )
     base_reports = {r.site: r for r in base.reports}
-    base_arrays = {
-        site: encode_site_report(report)[1]
-        for site, report in base_reports.items()
-    }
-    manifest = delta.manifest
-
     reports: List[UpdateReport] = []
-    for index, entry in enumerate(manifest["sites"]):
-        key = _site_key(index)
-        site = str(entry["site"])
-        mode = entry["mode"]
-        try:
-            if mode == "same":
-                reports.append(base_reports[site])
-                continue
-            if mode == "full":
-                reports.append(
-                    decode_site_report(
-                        entry,
-                        lambda name: _get_array(
-                            delta.arrays, f"{key}__{name}", "<delta>"
-                        ),
-                    )
-                )
-                continue
-            site_base = base_arrays[site]
-            diffs = entry.get("array_diffs") or {}
-
-            def patched(name):
-                diff = diffs.get(name) or {"mode": "same"}
-                if diff["mode"] == "full":
-                    return _get_array(delta.arrays, f"{key}__{name}", "<delta>")
-                array = site_base[name]
-                if diff["mode"] == "same":
-                    return array
-                rows = _get_array(
-                    delta.arrays, f"{key}__{name}__rows", "<delta>"
-                )
-                data = _get_array(
-                    delta.arrays, f"{key}__{name}__data", "<delta>"
-                )
-                result = array.copy()
-                result[rows] = data
-                return result
-
-            reports.append(decode_site_report(entry, patched))
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise WirePayloadError(
-                f"cannot apply delta for site {index} ({site!r}): {exc}"
-            ) from exc
-
-    plan_data = manifest.get("plan")
-    executor = manifest.get("executor")
-    return FleetReport(
-        elapsed_days=float(manifest["elapsed_days"]),
-        reports=tuple(reports),
-        errors_db={str(k): float(v) for k, v in manifest["errors_db"].items()},
-        stale_errors_db={
-            str(k): float(v)
-            for k, v in manifest["stale_errors_db"].items()
-        },
-        stacked_sweeps=int(manifest["stacked_sweeps"]),
-        plan=None if plan_data is None else ShardPlan.from_json(plan_data),
-        executor=None if executor is None else str(executor),
-        workers=int(manifest.get("workers") or 0),
-        sweeps_saved={
-            str(k): int(v)
-            for k, v in (manifest.get("sweeps_saved") or {}).items()
-        },
-    )
+    for index, entry in enumerate(delta.manifest["sites"]):
+        with _decoding(f"cannot apply delta for site {index} ({entry['site']!r})"):
+            reports.append(
+                _apply_site(_DELTA.key(index), entry, base_reports, delta.arrays)
+            )
+    with _decoding("cannot apply delta"):
+        return _decode_fleet_report(delta.manifest, reports)

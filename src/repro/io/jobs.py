@@ -33,6 +33,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from repro.io.wire import _Family
+
 __all__ = [
     "JOURNAL_FORMAT",
     "JOURNAL_VERSION",
@@ -64,6 +66,11 @@ JOB_CANCELLED = "cancelled"
 JOB_STATES = (JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 """Every legal job state.  ``queued`` and ``running`` are the *pending*
 states a restarted coordinator resumes; the other three are terminal."""
+
+# The journal is JSON, not NPZ, but its header is checked like a payload's.
+_JOURNAL = _Family(
+    JOURNAL_FORMAT, entries=None, versions=(("version", JOURNAL_VERSION, "journal"),)
+)
 
 
 @dataclass
@@ -244,16 +251,7 @@ def load_journal(path) -> List[JobRecord]:
         raise ValueError(
             f"corrupt job journal {str(path)!r}: expected a JSON object"
         )
-    if data.get("format") != JOURNAL_FORMAT:
-        raise ValueError(
-            f"{str(path)!r} holds format {data.get('format')!r}, "
-            f"expected {JOURNAL_FORMAT!r}"
-        )
-    if data.get("version") != JOURNAL_VERSION:
-        raise ValueError(
-            f"{str(path)!r} is journal version {data.get('version')!r}; "
-            f"this build reads version {JOURNAL_VERSION}"
-        )
+    _JOURNAL.check_header(data, repr(str(path)))
     entries = data.get("jobs")
     if not isinstance(entries, list):
         raise ValueError(f"corrupt job journal {str(path)!r}: no job list")

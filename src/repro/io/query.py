@@ -19,9 +19,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.io.wire import (
-    WIRE_VERSION,
     WirePayloadError,
-    _get_array,
+    _Family,
     _read_payload,
     _write_payload,
     check_legacy_value,
@@ -49,8 +48,10 @@ single path, so writers always emit the first; readers validate the key
 against this tuple and ignore it."""
 
 
-def _batch_key(index: int) -> str:
-    return f"batch{index:04d}"
+_QUERIES = _Family(
+    QUERIES_FORMAT, entries="batches", entry="query batch", prefix="batch"
+)
+_ANSWERS = _Family(ANSWERS_FORMAT, entries="answers", entry="answer", prefix="batch")
 
 
 # -------------------------------------------------------------------- queries
@@ -69,7 +70,7 @@ def save_queries(path, batches: Sequence[QueryBatch]) -> None:
     for index, batch in enumerate(batches):
         if not isinstance(batch, QueryBatch):
             raise TypeError("batches must be QueryBatch instances")
-        key = _batch_key(index)
+        key = _QUERIES.key(index)
         arrays[f"{key}__measurements"] = batch.measurements
         entry = {
             "site": batch.site,
@@ -82,46 +83,27 @@ def save_queries(path, batches: Sequence[QueryBatch]) -> None:
         if batch.locations is not None:
             arrays[f"{key}__locations"] = batch.locations
         entries.append(entry)
-    manifest = {
-        "format": QUERIES_FORMAT,
-        "version": WIRE_VERSION,
-        "count": len(batches),
-        "batches": entries,
-    }
-    _write_payload(path, manifest, arrays)
+    _write_payload(path, _QUERIES.manifest({}, entries), arrays)
+
+
+def _decode_batch(entry: dict, get) -> QueryBatch:
+    batch = QueryBatch(
+        site=str(entry["site"]),
+        measurements=get("measurements"),
+        true_indices=get("true_indices") if entry.get("has_truth") else None,
+        locations=get("locations") if entry.get("has_locations") else None,
+    )
+    if batch.count != int(entry["count"]):
+        raise WirePayloadError(
+            f"batch carries {batch.count} queries, manifest records "
+            f"{entry['count']}"
+        )
+    return batch
 
 
 def load_queries(path) -> List[QueryBatch]:
     """Load a queries payload back into validated :class:`QueryBatch` objects."""
-    manifest, payload = _read_payload(path, QUERIES_FORMAT)
-    entries = manifest.get("batches")
-    if not isinstance(entries, list) or manifest.get("count") != len(entries):
-        raise ValueError(f"corrupt manifest in {path!r}: batch list/count mismatch")
-    batches: List[QueryBatch] = []
-    for index, entry in enumerate(entries):
-        key = _batch_key(index)
-        try:
-            batch = QueryBatch(
-                site=str(entry["site"]),
-                measurements=_get_array(payload, f"{key}__measurements", path),
-                true_indices=_get_array(payload, f"{key}__true_indices", path)
-                if entry.get("has_truth")
-                else None,
-                locations=_get_array(payload, f"{key}__locations", path)
-                if entry.get("has_locations")
-                else None,
-            )
-            if batch.count != int(entry["count"]):
-                raise ValueError(
-                    f"batch carries {batch.count} queries, manifest records "
-                    f"{entry['count']}"
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"corrupt query batch {index} in {path!r}: {exc}"
-            ) from exc
-        batches.append(batch)
-    return batches
+    return _read_payload(path, _QUERIES, _decode_batch)
 
 
 # -------------------------------------------------------------------- answers
@@ -135,7 +117,7 @@ def save_answers(path, answers: Sequence[QueryAnswer]) -> None:
     for index, answer in enumerate(answers):
         if not isinstance(answer, QueryAnswer):
             raise TypeError("answers must be QueryAnswer instances")
-        key = _batch_key(index)
+        key = _ANSWERS.key(index)
         arrays[f"{key}__indices"] = np.asarray(answer.indices, dtype=np.int64)
         entry = {
             "site": answer.site,
@@ -149,56 +131,35 @@ def save_answers(path, answers: Sequence[QueryAnswer]) -> None:
         if answer.points is not None:
             arrays[f"{key}__points"] = answer.points
         entries.append(entry)
-    manifest = {
-        "format": ANSWERS_FORMAT,
-        "version": WIRE_VERSION,
-        "count": len(answers),
-        "answers": entries,
-    }
-    _write_payload(path, manifest, arrays)
+    _write_payload(path, _ANSWERS.manifest({}, entries), arrays)
+
+
+def _decode_answer(entry: dict, get) -> QueryAnswer:
+    indices = np.asarray(get("indices"), dtype=int)
+    points: Optional[np.ndarray] = None
+    if entry.get("has_points"):
+        points = np.asarray(get("points"), dtype=float)
+        if points.shape != (indices.size, 2):
+            raise WirePayloadError(
+                f"points shape {points.shape} does not match "
+                f"{indices.size} indices"
+            )
+    if indices.size != int(entry["count"]):
+        raise WirePayloadError(
+            f"answer carries {indices.size} indices, manifest records "
+            f"{entry['count']}"
+        )
+    check_legacy_value(entry["backend"], ANSWER_BACKENDS, "backend")
+    return QueryAnswer(
+        site=str(entry["site"]),
+        matcher=str(entry["matcher"]),
+        generation=int(entry["generation"]),
+        indices=indices,
+        points=points,
+        cache_hits=int(entry.get("cache_hits") or 0),
+    )
 
 
 def load_answers(path) -> List[QueryAnswer]:
     """Load an answers payload back into :class:`QueryAnswer` objects."""
-    manifest, payload = _read_payload(path, ANSWERS_FORMAT)
-    entries = manifest.get("answers")
-    if not isinstance(entries, list) or manifest.get("count") != len(entries):
-        raise ValueError(f"corrupt manifest in {path!r}: answer list/count mismatch")
-    answers: List[QueryAnswer] = []
-    for index, entry in enumerate(entries):
-        key = _batch_key(index)
-        try:
-            indices = np.asarray(
-                _get_array(payload, f"{key}__indices", path), dtype=int
-            )
-            points: Optional[np.ndarray] = None
-            if entry.get("has_points"):
-                points = np.asarray(
-                    _get_array(payload, f"{key}__points", path), dtype=float
-                )
-                if points.shape != (indices.size, 2):
-                    raise ValueError(
-                        f"points shape {points.shape} does not match "
-                        f"{indices.size} indices"
-                    )
-            if indices.size != int(entry["count"]):
-                raise ValueError(
-                    f"answer carries {indices.size} indices, manifest records "
-                    f"{entry['count']}"
-                )
-            check_legacy_value(entry["backend"], ANSWER_BACKENDS, "backend")
-            answers.append(
-                QueryAnswer(
-                    site=str(entry["site"]),
-                    matcher=str(entry["matcher"]),
-                    generation=int(entry["generation"]),
-                    indices=indices,
-                    points=points,
-                    cache_hits=int(entry.get("cache_hits") or 0),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WirePayloadError(
-                f"corrupt answer {index} in {path!r}: {exc}"
-            ) from exc
-    return answers
+    return _read_payload(path, _ANSWERS, _decode_answer)

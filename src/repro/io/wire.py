@@ -15,12 +15,17 @@ Guarantees:
 * **Round-trip exactness** — arrays ride NPZ untouched (dtype, shape,
   values); scalar floats ride JSON via ``repr`` round-tripping; configs are
   encoded field by field and rebuilt through their validating constructors.
-* **Validation on load** — the manifest is checked for format tag, version
-  and per-site completeness; matrices re-enter through
-  :mod:`repro.utils.validation` (finite, 2-D, shape-consistent) inside the
-  ``UpdateRequest`` / ``FingerprintMatrix`` constructors, so corrupt or
-  truncated payloads fail with a clear ``ValueError`` instead of exploding
-  mid-solve.
+* **One decode contract** — every NPZ family (requests, reports, shard
+  tasks and results here; deltas in :mod:`repro.io.delta`; queries and
+  answers in :mod:`repro.io.query`) reads through :func:`_read_payload`.
+  It checks the format tag and that family's version, checks the entry
+  list against ``count``, materialises every array, and decodes each
+  entry; matrices re-enter through :mod:`repro.utils.validation` (finite,
+  2-D, shape-consistent) inside the ``UpdateRequest`` /
+  ``FingerprintMatrix`` constructors.  Corrupt, truncated, mislabelled or
+  wrong-version input raises :class:`WirePayloadError` (a ``ValueError``)
+  naming the payload and the entry, never a zip/zlib error and never a
+  silently different result.
 * **No pickling** — payloads load with ``allow_pickle=False``; everything is
   plain arrays plus JSON.
 """
@@ -30,10 +35,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import tokenize
 import zipfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,11 +147,202 @@ def checked_content_length(header: Optional[str]) -> int:
     return length
 
 
+# ----------------------------------------------------------------- codec core
+#
+# A payload is one compressed NPZ: a JSON ``manifest`` entry whose header
+# names the family and its version(s), whose ``count`` matches its entry
+# list, and one ``<prefix>NNNN__<name>`` array group per entry.  Every
+# family writes its manifest through `_Family.manifest` and reads through
+# `_read_payload`; `_decoding` is the one place decode failures are caught
+# and turned into WirePayloadError.
+
+#: Exceptions decoding corrupt bytes can raise: zip structure and CRC
+#: errors, zlib and EOF errors from truncated members, an unsupported
+#: compression method or a set encryption flag (zipfile's RuntimeError)
+#: from a flipped header bit, numpy's tokenizer failing on a garbled
+#: ``.npy`` header, and the KeyError / TypeError / ValueError / IndexError
+#: of a malformed manifest or of arrays that do not fit it.
+#: :func:`_decoding` maps them to WirePayloadError.
+_DECODE_ERRORS = (
+    ValueError,
+    KeyError,
+    TypeError,
+    IndexError,
+    OSError,
+    EOFError,
+    NotImplementedError,
+    RuntimeError,
+    tokenize.TokenError,
+    zipfile.BadZipFile,
+    zlib.error,
+)
+
+
+@contextmanager
+def _decoding(context: str):
+    """Re-raise any decode failure in the block as a WirePayloadError."""
+    try:
+        yield
+    except _DECODE_ERRORS as exc:
+        raise WirePayloadError(f"{context}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class _Family:
+    """How one payload family frames its manifest and names its arrays.
+
+    ``entries`` is the manifest key of the per-entry list (``None`` for a
+    family without one), ``entry`` names an entry in error messages,
+    ``prefix`` starts its array names, and ``versions`` lists the
+    ``(manifest key, version, lineage)`` triples a reader must match.
+    """
+
+    format: str
+    entries: Optional[str] = "sites"
+    entry: str = "site"
+    prefix: str = "site"
+    versions: Tuple[Tuple[str, int, str], ...] = (("version", WIRE_VERSION, "wire"),)
+
+    def key(self, index: int) -> str:
+        return f"{self.prefix}{index:04d}"
+
+    def manifest(self, header: dict, entries: Optional[list] = None) -> dict:
+        """The family's format/version header, ``count``, ``header``, entries."""
+        manifest: dict = {"format": self.format}
+        manifest.update((key, version) for key, version, _ in self.versions)
+        if entries is not None:
+            manifest["count"] = len(entries)
+        manifest.update(header)
+        if entries is not None:
+            manifest[self.entries] = entries
+        return manifest
+
+    def check_header(self, manifest: dict, name: str) -> None:
+        """Reject a manifest of another format or an unreadable version."""
+        got = manifest.get("format")
+        if got != self.format:
+            raise WirePayloadError(
+                f"{name} holds format {got!r}, expected {self.format!r}"
+            )
+        for key, version, lineage in self.versions:
+            got = manifest.get(key)
+            if got != version:
+                raise WirePayloadError(
+                    f"{name} is {lineage} version {got!r}; this build reads "
+                    f"version {version}"
+                )
+
+
+def _payload_name(path) -> str:
+    if isinstance(path, (str, os.PathLike)):
+        return repr(os.fspath(path))
+    return "<in-memory payload>"
+
+
+def _write_payload(path, manifest: dict, arrays: Dict[str, np.ndarray]) -> None:
+    np.savez_compressed(
+        path, manifest=np.asarray(json.dumps(manifest)), **arrays
+    )
+
+
+@contextmanager
+def _read_manifest(path):
+    """Open any wire payload; yield ``(name, manifest, npz)``, then close it.
+
+    Only the manifest entry is decoded here (no format check), which is all
+    :func:`payload_info` reads.
+    """
+    name = _payload_name(path)
+    with _decoding(f"cannot read wire payload {name}"):
+        npz = np.load(path, allow_pickle=False)
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise WirePayloadError(f"{name} is not a fleet wire payload (not an NPZ)")
+    with npz:
+        if "manifest" not in npz.files:
+            raise WirePayloadError(
+                f"{name} is not a fleet wire payload (no manifest entry)"
+            )
+        with _decoding(f"corrupt manifest in {name}"):
+            manifest = json.loads(str(npz["manifest"][()]))
+        if not isinstance(manifest, dict):
+            raise WirePayloadError(
+                f"corrupt manifest in {name}: expected a JSON object"
+            )
+        yield name, manifest, npz
+
+
+def _get_array(arrays: Dict[str, np.ndarray], key: str) -> np.ndarray:
+    if key not in arrays:
+        raise WirePayloadError(f"missing array {key!r}")
+    return arrays[key]
+
+
+def _read_payload(
+    path,
+    family: _Family,
+    decode_entry: Optional[Callable] = None,
+    finish: Optional[Callable] = None,
+):
+    """The one read path of every NPZ family.
+
+    Checks the header against ``family``, checks the entry list against
+    ``count``, materialises every array (so a member that no longer
+    inflates fails here, not lazily in a caller), then decodes each entry
+    with ``decode_entry(entry, get)`` — ``get(name)`` resolves that entry's
+    arrays — and returns the decoded list, or ``finish(manifest, decoded,
+    arrays)`` when given.  Any decode failure raises
+    :class:`WirePayloadError` naming the payload and the entry index.
+    """
+    with _read_manifest(path) as (name, manifest, npz):
+        family.check_header(manifest, name)
+        entries = []
+        if family.entries is not None:
+            entries = manifest.get(family.entries)
+            if not isinstance(entries, list) or manifest.get("count") != len(entries):
+                raise WirePayloadError(
+                    f"corrupt manifest in {name}: {family.entry} list/count mismatch"
+                )
+        with _decoding(f"cannot read wire payload {name}"):
+            arrays = {key: npz[key] for key in npz.files if key != "manifest"}
+    decoded = []
+    for index, entry in enumerate(entries):
+        key = family.key(index)
+        with _decoding(f"corrupt {family.entry} {index} in {name}"):
+            if not isinstance(entry, dict):
+                raise WirePayloadError("entry is not a JSON object")
+            decoded.append(
+                decode_entry(entry, lambda array: _get_array(arrays, f"{key}__{array}"))
+            )
+    if finish is None:
+        return decoded
+    with _decoding(f"corrupt {family.format} payload {name}"):
+        return finish(manifest, decoded, arrays)
+
+
+def _prefixed(key: str, arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    return {f"{key}__{name}": array for name, array in arrays.items()}
+
+
+def payload_info(path) -> dict:
+    """Header metadata of any wire payload: format, version, count, stamp."""
+    with _read_manifest(path) as (_, manifest, _npz):
+        return {
+            "format": manifest.get("format"),
+            "version": manifest.get("version"),
+            "count": manifest.get("count"),
+            "elapsed_days": manifest.get("elapsed_days"),
+        }
+
+
+_REQUESTS = _Family(REQUESTS_FORMAT)
+_REPORT = _Family(REPORT_FORMAT)
+_SHARD_TASK = _Family(SHARD_TASK_FORMAT, entries=None)
+_SHARD_RESULT = _Family(
+    SHARD_RESULT_FORMAT, entries="results", entry="shard result member", prefix="res"
+)
+
+
 # --------------------------------------------------------------------- common
-def _site_key(index: int) -> str:
-    return f"site{index:04d}"
-
-
 def _dataclass_scalars(obj) -> dict:
     """Field → value mapping of a flat, JSON-scalar dataclass config."""
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
@@ -161,7 +360,7 @@ def _encode_config(config: UpdaterConfig) -> dict:
 
 
 def _decode_config(data: dict) -> UpdaterConfig:
-    try:
+    with _decoding("corrupt updater config"):
         # The top-level key was an optional override (null by default); the
         # nested one a solver field that older writers also emitted.
         check_legacy_value(
@@ -179,8 +378,6 @@ def _decode_config(data: dict) -> UpdaterConfig:
             lrr=LRRConfig(**data["lrr"]),
             solver=SelfAugmentedConfig(**solver),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WirePayloadError(f"corrupt updater config in payload: {exc}") from exc
 
 
 def _encode_seed(rng, site: str):
@@ -193,71 +390,6 @@ def _encode_seed(rng, site: str):
         f"site {site!r} carries a live random generator; wire payloads need a "
         "reproducible integer seed (or None)"
     )
-
-
-def _write_payload(path, manifest: dict, arrays: Dict[str, np.ndarray]) -> None:
-    np.savez_compressed(
-        path, manifest=np.asarray(json.dumps(manifest)), **arrays
-    )
-
-
-def _read_manifest(path) -> Tuple[dict, "np.lib.npyio.NpzFile"]:
-    """Open any wire payload and decode its manifest (no format check)."""
-    try:
-        payload = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise WirePayloadError(
-            f"cannot read wire payload {path!r}: {exc}"
-        ) from exc
-    if "manifest" not in payload:
-        raise WirePayloadError(
-            f"{path!r} is not a fleet wire payload (no manifest entry)"
-        )
-    try:
-        manifest = json.loads(str(payload["manifest"][()]))
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise WirePayloadError(f"corrupt manifest in {path!r}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise WirePayloadError(
-            f"corrupt manifest in {path!r}: expected a JSON object"
-        )
-    return manifest, payload
-
-
-def _read_payload(path, expected_format: str) -> Tuple[dict, "np.lib.npyio.NpzFile"]:
-    manifest, payload = _read_manifest(path)
-    got_format = manifest.get("format")
-    if got_format != expected_format:
-        raise WirePayloadError(
-            f"{path!r} holds format {got_format!r}, expected {expected_format!r}"
-        )
-    version = manifest.get("version")
-    if version != WIRE_VERSION:
-        raise WirePayloadError(
-            f"{path!r} is wire version {version!r}; this build reads version "
-            f"{WIRE_VERSION}"
-        )
-    return manifest, payload
-
-
-def _get_array(payload, key: str, path) -> np.ndarray:
-    try:
-        return payload[key]
-    except KeyError:
-        raise WirePayloadError(
-            f"payload {path!r} is missing array {key!r}"
-        ) from None
-
-
-def payload_info(path) -> dict:
-    """Header metadata of any wire payload: format, version, count, stamp."""
-    manifest, _ = _read_manifest(path)
-    return {
-        "format": manifest.get("format"),
-        "version": manifest.get("version"),
-        "count": manifest.get("count"),
-        "elapsed_days": manifest.get("elapsed_days"),
-    }
 
 
 # ------------------------------------------------------------------- requests
@@ -285,7 +417,7 @@ def save_requests(
     arrays: Dict[str, np.ndarray] = {}
     site_entries: List[dict] = []
     for index, request in enumerate(requests):
-        key = _site_key(index)
+        key = _REQUESTS.key(index)
         arrays[f"{key}__baseline_values"] = request.baseline.values
         arrays[f"{key}__baseline_mask"] = request.baseline.index_matrix()
         arrays[f"{key}__no_decrease_matrix"] = request.no_decrease_matrix
@@ -336,111 +468,83 @@ def save_requests(
             entry["correlation"] = None
         site_entries.append(entry)
 
-    manifest = {
-        "format": REQUESTS_FORMAT,
-        "version": WIRE_VERSION,
-        "count": len(requests),
-        "elapsed_days": None if elapsed_days is None else float(elapsed_days),
-        "sites": site_entries,
-    }
+    manifest = _REQUESTS.manifest(
+        {"elapsed_days": None if elapsed_days is None else float(elapsed_days)},
+        site_entries,
+    )
     _write_payload(path, manifest, arrays)
+
+
+def _decode_request(entry: dict, get) -> UpdateRequest:
+    """One request-payload site entry back into a validated request."""
+    # Cross-check the dtypes the writer recorded against what the arrays
+    # actually carry — a mismatch means the payload was rewritten after
+    # export.
+    for field_name, recorded in (entry.get("dtypes") or {}).items():
+        dtype = get(field_name).dtype
+        if str(dtype) != recorded:
+            raise WirePayloadError(
+                f"array {field_name!r} has dtype {dtype}, manifest records "
+                f"{recorded!r}"
+            )
+    correlation = None
+    correlation_meta = entry.get("correlation")
+    if correlation_meta is not None:
+        mic_meta = correlation_meta["mic"]
+        lrr_meta = correlation_meta["lrr"]
+        correlation = (
+            MICResult(
+                indices=tuple(int(i) for i in mic_meta["indices"]),
+                rank=int(mic_meta["rank"]),
+                mic_matrix=get("mic_matrix"),
+                strategy=str(mic_meta["strategy"]),
+            ),
+            LRRResult(
+                correlation=get("lrr_correlation"),
+                error=get("lrr_error"),
+                iterations=int(lrr_meta["iterations"]),
+                converged=bool(lrr_meta["converged"]),
+                residual=float(lrr_meta["residual"]),
+            ),
+        )
+    warm = None
+    warm_meta = entry.get("warm_start")
+    if warm_meta is not None:
+        warm = WarmFactors(
+            left=get("warm_left"),
+            right=get("warm_right"),
+            objective=warm_meta.get("objective"),
+        )
+    rng = entry["rng"]
+    reference_indices = entry["reference_indices"]
+    return UpdateRequest(
+        site=str(entry["site"]),
+        baseline=FingerprintMatrix(
+            values=get("baseline_values"),
+            locations_per_link=int(entry["locations_per_link"]),
+            no_decrease_mask=get("baseline_mask"),
+        ),
+        no_decrease_matrix=get("no_decrease_matrix"),
+        no_decrease_mask=get("no_decrease_mask"),
+        reference_matrix=get("reference_matrix"),
+        reference_indices=None
+        if reference_indices is None
+        else tuple(int(i) for i in reference_indices),
+        config=_decode_config(entry["config"]),
+        rng=None if rng is None else int(rng),
+        correlation=correlation,
+        warm_start=warm,
+    )
 
 
 def load_requests(path) -> List[UpdateRequest]:
     """Load a request payload back into validated :class:`UpdateRequest` objects.
 
-    Raises ``ValueError`` with a clear message when the payload is not a
-    request payload, has a different wire version, or is corrupt (missing
-    arrays, inconsistent shapes, non-finite values, broken configs).
+    Raises :class:`WirePayloadError` when the payload is not a request
+    payload, has a different wire version, or is corrupt (missing arrays,
+    inconsistent shapes, non-finite values, broken configs).
     """
-    manifest, payload = _read_payload(path, REQUESTS_FORMAT)
-    sites = manifest.get("sites")
-    if not isinstance(sites, list) or manifest.get("count") != len(sites):
-        raise ValueError(f"corrupt manifest in {path!r}: site list/count mismatch")
-
-    requests: List[UpdateRequest] = []
-    for index, entry in enumerate(sites):
-        key = _site_key(index)
-        try:
-            site = str(entry["site"])
-            locations_per_link = int(entry["locations_per_link"])
-            rng = entry["rng"]
-            config_data = entry["config"]
-            reference_indices = entry["reference_indices"]
-            correlation_meta = entry.get("correlation")
-            warm_meta = entry.get("warm_start")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"corrupt site entry {index} in {path!r}: {exc}"
-            ) from exc
-        try:
-            # Cross-check the dtypes the writer recorded against what the
-            # arrays actually carry — a mismatch means the payload was
-            # rewritten or truncated after export.
-            for field_name, recorded in (entry.get("dtypes") or {}).items():
-                array = _get_array(payload, f"{key}__{field_name}", path)
-                if str(array.dtype) != recorded:
-                    raise ValueError(
-                        f"array {field_name!r} of site {index} has dtype "
-                        f"{array.dtype}, manifest records {recorded!r}"
-                    )
-            baseline = FingerprintMatrix(
-                values=_get_array(payload, f"{key}__baseline_values", path),
-                locations_per_link=locations_per_link,
-                no_decrease_mask=_get_array(payload, f"{key}__baseline_mask", path),
-            )
-            correlation = None
-            if correlation_meta is not None:
-                mic_meta = correlation_meta["mic"]
-                lrr_meta = correlation_meta["lrr"]
-                correlation = (
-                    MICResult(
-                        indices=tuple(int(i) for i in mic_meta["indices"]),
-                        rank=int(mic_meta["rank"]),
-                        mic_matrix=_get_array(payload, f"{key}__mic_matrix", path),
-                        strategy=str(mic_meta["strategy"]),
-                    ),
-                    LRRResult(
-                        correlation=_get_array(
-                            payload, f"{key}__lrr_correlation", path
-                        ),
-                        error=_get_array(payload, f"{key}__lrr_error", path),
-                        iterations=int(lrr_meta["iterations"]),
-                        converged=bool(lrr_meta["converged"]),
-                        residual=float(lrr_meta["residual"]),
-                    ),
-                )
-            warm = None
-            if warm_meta is not None:
-                warm = WarmFactors(
-                    left=_get_array(payload, f"{key}__warm_left", path),
-                    right=_get_array(payload, f"{key}__warm_right", path),
-                    objective=warm_meta.get("objective"),
-                )
-            request = UpdateRequest(
-                site=site,
-                baseline=baseline,
-                no_decrease_matrix=_get_array(
-                    payload, f"{key}__no_decrease_matrix", path
-                ),
-                no_decrease_mask=_get_array(payload, f"{key}__no_decrease_mask", path),
-                reference_matrix=_get_array(
-                    payload, f"{key}__reference_matrix", path
-                ),
-                reference_indices=None
-                if reference_indices is None
-                else tuple(int(i) for i in reference_indices),
-                config=_decode_config(config_data),
-                rng=None if rng is None else int(rng),
-                correlation=correlation,
-                warm_start=warm,
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(
-                f"corrupt site {index} ({entry.get('site')!r}) in {path!r}: {exc}"
-            ) from exc
-        requests.append(request)
-    return requests
+    return _read_payload(path, _REQUESTS, _decode_request)
 
 
 def requests_to_bytes(
@@ -486,21 +590,7 @@ def requests_from_bytes(data: bytes) -> List[UpdateRequest]:
 #
 # The fingerprint deliberately excludes the attempt number: every retry and
 # straggler re-dispatch of one shard fingerprints identically, which is what
-# makes completions idempotent.  Decoders raise `WirePayloadError` on any
-# corruption (truncation, bit flips, wrong tags, fingerprint mismatch) —
-# pinned by tests/io/test_wire_fuzz.py.
-
-#: Exceptions any stage of payload decoding can raise on corrupt bytes;
-#: decoders translate all of them into :class:`WirePayloadError`.
-_DECODE_ERRORS = (
-    ValueError,
-    KeyError,
-    TypeError,
-    OSError,
-    EOFError,  # np.load on payloads truncated to (nearly) nothing
-    zipfile.BadZipFile,
-    zlib.error,
-)
+# makes completions idempotent.
 
 
 def shard_fingerprint(requests_payload: bytes, shard_index: int) -> str:
@@ -553,13 +643,13 @@ def shard_task_to_bytes(
         raise TypeError(
             f"requests_payload must be bytes, got {type(requests_payload).__name__}"
         )
-    manifest = {
-        "format": SHARD_TASK_FORMAT,
-        "version": WIRE_VERSION,
-        "shard_index": int(shard_index),
-        "attempt": int(attempt),
-        "fingerprint": shard_fingerprint(requests_payload, shard_index),
-    }
+    manifest = _SHARD_TASK.manifest(
+        {
+            "shard_index": int(shard_index),
+            "attempt": int(attempt),
+            "fingerprint": shard_fingerprint(requests_payload, shard_index),
+        }
+    )
     buffer = io.BytesIO()
     _write_payload(
         buffer,
@@ -569,29 +659,16 @@ def shard_task_to_bytes(
     return buffer.getvalue()
 
 
-def shard_task_from_bytes(data: bytes) -> ShardTask:
-    """Decode and validate a ``repro-shard-task`` payload.
-
-    Raises :class:`WirePayloadError` when the payload is truncated, bit-
-    flipped, mislabeled, or its embedded request bytes no longer hash to the
-    recorded fingerprint.
-    """
-    try:
-        manifest, payload = _read_payload(io.BytesIO(data), SHARD_TASK_FORMAT)
-        shard_index = int(manifest["shard_index"])
-        attempt = int(manifest["attempt"])
-        recorded = str(manifest["fingerprint"])
-        embedded = _get_array(payload, "requests_payload", "<shard task>")
-        if embedded.dtype != np.uint8 or embedded.ndim != 1:
-            raise WirePayloadError(
-                f"shard task carries a {embedded.dtype}/{embedded.ndim}-d "
-                "requests_payload entry; expected 1-d uint8 bytes"
-            )
-        requests_payload = embedded.tobytes()
-    except WirePayloadError:
-        raise
-    except _DECODE_ERRORS as exc:
-        raise WirePayloadError(f"corrupt shard task payload: {exc}") from exc
+def _decode_task(manifest: dict, _entries, arrays) -> ShardTask:
+    embedded = _get_array(arrays, "requests_payload")
+    if embedded.dtype != np.uint8 or embedded.ndim != 1:
+        raise WirePayloadError(
+            f"shard task carries a {embedded.dtype}/{embedded.ndim}-d "
+            "requests_payload entry; expected 1-d uint8 bytes"
+        )
+    requests_payload = embedded.tobytes()
+    shard_index = int(manifest["shard_index"])
+    recorded = str(manifest["fingerprint"])
     actual = shard_fingerprint(requests_payload, shard_index)
     if actual != recorded:
         raise WirePayloadError(
@@ -600,10 +677,20 @@ def shard_task_from_bytes(data: bytes) -> ShardTask:
         )
     return ShardTask(
         shard_index=shard_index,
-        attempt=attempt,
+        attempt=int(manifest["attempt"]),
         fingerprint=recorded,
         requests_payload=requests_payload,
     )
+
+
+def shard_task_from_bytes(data: bytes) -> ShardTask:
+    """Decode and validate a ``repro-shard-task`` payload.
+
+    Raises :class:`WirePayloadError` when the payload is truncated, bit-
+    flipped, mislabeled, or its embedded request bytes no longer hash to the
+    recorded fingerprint.
+    """
+    return _read_payload(io.BytesIO(data), _SHARD_TASK, finish=_decode_task)
 
 
 def shard_result_to_bytes(result, fingerprint: str, shard_index: int) -> bytes:
@@ -616,7 +703,7 @@ def shard_result_to_bytes(result, fingerprint: str, shard_index: int) -> bytes:
     arrays: Dict[str, np.ndarray] = {}
     members: List[dict] = []
     for position, member in enumerate(result.results):
-        key = f"res{position:04d}"
+        key = _SHARD_RESULT.key(position)
         arrays[f"{key}__estimate"] = member.estimate
         arrays[f"{key}__left"] = member.left
         arrays[f"{key}__right"] = member.right
@@ -629,19 +716,47 @@ def shard_result_to_bytes(result, fingerprint: str, shard_index: int) -> bytes:
                 "structure_weight": float(member.structure_weight),
             }
         )
-    manifest = {
-        "format": SHARD_RESULT_FORMAT,
-        "version": WIRE_VERSION,
-        "fingerprint": str(fingerprint),
-        "shard_index": int(shard_index),
-        "sweeps": int(result.sweeps),
-        "fallback": bool(result.fallback),
-        "count": len(members),
-        "results": members,
-    }
+    manifest = _SHARD_RESULT.manifest(
+        {
+            "fingerprint": str(fingerprint),
+            "shard_index": int(shard_index),
+            "sweeps": int(result.sweeps),
+            "fallback": bool(result.fallback),
+        },
+        members,
+    )
     buffer = io.BytesIO()
     _write_payload(buffer, manifest, arrays)
     return buffer.getvalue()
+
+
+def _decode_member(entry: dict, get) -> SelfAugmentedResult:
+    estimate, left, right = get("estimate"), get("left"), get("right")
+    if estimate.ndim != 2 or left.ndim != 2 or right.ndim != 2:
+        raise WirePayloadError("carries non-2-d arrays")
+    m, n = estimate.shape
+    rank = left.shape[1]
+    if left.shape != (m, rank) or right.shape != (n, rank):
+        raise WirePayloadError(
+            f"factor shapes {left.shape}/{right.shape} do not fit estimate "
+            f"{estimate.shape}"
+        )
+    if not (
+        np.isfinite(estimate).all()
+        and np.isfinite(left).all()
+        and np.isfinite(right).all()
+    ):
+        raise WirePayloadError("carries non-finite values")
+    return SelfAugmentedResult(
+        estimate=estimate,
+        left=left,
+        right=right,
+        objective=float(entry["objective"]),
+        iterations=int(entry["iterations"]),
+        converged=bool(entry["converged"]),
+        reference_weight=float(entry["reference_weight"]),
+        structure_weight=float(entry["structure_weight"]),
+    )
 
 
 def shard_result_from_bytes(data: bytes):
@@ -655,63 +770,15 @@ def shard_result_from_bytes(data: bytes):
     """
     from repro.core.stacked import ShardResult
 
-    try:
-        manifest, payload = _read_payload(io.BytesIO(data), SHARD_RESULT_FORMAT)
-        fingerprint = str(manifest["fingerprint"])
-        shard_index = int(manifest["shard_index"])
-        sweeps = int(manifest["sweeps"])
-        fallback = bool(manifest["fallback"])
-        members = manifest["results"]
-        if not isinstance(members, list) or manifest["count"] != len(members):
-            raise WirePayloadError(
-                "corrupt shard result: member list/count mismatch"
-            )
-        results = []
-        for position, entry in enumerate(members):
-            key = f"res{position:04d}"
-            estimate = _get_array(payload, f"{key}__estimate", "<shard result>")
-            left = _get_array(payload, f"{key}__left", "<shard result>")
-            right = _get_array(payload, f"{key}__right", "<shard result>")
-            if estimate.ndim != 2 or left.ndim != 2 or right.ndim != 2:
-                raise WirePayloadError(
-                    f"shard result member {position} carries non-2-d arrays"
-                )
-            m, n = estimate.shape
-            rank = left.shape[1]
-            if left.shape != (m, rank) or right.shape != (n, rank):
-                raise WirePayloadError(
-                    f"shard result member {position} factor shapes "
-                    f"{left.shape}/{right.shape} do not fit estimate {estimate.shape}"
-                )
-            if not (
-                np.isfinite(estimate).all()
-                and np.isfinite(left).all()
-                and np.isfinite(right).all()
-            ):
-                raise WirePayloadError(
-                    f"shard result member {position} carries non-finite values"
-                )
-            results.append(
-                SelfAugmentedResult(
-                    estimate=estimate,
-                    left=left,
-                    right=right,
-                    objective=float(entry["objective"]),
-                    iterations=int(entry["iterations"]),
-                    converged=bool(entry["converged"]),
-                    reference_weight=float(entry["reference_weight"]),
-                    structure_weight=float(entry["structure_weight"]),
-                )
-            )
-    except WirePayloadError:
-        raise
-    except _DECODE_ERRORS as exc:
-        raise WirePayloadError(f"corrupt shard result payload: {exc}") from exc
-    return (
-        ShardResult(results=tuple(results), sweeps=sweeps, fallback=fallback),
-        fingerprint,
-        shard_index,
-    )
+    def finish(manifest, results, _arrays):
+        shard_result = ShardResult(
+            results=tuple(results),
+            sweeps=int(manifest["sweeps"]),
+            fallback=bool(manifest["fallback"]),
+        )
+        return shard_result, str(manifest["fingerprint"]), int(manifest["shard_index"])
+
+    return _read_payload(io.BytesIO(data), _SHARD_RESULT, _decode_member, finish)
 
 
 # -------------------------------------------------------------------- reports
@@ -773,8 +840,8 @@ def decode_site_report(entry: dict, get_array) -> UpdateReport:
     """Rebuild one :class:`UpdateReport` from its manifest entry.
 
     ``get_array(name)`` resolves the unprefixed array names
-    :func:`encode_site_report` produced; raising ``KeyError``/``ValueError``
-    for missing entries is the caller's concern.
+    :func:`encode_site_report` produced.  Failures propagate; the caller's
+    :func:`_decoding` block names the payload and the site.
     """
     matrix = FingerprintMatrix(
         values=get_array("estimate"),
@@ -826,21 +893,9 @@ def decode_site_report(entry: dict, get_array) -> UpdateReport:
     )
 
 
-def save_report(path, report: FleetReport) -> None:
-    """Serialize one fleet refresh (per-site results + plan) to an NPZ payload."""
-    arrays: Dict[str, np.ndarray] = {}
-    site_entries: List[dict] = []
-    for index, site_report in enumerate(report.reports):
-        key = _site_key(index)
-        entry, site_arrays = encode_site_report(site_report)
-        for name, array in site_arrays.items():
-            arrays[f"{key}__{name}"] = array
-        site_entries.append(entry)
-
-    manifest = {
-        "format": REPORT_FORMAT,
-        "version": WIRE_VERSION,
-        "count": len(site_entries),
+def _encode_fleet_header(report: FleetReport) -> dict:
+    """The fleet-level manifest fields of a report (shared with deltas)."""
+    return {
         "elapsed_days": float(report.elapsed_days),
         "stacked_sweeps": int(report.stacked_sweeps),
         "errors_db": {k: float(v) for k, v in report.errors_db.items()},
@@ -851,38 +906,11 @@ def save_report(path, report: FleetReport) -> None:
         "executor": None if report.executor is None else str(report.executor),
         "workers": int(report.workers),
         "sweeps_saved": {k: int(v) for k, v in report.sweeps_saved.items()},
-        "sites": site_entries,
     }
-    _write_payload(path, manifest, arrays)
 
 
-def load_report(path) -> FleetReport:
-    """Load a report payload back into a full :class:`FleetReport`.
-
-    Per-site estimates, factors, MIC/LRR artefacts and the executed shard
-    plan are all reconstructed, so a loaded report compares bit-for-bit
-    against the in-process one it was saved from.
-    """
-    manifest, payload = _read_payload(path, REPORT_FORMAT)
-    sites = manifest.get("sites")
-    if not isinstance(sites, list) or manifest.get("count") != len(sites):
-        raise ValueError(f"corrupt manifest in {path!r}: site list/count mismatch")
-
-    reports: List[UpdateReport] = []
-    for index, entry in enumerate(sites):
-        key = _site_key(index)
-        try:
-            reports.append(
-                decode_site_report(
-                    entry,
-                    lambda name: _get_array(payload, f"{key}__{name}", path),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WirePayloadError(
-                f"corrupt report site {index} in {path!r}: {exc}"
-            ) from exc
-
+def _decode_fleet_report(manifest: dict, reports) -> FleetReport:
+    """Rebuild a :class:`FleetReport` from its fleet-level manifest fields."""
     plan_data = manifest.get("plan")
     executor = manifest.get("executor")
     return FleetReport(
@@ -900,4 +928,31 @@ def load_report(path) -> FleetReport:
             str(k): int(v)
             for k, v in (manifest.get("sweeps_saved") or {}).items()
         },
+    )
+
+
+def save_report(path, report: FleetReport) -> None:
+    """Serialize one fleet refresh (per-site results + plan) to an NPZ payload."""
+    arrays: Dict[str, np.ndarray] = {}
+    site_entries: List[dict] = []
+    for index, site_report in enumerate(report.reports):
+        entry, site_arrays = encode_site_report(site_report)
+        arrays.update(_prefixed(_REPORT.key(index), site_arrays))
+        site_entries.append(entry)
+    manifest = _REPORT.manifest(_encode_fleet_header(report), site_entries)
+    _write_payload(path, manifest, arrays)
+
+
+def load_report(path) -> FleetReport:
+    """Load a report payload back into a full :class:`FleetReport`.
+
+    Per-site estimates, factors, MIC/LRR artefacts and the executed shard
+    plan are all reconstructed, so a loaded report compares bit-for-bit
+    against the in-process one it was saved from.
+    """
+    return _read_payload(
+        path,
+        _REPORT,
+        decode_site_report,
+        lambda manifest, reports, _arrays: _decode_fleet_report(manifest, reports),
     )

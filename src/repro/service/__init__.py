@@ -37,7 +37,6 @@ path; see ``docs/API.md`` for the public surface.
 
 from repro.service.executor import (
     InvalidWorkerCountError,
-    PooledProcessExecutor,
     ProcessExecutor,
     SerialExecutor,
     ShardExecutor,
@@ -82,7 +81,6 @@ __all__ = [
     "ShardExecutor",
     "SerialExecutor",
     "ProcessExecutor",
-    "PooledProcessExecutor",
     "RemoteExecutor",
     "WorkerServer",
     "Fault",

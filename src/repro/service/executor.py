@@ -9,7 +9,8 @@ defines that seam:
   shard advances in this process, one lockstep run after another, exactly
   as ``UpdateService.update_fleet`` has always behaved.
 * :class:`ProcessExecutor` — scatter-gather over a
-  ``concurrent.futures.ProcessPoolExecutor``: each shard's member requests
+  ``concurrent.futures.ProcessPoolExecutor`` (one it creates per call, or
+  a caller-owned one it never shuts down): each shard's member requests
   are serialized with :func:`repro.io.wire.requests_to_bytes` (the same
   versioned NPZ+JSON layout ``fleet export`` writes to disk), a worker
   process rehydrates them with :func:`repro.io.wire.requests_from_bytes`,
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -64,7 +66,6 @@ __all__ = [
     "ShardExecutor",
     "SerialExecutor",
     "ProcessExecutor",
-    "PooledProcessExecutor",
     "resolve_executor",
     "validate_worker_count",
 ]
@@ -247,17 +248,25 @@ class ProcessExecutor(ShardExecutor):
     Parameters
     ----------
     max_workers:
-        Worker processes to fan shards out to; defaults to the machine's
-        CPU count.  One worker is a legal (if pointless) configuration —
+        Shards in flight at a time; defaults to the machine's CPU count.
+        Without ``pool`` it is also the size of the pool each ``execute``
+        call creates.  One worker is a legal (if pointless) configuration —
         results never depend on the count, only wall-clock does.
+    pool:
+        Optional caller-owned ``concurrent.futures.ProcessPoolExecutor``,
+        used as-is and never shut down.  The always-on daemon shares one
+        pool across concurrent refresh jobs so worker processes start once,
+        not per job; ``max_workers`` then caps each job's in-flight shards
+        so one huge job cannot starve the others.
     """
 
     name = "process"
 
-    def __init__(self, max_workers: Optional[int] = None) -> None:
+    def __init__(self, max_workers: Optional[int] = None, pool=None) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         self.max_workers = validate_worker_count(max_workers, type(self).__name__)
+        self._pool = pool
 
     @property
     def workers(self) -> int:
@@ -266,113 +275,58 @@ class ProcessExecutor(ShardExecutor):
     def execute(
         self, prepared: List[PreparedSite], plan: ShardPlan
     ) -> Tuple[ShardPlan, Dict[int, SelfAugmentedResult]]:
+        """Scatter the plan's shards and gather them in plan order.
+
+        Gathering in plan order (not completion order) keeps bookkeeping —
+        like the per-site reports — deterministic for any worker count or
+        scheduling interleaving.
+        """
         if not plan.shards:
             return plan, {}
-        self._check_reproducible(prepared, plan)
+        check_reproducible(prepared, plan, type(self).__name__)
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(self.max_workers, len(plan.shards))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return self._execute_on_pool(prepared, plan, pool)
-
-    def _execute_on_pool(
-        self, prepared: List[PreparedSite], plan: ShardPlan, pool
-    ) -> Tuple[ShardPlan, Dict[int, SelfAugmentedResult]]:
-        """Scatter the plan's shards over ``pool`` and gather in plan order.
-
-        At most ``max_workers`` shard futures are in flight at a time, so
-        several executors can share one caller-owned pool (the daemon's
-        case — see :class:`PooledProcessExecutor`) while each honors its
-        own worker budget.  Gathering in plan order (not completion order)
-        keeps bookkeeping — like the per-site reports — deterministic for
-        any worker count or scheduling interleaving.
-        """
         from repro.io.wire import requests_to_bytes
 
-        # Ship the coordinator's MIC/LRR along with each request (the wire
-        # format carries them bit-exactly), so workers skip Inherent
-        # Correlation Acquisition instead of recomputing what the prepare
-        # stage here already paid for.
+        shards = plan.shards
         payloads = [
-            requests_to_bytes(
-                [self._scatter_request(prepared[index]) for index in shard.members]
-            )
-            for shard in plan.shards
+            requests_to_bytes([scatter_request(prepared[i]) for i in shard.members])
+            for shard in shards
         ]
         results: Dict[int, SelfAugmentedResult] = {}
-        shards = plan.shards
-        window = max(1, self.max_workers)
-        futures: Dict[int, "object"] = {}
-        submitted = 0
-        for position, shard in enumerate(shards):
-            while submitted < len(shards) and submitted - position < window:
-                futures[submitted] = pool.submit(
-                    _solve_shard_payload, payloads[submitted], shards[submitted].index
-                )
-                submitted += 1
-            future = futures.pop(position)
-            try:
-                outcome = future.result()
-            except Exception as exc:
-                # A worker traceback alone loses *which* sites were being
-                # solved; name the shard's members so the caller can
-                # exclude or resubmit them.
-                for pending in futures.values():
-                    pending.cancel()
-                sites = ", ".join(repr(site) for site in shard.sites)
-                raise RuntimeError(
-                    f"worker failed solving shard {shard.index} "
-                    f"(sites {sites}): {exc}"
-                ) from exc
-            plan, shard_results = _gather(plan, shard, outcome)
-            results.update(shard_results)
+        if self._pool is not None:
+            owned = nullcontext(self._pool)
+        else:
+            owned = ProcessPoolExecutor(max_workers=min(self.max_workers, len(shards)))
+        with owned as pool:
+            # At most max_workers of this executor's shards are in flight.
+            window = self.max_workers
+            futures: Dict[int, "object"] = {}
+            submitted = 0
+            for position, shard in enumerate(shards):
+                while submitted < len(shards) and submitted - position < window:
+                    futures[submitted] = pool.submit(
+                        _solve_shard_payload,
+                        payloads[submitted],
+                        shards[submitted].index,
+                    )
+                    submitted += 1
+                try:
+                    outcome = futures.pop(position).result()
+                except Exception as exc:
+                    # A worker traceback alone loses *which* sites were being
+                    # solved; name the shard's members so the caller can
+                    # exclude or resubmit them.
+                    for pending in futures.values():
+                        pending.cancel()
+                    sites = ", ".join(repr(site) for site in shard.sites)
+                    raise RuntimeError(
+                        f"worker failed solving shard {shard.index} "
+                        f"(sites {sites}): {exc}"
+                    ) from exc
+                plan, shard_results = _gather(plan, shard, outcome)
+                results.update(shard_results)
         return plan, results
-
-    @staticmethod
-    def _scatter_request(site: PreparedSite) -> UpdateRequest:
-        """The request as scattered: correlation results always attached."""
-        return scatter_request(site)
-
-    def _check_reproducible(
-        self, prepared: Sequence[PreparedSite], plan: ShardPlan
-    ) -> None:
-        """Reject seeds a worker could not reproduce the solve from."""
-        check_reproducible(prepared, plan, type(self).__name__)
-
-
-class PooledProcessExecutor(ProcessExecutor):
-    """Scatter-gather over a **caller-owned, shared** process pool.
-
-    Where :class:`ProcessExecutor` spins a pool up per ``execute`` call,
-    this variant reuses a ``concurrent.futures.ProcessPoolExecutor`` the
-    caller keeps alive — the always-on daemon runs every concurrent fleet
-    refresh through one pool so worker processes are created once, not per
-    job.  ``max_workers`` becomes the executor's *in-flight shard budget*
-    on that shared pool: at most that many of its shards are queued or
-    running at a time, so one huge job cannot starve the others even
-    though they share processes.
-
-    Results stay bit-identical to :class:`SerialExecutor` — the scatter
-    payloads, worker entry point and plan-order gather are exactly
-    :class:`ProcessExecutor`'s.  The pool's lifecycle belongs to the
-    caller: ``execute`` never shuts it down.
-    """
-
-    name = "pooled-process"
-
-    def __init__(self, pool, max_workers: Optional[int] = None) -> None:
-        super().__init__(max_workers)
-        if pool is None:
-            raise ValueError("PooledProcessExecutor needs a live process pool")
-        self._pool = pool
-
-    def execute(
-        self, prepared: List[PreparedSite], plan: ShardPlan
-    ) -> Tuple[ShardPlan, Dict[int, SelfAugmentedResult]]:
-        if not plan.shards:
-            return plan, {}
-        self._check_reproducible(prepared, plan)
-        return self._execute_on_pool(prepared, plan, self._pool)
 
 
 def resolve_executor(

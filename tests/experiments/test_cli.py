@@ -509,6 +509,84 @@ class TestQueryCommands:
         assert "--per-site" in capsys.readouterr().err
 
 
+def _flip_member_bytes(path):
+    """Flip bytes inside the deflated data of a payload's first array member.
+
+    The manifest stays intact, so the failure surfaces only when the member
+    is inflated (a zlib error or a zip CRC mismatch).
+    """
+    import struct
+    import zipfile
+
+    data = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as archive:
+        member = next(i for i in archive.infolist() if i.filename != "manifest.npy")
+    name_length, extra_length = struct.unpack(
+        "<HH", data[member.header_offset + 26 : member.header_offset + 30]
+    )
+    start = member.header_offset + 30 + name_length + extra_length
+    middle = start + member.compress_size // 2
+    for offset in range(middle, middle + 4):
+        data[offset] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+class TestCorruptPayloads:
+    """A payload corrupted inside a compressed array member ends in exit 2
+    and a one-line error naming the file, not a traceback."""
+
+    @pytest.fixture(scope="class")
+    def payloads(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("payloads")
+        requests, report, queries = (
+            root / "requests.npz",
+            root / "report.npz",
+            root / "queries.npz",
+        )
+        export = ["fleet", "export", "--sites", "2", "--link-count", "3"]
+        export += ["--locations-per-link", "3", "--out", str(requests)]
+        assert main(export) == 0
+        assert main(["fleet", "run", "--in", str(requests), "--out", str(report)]) == 0
+        assert (
+            main(["query", "export", "--report", str(report), "--out", str(queries)])
+            == 0
+        )
+        return {"requests": requests, "report": report, "queries": queries}
+
+    @pytest.mark.parametrize(
+        "command, corrupt",
+        [
+            (["fleet", "run", "--in", "{requests}"], "requests"),
+            (
+                ["query", "run", "--report", "{report}", "--queries", "{queries}"],
+                "queries",
+            ),
+            (
+                ["fleet", "diff", "--base", "{report}", "--target", "{good_report}"],
+                "report",
+            ),
+        ],
+        ids=["fleet-run-in", "query-run-queries", "fleet-diff-base"],
+    )
+    def test_corrupt_payload_exits_2_naming_the_file(
+        self, payloads, tmp_path, capsys, command, corrupt
+    ):
+        import shutil
+
+        paths = {}
+        for kind, source in payloads.items():
+            paths[kind] = tmp_path / source.name
+            shutil.copy(source, paths[kind])
+        paths["good_report"] = payloads["report"]
+        _flip_member_bytes(paths[corrupt])
+        capsys.readouterr()
+        argv = [arg.format(**{k: str(v) for k, v in paths.items()}) for arg in command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert str(paths[corrupt]) in err
+        assert "\n" not in err and "Traceback" not in err
+
+
 class TestParallelRun:
     def test_jobs_flag_parses(self):
         args = build_parser().parse_args(["run", "labor_cost_savings", "--jobs", "2"])

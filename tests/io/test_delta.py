@@ -17,7 +17,7 @@ from repro.io.delta import (
     report_fingerprint,
     save_delta,
 )
-from repro.io.wire import load_report, save_report
+from repro.io.wire import WIRE_VERSION, WirePayloadError, load_report, save_report
 from repro.service.service import UpdateService
 from repro.service.synthetic import synthesize_fleet
 from repro.service.types import FleetReport
@@ -153,14 +153,14 @@ class TestValidation:
         path = tmp_path / "delta.npz"
         save_delta(path, base, target)
         delta = load_delta(path)
-        with pytest.raises(ValueError, match="fingerprint"):
+        with pytest.raises(WirePayloadError, match="fingerprint"):
             apply_delta(target, delta)
 
     def test_full_report_payload_rejected(self, generations, tmp_path):
         requests, base, target = generations
         path = tmp_path / "report.npz"
         save_report(path, target)
-        with pytest.raises(ValueError, match="format"):
+        with pytest.raises(WirePayloadError, match="format"):
             load_delta(path)
 
     def test_unknown_mode_rejected(self, generations, tmp_path):
@@ -176,7 +176,7 @@ class TestValidation:
             manifest=np.asarray(json.dumps(manifest)),
             **delta.arrays,
         )
-        with pytest.raises(ValueError, match="unknown mode"):
+        with pytest.raises(WirePayloadError, match="unknown mode"):
             load_delta(rewritten)
 
     def test_missing_patch_arrays_rejected(self, generations, tmp_path):
@@ -189,13 +189,42 @@ class TestValidation:
         dropped = sorted(delta.arrays)[0]
         pruned = {k: v for k, v in delta.arrays.items() if k != dropped}
         broken = FleetDelta(manifest=delta.manifest, arrays=pruned)
-        with pytest.raises(ValueError, match="cannot apply delta for site"):
+        with pytest.raises(WirePayloadError, match="cannot apply delta for site"):
             apply_delta(base, broken)
+
+    @pytest.mark.parametrize(
+        "key, value, lineage",
+        [
+            ("version", DELTA_VERSION + 1, "delta version"),
+            ("wire_version", WIRE_VERSION + 1, "wire version"),
+        ],
+    )
+    def test_unknown_version_rejected(
+        self, generations, tmp_path, key, value, lineage
+    ):
+        """``version`` is checked against DELTA_VERSION and ``wire_version``
+        against WIRE_VERSION; a mismatch in either is a typed error."""
+        requests, base, target = generations
+        path = tmp_path / "delta.npz"
+        save_delta(path, base, target)
+        delta = load_delta(path)
+        assert delta.manifest["version"] == DELTA_VERSION
+        assert delta.manifest["wire_version"] == WIRE_VERSION
+        manifest = json.loads(json.dumps(delta.manifest))
+        manifest[key] = value
+        rewritten = tmp_path / "future.npz"
+        np.savez_compressed(
+            rewritten,
+            manifest=np.asarray(json.dumps(manifest)),
+            **delta.arrays,
+        )
+        with pytest.raises(WirePayloadError, match=lineage):
+            load_delta(rewritten)
 
     def test_not_a_zip_rejected(self, tmp_path):
         path = tmp_path / "garbage.npz"
         path.write_bytes(b"not a zip archive")
-        with pytest.raises(ValueError):
+        with pytest.raises(WirePayloadError):
             load_delta(path)
 
     def test_format_constants_pinned(self):

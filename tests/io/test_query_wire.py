@@ -122,9 +122,9 @@ class TestCorruptQueryPayloads:
         answers_path = tmp_path / "answers.npz"
         save_queries(queries_path, batches)
         save_answers(answers_path, answers)
-        with pytest.raises(ValueError, match=f"expected '{QUERIES_FORMAT}'"):
+        with pytest.raises(WirePayloadError, match=f"expected '{QUERIES_FORMAT}'"):
             load_queries(answers_path)
-        with pytest.raises(ValueError, match=f"expected '{ANSWERS_FORMAT}'"):
+        with pytest.raises(WirePayloadError, match=f"expected '{ANSWERS_FORMAT}'"):
             load_answers(queries_path)
 
     def test_count_mismatch(self, batches, tmp_path):
@@ -132,7 +132,7 @@ class TestCorruptQueryPayloads:
         dst = tmp_path / "bad.npz"
         save_queries(src, batches)
         _rewrite_manifest(src, dst, lambda m: m.update(count=99))
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(WirePayloadError, match="mismatch"):
             load_queries(dst)
 
     def test_batch_count_lie_detected(self, batches, tmp_path):
@@ -144,7 +144,7 @@ class TestCorruptQueryPayloads:
             manifest["batches"][0]["count"] = 1
 
         _rewrite_manifest(src, dst, mutate)
-        with pytest.raises(ValueError, match="corrupt query batch 0"):
+        with pytest.raises(WirePayloadError, match="corrupt query batch 0"):
             load_queries(dst)
 
     def test_missing_measurement_array(self, batches, tmp_path):
@@ -159,7 +159,7 @@ class TestCorruptQueryPayloads:
             }
             manifest = str(payload["manifest"][()])
         np.savez_compressed(dst, manifest=np.asarray(manifest), **arrays)
-        with pytest.raises(ValueError, match="corrupt query batch 1"):
+        with pytest.raises(WirePayloadError, match="corrupt query batch 1"):
             load_queries(dst)
 
     def test_answer_points_shape_lie_detected(self, answers, tmp_path):
@@ -171,11 +171,11 @@ class TestCorruptQueryPayloads:
             manifest["answers"][1]["has_points"] = True
 
         _rewrite_manifest(src, dst, mutate)
-        with pytest.raises(ValueError, match="corrupt answer 1"):
+        with pytest.raises(WirePayloadError, match="corrupt answer 1"):
             load_answers(dst)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ValueError, match="cannot read wire payload"):
+        with pytest.raises(WirePayloadError, match="cannot read wire payload"):
             load_queries(tmp_path / "nope.npz")
 
 

@@ -154,19 +154,19 @@ def _rewrite_manifest(src, dst, mutate):
 
 class TestCorruptPayloads:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ValueError, match="cannot read wire payload"):
+        with pytest.raises(WirePayloadError, match="cannot read wire payload"):
             load_requests(tmp_path / "nope.npz")
 
     def test_not_a_zip(self, tmp_path):
         path = tmp_path / "garbage.npz"
         path.write_bytes(b"not an npz at all")
-        with pytest.raises(ValueError, match="cannot read wire payload"):
+        with pytest.raises(WirePayloadError, match="cannot read wire payload"):
             load_requests(path)
 
     def test_npz_without_manifest(self, tmp_path):
         path = tmp_path / "plain.npz"
         np.savez(path, data=np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="no manifest entry"):
+        with pytest.raises(WirePayloadError, match="no manifest entry"):
             load_requests(path)
 
     def test_version_mismatch(self, requests_path, tmp_path):
@@ -174,7 +174,7 @@ class TestCorruptPayloads:
         _rewrite_manifest(
             requests_path, path, lambda m: m.update(version=WIRE_VERSION + 1)
         )
-        with pytest.raises(ValueError, match="wire version"):
+        with pytest.raises(WirePayloadError, match="wire version"):
             load_requests(path)
 
     def test_format_mismatch(self, requests_path, tmp_path):
@@ -182,17 +182,17 @@ class TestCorruptPayloads:
         _rewrite_manifest(
             requests_path, path, lambda m: m.update(format="something-else")
         )
-        with pytest.raises(ValueError, match="expected 'repro-fleet-requests'"):
+        with pytest.raises(WirePayloadError, match="expected 'repro-fleet-requests'"):
             load_requests(path)
 
     def test_report_loader_rejects_request_payload(self, requests_path):
-        with pytest.raises(ValueError, match="expected 'repro-fleet-report'"):
+        with pytest.raises(WirePayloadError, match="expected 'repro-fleet-report'"):
             load_report(requests_path)
 
     def test_count_mismatch(self, requests_path, tmp_path):
         path = tmp_path / "short.npz"
         _rewrite_manifest(requests_path, path, lambda m: m.update(count=99))
-        with pytest.raises(ValueError, match="count mismatch"):
+        with pytest.raises(WirePayloadError, match="count mismatch"):
             load_requests(path)
 
     def test_missing_array(self, requests_path, tmp_path):
@@ -205,7 +205,7 @@ class TestCorruptPayloads:
             }
             manifest = str(payload["manifest"][()])
         np.savez_compressed(path, manifest=np.asarray(manifest), **arrays)
-        with pytest.raises(ValueError, match="missing array"):
+        with pytest.raises(WirePayloadError, match="missing array"):
             load_requests(path)
 
     def test_dtype_mismatch_detected(self, requests_path, tmp_path):
@@ -221,7 +221,7 @@ class TestCorruptPayloads:
             "site0000__baseline_values"
         ].astype(np.float32)
         np.savez_compressed(path, manifest=np.asarray(manifest), **arrays)
-        with pytest.raises(ValueError, match="dtype"):
+        with pytest.raises(WirePayloadError, match="dtype"):
             load_requests(path)
 
     def test_corrupt_config(self, requests_path, tmp_path):
@@ -231,7 +231,7 @@ class TestCorruptPayloads:
             manifest["sites"][0]["config"]["solver"]["max_iterations"] = -3
 
         _rewrite_manifest(requests_path, path, mutate)
-        with pytest.raises(ValueError, match="corrupt updater config"):
+        with pytest.raises(WirePayloadError, match="corrupt updater config"):
             load_requests(path)
 
     def test_corrupt_manifest_json(self, requests_path, tmp_path):
@@ -243,7 +243,7 @@ class TestCorruptPayloads:
         np.savez_compressed(
             path, manifest=np.asarray("{not json"), **arrays
         )
-        with pytest.raises(ValueError, match="corrupt manifest"):
+        with pytest.raises(WirePayloadError, match="corrupt manifest"):
             load_requests(path)
 
 

@@ -15,12 +15,12 @@ import pytest
 from repro.core.self_augmented import SelfAugmentedConfig
 from repro.core.updater import UpdaterConfig
 from repro.service.executor import (
-    PooledProcessExecutor,
     ProcessExecutor,
     SerialExecutor,
     ShardExecutor,
     _solve_shard_payload,
     resolve_executor,
+    scatter_request,
 )
 from repro.io import requests_from_bytes, requests_to_bytes
 from repro.service.service import UpdateService
@@ -164,11 +164,11 @@ class TestWorkerPayloadPath:
 
         bare = replace(fleet_requests[0], correlation=None)
         site = prepare_request(bare)
-        scattered = ProcessExecutor._scatter_request(site)
+        scattered = scatter_request(site)
         assert scattered.correlation == (site.mic, site.lrr)
         # Requests that already carry one pass through untouched.
         carried = prepare_request(fleet_requests[0])
-        assert ProcessExecutor._scatter_request(carried) is fleet_requests[0]
+        assert scatter_request(carried) is fleet_requests[0]
 
     def test_live_generator_seed_rejected(self, fleet_requests):
         from dataclasses import replace
@@ -230,7 +230,8 @@ class TestWorkerFailureContext:
 
 
 class TestPooledProcessExecutor:
-    """The daemon's shared-pool backend keeps the bit-parity contract."""
+    """ProcessExecutor over a caller-owned pool (the daemon's shared pool)
+    keeps the bit-parity contract."""
 
     def test_shared_pool_bit_identical_to_serial(
         self, fleet_requests, serial_refresh
@@ -243,7 +244,7 @@ class TestPooledProcessExecutor:
             reports = service.update_fleet(
                 fleet_requests,
                 shards=ShardConfig(max_stack_bytes=SHARD_BUDGET),
-                executor=PooledProcessExecutor(pool, max_workers=2),
+                executor=ProcessExecutor(2, pool=pool),
             )
             for expected, got in zip(serial_reports, reports):
                 np.testing.assert_array_equal(got.estimate, expected.estimate)
@@ -264,23 +265,18 @@ class TestPooledProcessExecutor:
             scattered = UpdateService().update_fleet(
                 subset,
                 shards=ShardConfig(max_stack_bytes=SHARD_BUDGET),
-                executor=PooledProcessExecutor(pool, max_workers=1),
+                executor=ProcessExecutor(1, pool=pool),
             )
         for expected, got in zip(serial, scattered):
             np.testing.assert_array_equal(got.estimate, expected.estimate)
-
-    def test_requires_live_pool(self):
-        with pytest.raises(ValueError, match="live process pool"):
-            PooledProcessExecutor(None, max_workers=2)
 
     def test_name_and_subclass(self):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=1) as pool:
-            executor = PooledProcessExecutor(pool, max_workers=3)
-            assert executor.name == "pooled-process"
+            executor = ProcessExecutor(3, pool=pool)
+            assert executor.name == "process"
             assert executor.workers == 3
-            assert isinstance(executor, ProcessExecutor)
 
 
 class TestExecutorResolution:
@@ -397,10 +393,10 @@ class TestWorkerCountValidation:
 
         pool = ProcessPoolExecutor(max_workers=1)
         try:
-            with pytest.raises(InvalidWorkerCountError, match="PooledProcessExecutor"):
-                PooledProcessExecutor(pool, max_workers=0)
+            with pytest.raises(InvalidWorkerCountError, match="ProcessExecutor"):
+                ProcessExecutor(0, pool=pool)
             with pytest.raises(InvalidWorkerCountError, match="integer"):
-                PooledProcessExecutor(pool, max_workers=1.5)
+                ProcessExecutor(1.5, pool=pool)
         finally:
             pool.shutdown()
 

@@ -137,7 +137,7 @@ class TestDaemonDocsSync:
             "Coordinator",
             "JobQueue",
             "DaemonServer",
-            "PooledProcessExecutor",
+            "ProcessExecutor",
         ):
             assert name in text, f"docs/ARCHITECTURE.md is missing {name}"
         for phrase in ("job queue", "publish", "drain"):
