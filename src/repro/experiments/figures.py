@@ -150,13 +150,9 @@ def fig02_long_term_shift(
     channel = campaign.deployment.channel
     location = campaign.deployment.location_point(10)
     shifts = {}
-    base = np.mean(
-        [channel.mean_rss_dbm(i, location, 0.0) for i in range(channel.link_count)]
-    )
+    base = np.mean(channel.mean_rss_field([location], 0.0)[:, 0])
     for days in (5.0, 45.0):
-        later = np.mean(
-            [channel.mean_rss_dbm(i, location, days) for i in range(channel.link_count)]
-        )
+        later = np.mean(channel.mean_rss_field([location], days)[:, 0])
         shifts[days] = float(abs(later - base))
     return {
         "shift_5_days_db": shifts[5.0],

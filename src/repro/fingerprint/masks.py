@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from repro.environments.base import Deployment
-from repro.rf.target import ObstructionState
 
 __all__ = ["ElementCategory", "DecreaseClassification", "classify_elements"]
 
@@ -95,36 +94,18 @@ def classify_elements(
         is NONE.  The structural mode matches the idealised matrix sketch of
         Fig. 4 and is useful for unit tests.
     """
-    m = deployment.link_count
-    n = deployment.location_count
-    categories = np.zeros((m, n), dtype=int)
-
+    links = np.arange(deployment.link_count)[:, None]
+    own_link = np.arange(deployment.location_count) // deployment.locations_per_link
     if use_geometry:
-        channel = deployment.channel
-        for j in range(n):
-            location = deployment.location_point(j)
-            for i in range(m):
-                state = channel.obstruction_state(i, location)
-                if state is ObstructionState.BLOCKING:
-                    categories[i, j] = ElementCategory.LARGE.value
-                elif state is ObstructionState.FRESNEL:
-                    categories[i, j] = ElementCategory.SMALL.value
-                else:
-                    categories[i, j] = ElementCategory.NONE.value
+        # Obstruction codes are the category values: 2 blocking, 1 FFZ, 0 outside.
+        categories = deployment.channel.obstruction_field(deployment.location_array())
     else:
-        for j in range(n):
-            own_link = deployment.link_of_location(j)
-            for i in range(m):
-                if i == own_link:
-                    categories[i, j] = ElementCategory.LARGE.value
-                elif abs(i - own_link) == 1:
-                    categories[i, j] = ElementCategory.SMALL.value
-                else:
-                    categories[i, j] = ElementCategory.NONE.value
-
+        categories = np.where(
+            np.abs(links - own_link) == 1,
+            ElementCategory.SMALL.value,
+            ElementCategory.NONE.value,
+        )
     # The target always blocks the link whose stripe it stands on, regardless
     # of what the geometric model says (numerical edge cases at stripe ends).
-    for j in range(n):
-        categories[deployment.link_of_location(j), j] = ElementCategory.LARGE.value
-
+    categories = np.where(links == own_link, ElementCategory.LARGE.value, categories)
     return DecreaseClassification(categories=categories)

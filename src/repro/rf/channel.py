@@ -9,11 +9,11 @@ at a given elapsed time, with or without short-term noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.rf.geometry import Link, Point
+from repro.rf.geometry import Link, LinkArrays, Point, points_array
 from repro.rf.multipath import MultipathConfig, MultipathField
 from repro.rf.propagation import PathLossModel, PropagationConfig
 from repro.rf.target import ObstructionState, TargetConfig, TargetModel
@@ -44,7 +44,19 @@ class ChannelConfig:
 
 
 class LinkChannel:
-    """RSS generator for one deployment (a set of links in one area)."""
+    """RSS generator for one deployment (a set of links in one area).
+
+    The radio is evaluated a field at a time: :meth:`mean_rss_field` gives
+    the noise-free mean of every link for ``k`` target locations at once,
+    and the per-link methods are views over it.
+
+    Draw order: the static shadowing terms are drawn lazily from the same
+    generator as the short-term noise, so a fresh channel's first burst
+    draws shadow(0), noise, shadow(1), noise, ...  The measuring methods
+    keep that order (each link's shadowing at its first touch inside the
+    sequential noise loop) and add the mean field afterwards, so every
+    seeded reading matches the one-link-at-a-time order.
+    """
 
     def __init__(
         self,
@@ -67,25 +79,63 @@ class LinkChannel:
         self.target_model = TargetModel(self.config.target)
         self.drift = LongTermDrift(self.config.variation, seed=self._seed or 0)
         self._noise = ShortTermNoise(self.config.variation, rng=rng)
+        self._arrays = LinkArrays.of(self.links)
+        self._scatter_weights = self.multipath.link_weights(self._arrays)
+        self._static_offset = self.multipath.static_offset_field(self._scatter_weights)
 
     @property
     def link_count(self) -> int:
         """Number of links in the deployment."""
         return len(self.links)
 
-    def _quantize(self, rss_dbm: float) -> float:
-        step = self.config.rss_quantization_db
-        if step <= 0:
-            return rss_dbm
-        return round(rss_dbm / step) * step
+    # ------------------------------------------------------------ mean field
+    def _mean_field(
+        self, rows: np.ndarray, locations: Optional[np.ndarray], elapsed_days: float
+    ) -> np.ndarray:
+        """Noise-free mean RSS of the links at ``rows``: ``(r, k)``, or ``(r,)``
+        target-free (each link's drift taken at its midpoint)."""
+        # Path loss plus shadowing; draws a row's shadowing if still undrawn.
+        rss = np.array(
+            [self.path_loss.baseline_rss_dbm(self._arrays.length[i], i) for i in rows]
+        )
+        rss = rss + self._static_offset[rows]
+        if locations is None:
+            drift = self.drift.total_shift_field(
+                rows, self._arrays.midpoints()[rows], elapsed_days
+            ).diagonal()
+        else:
+            rss = (
+                rss[:, None]
+                - self.target_model.attenuation_field(self._arrays.take(rows).geometry(locations))
+                + self.multipath.target_offset_field(self._scatter_weights[rows], locations)
+            )
+            drift = self.drift.total_shift_field(rows, locations, elapsed_days)
+        return np.maximum(rss + drift, self.config.rss_floor_dbm)
+
+    def mean_rss_field(
+        self,
+        locations: Union[None, np.ndarray, Sequence[Point]] = None,
+        elapsed_days: float = 0.0,
+    ) -> np.ndarray:
+        """Noise-free mean RSS of every link, for ``k`` target locations at once.
+
+        ``locations`` is a ``(k, 2)`` array or a sequence of points.  Returns
+        ``(m, k)`` (column ``j``: the target at location ``j``), or ``(m,)``
+        target-free when ``locations`` is None.
+        """
+        points = None if locations is None else points_array(locations)
+        return self._mean_field(np.arange(self.link_count), points, elapsed_days)
+
+    def obstruction_field(self, locations: Union[np.ndarray, Sequence[Point]]) -> np.ndarray:
+        """``(m, k)`` obstruction codes (``TargetModel.STATES``: 2 blocking,
+        1 inside the FFZ, 0 outside) of every link for each location."""
+        return self.target_model.obstruction_field(
+            self._arrays.geometry(points_array(locations))
+        )
 
     def baseline_rss_dbm(self, link_index: int, elapsed_days: float = 0.0) -> float:
         """Target-free mean RSS of a link at a given elapsed time (no noise)."""
-        link = self.links[link_index]
-        rss = self.path_loss.baseline_rss_dbm(link.length, link_index)
-        rss += self.multipath.static_offset_db(link)
-        rss += self.drift.total_shift_db(link_index, link.midpoint(), elapsed_days)
-        return max(rss, self.config.rss_floor_dbm)
+        return self.mean_rss_dbm(link_index, None, elapsed_days)
 
     def mean_rss_dbm(
         self,
@@ -94,17 +144,76 @@ class LinkChannel:
         elapsed_days: float = 0.0,
     ) -> float:
         """Noise-free mean RSS of a link with an optional target present."""
-        link = self.links[link_index]
-        rss = self.path_loss.baseline_rss_dbm(link.length, link_index)
-        rss += self.multipath.static_offset_db(link)
-        if target_location is not None:
-            rss -= self.target_model.attenuation_db(link, target_location)
-            rss += self.multipath.target_offset_db(link, target_location)
-            drift_point = target_location
-        else:
-            drift_point = link.midpoint()
-        rss += self.drift.total_shift_db(link_index, drift_point, elapsed_days)
-        return max(rss, self.config.rss_floor_dbm)
+        points = None if target_location is None else points_array([target_location])
+        return float(self._mean_field(np.array([link_index]), points, elapsed_days).flat[0])
+
+    def obstruction_state(self, link_index: int, location: Point) -> ObstructionState:
+        """Expose the target model's link/location classification."""
+        return self.target_model.obstruction_state(self.links[link_index], location)
+
+    # ----------------------------------------------------------- measurement
+    def _touch_noise(self, count: int, with_noise: bool, link: int) -> np.ndarray:
+        """Draw link ``link``'s shadowing (if still undrawn), then ``count``
+        noise samples."""
+        self.path_loss.shadowing_db(link)
+        if not with_noise:
+            return np.zeros(count)
+        return self._noise.sample_burst(count)
+
+    def _readings(self, mean, noise):
+        """Quantised readings ``mean + noise``, clamped to the RSS floor
+        (``np.round`` rounds half to even, like ``round``)."""
+        rss = np.maximum(mean + noise, self.config.rss_floor_dbm)
+        step = self.config.rss_quantization_db
+        return rss if step <= 0 else np.round(rss / step) * step
+
+    def measure_field(
+        self,
+        locations: Union[None, np.ndarray, Sequence[Point]],
+        elapsed_days: float = 0.0,
+        samples: int = 1,
+        with_noise: bool = True,
+    ) -> np.ndarray:
+        """Sample-averaged readings of every link with the target at each of
+        ``locations`` in turn: ``(m, k)``, or ``(m,)`` target-free.
+
+        Equal to ``k`` successive :meth:`measure_vector` calls: the noise is
+        drawn location by location, sample by sample, link by link.
+        """
+        if samples <= 0:
+            raise ValueError("samples must be positive")
+        m = self.link_count
+        points = None if locations is None else points_array(locations)
+        bursts = 1 if points is None else len(points)
+        draws = bursts * samples * m
+        noise = np.zeros(draws)
+        if draws:
+            # The first location's first sample touches each link's shadowing.
+            noise[:m] = [self._touch_noise(1, with_noise, i)[0] for i in range(m)]
+            if with_noise and draws > m:
+                noise[m:] = self._noise.sample_burst(draws - m)
+        noise = noise.reshape(bursts, samples, m)
+        mean = self._mean_field(np.arange(m), points, elapsed_days)
+        if points is None:
+            return self._readings(mean, noise[0]).mean(axis=0)
+        readings = self._readings(mean.T[:, None, :], noise)
+        return np.ascontiguousarray(readings.mean(axis=1).T)
+
+    def measure_baseline(
+        self, elapsed_days: float = 0.0, samples: int = 1, with_noise: bool = True
+    ) -> np.ndarray:
+        """Target-free readings of every link averaged over ``samples``, ``(m,)``.
+
+        Measured link by link (each link's whole burst before the next), the
+        order of a walk past the links with nobody in the area.
+        """
+        if samples <= 0:
+            raise ValueError("samples must be positive")
+        noise = np.array(
+            [self._touch_noise(samples, with_noise, i) for i in range(self.link_count)]
+        )
+        mean = self._mean_field(np.arange(self.link_count), None, elapsed_days)
+        return self._readings(mean[:, None], noise).mean(axis=1)
 
     def measure_rss_dbm(
         self,
@@ -114,10 +223,9 @@ class LinkChannel:
         with_noise: bool = True,
     ) -> float:
         """One RSS sample (optionally noisy and quantised to 0.5 dB)."""
-        rss = self.mean_rss_dbm(link_index, target_location, elapsed_days)
-        if with_noise:
-            rss += self._noise.sample()
-        return self._quantize(max(rss, self.config.rss_floor_dbm))
+        mean = self.mean_rss_dbm(link_index, target_location, elapsed_days)
+        noise = self._noise.sample() if with_noise else 0.0
+        return float(self._readings(mean, noise))
 
     def measure_vector(
         self,
@@ -132,19 +240,9 @@ class LinkChannel:
         fingerprint-matrix column) or the online measurement used for
         localization.
         """
-        if samples <= 0:
-            raise ValueError("samples must be positive")
-        readings = np.zeros((samples, self.link_count), dtype=float)
-        for s in range(samples):
-            for i in range(self.link_count):
-                readings[s, i] = self.measure_rss_dbm(
-                    i, target_location, elapsed_days, with_noise
-                )
-        return readings.mean(axis=0)
-
-    def obstruction_state(self, link_index: int, location: Point) -> ObstructionState:
-        """Expose the target model's link/location classification."""
-        return self.target_model.obstruction_state(self.links[link_index], location)
+        locations = None if target_location is None else [target_location]
+        readings = self.measure_field(locations, elapsed_days, samples, with_noise)
+        return readings if target_location is None else readings[:, 0]
 
     def rss_time_series(
         self,
@@ -159,9 +257,7 @@ class LinkChannel:
             raise ValueError("duration and sample interval must be positive")
         count = int(round(duration_s / sample_interval_s))
         self._noise.reset()
-        series = np.zeros(count, dtype=float)
-        for k in range(count):
-            series[k] = self.measure_rss_dbm(
-                link_index, target_location, elapsed_days, with_noise=True
-            )
-        return series
+        if count == 0:
+            return np.zeros(0)
+        mean = self.mean_rss_dbm(link_index, target_location, elapsed_days)
+        return self._readings(mean, self._noise.sample_burst(count))

@@ -20,7 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.rf.geometry import Link, Point
+from repro.rf.geometry import Link, LinkArrays, Point, hypot, points_array
 from repro.utils.random import RngLike, make_rng
 
 __all__ = ["Scatterer", "MultipathConfig", "MultipathField"]
@@ -83,6 +83,8 @@ class MultipathField:
         self.area_height = float(area_height)
         rng = make_rng(rng)
         self._scatterers = self._generate_scatterers(rng)
+        self._positions = points_array([sc.position for sc in self._scatterers])
+        self._strengths = [sc.strength_db for sc in self._scatterers]
 
     def _generate_scatterers(self, rng: np.random.Generator) -> List[Scatterer]:
         scatterers: List[Scatterer] = []
@@ -100,34 +102,54 @@ class MultipathField:
         """The (immutable) list of scatterers."""
         return tuple(self._scatterers)
 
-    def static_offset_db(self, link: Link) -> float:
-        """Target-independent multipath ripple for a link.
+    def link_weights(self, links: LinkArrays) -> np.ndarray:
+        """``(m, S)`` coupling of each scatterer to each link.
 
-        Scatterers close to the link contribute constructively or
-        destructively depending on their (random) strength; the contribution
-        decays with the scatterer's distance from the link segment.
+        The weight decays with the scatterer's distance from the link
+        segment; a channel computes it once for its links.
         """
-        offset = 0.0
-        for scatterer in self._scatterers:
-            distance = link.distance_from(scatterer.position)
-            weight = np.exp(-distance / self.config.interaction_range_m)
-            offset += scatterer.strength_db * weight
-        return float(offset)
+        distance = links.geometry(self._positions).distance
+        return np.exp(-distance / self.config.interaction_range_m)
 
-    def target_offset_db(self, link: Link, target_location: Point) -> float:
-        """Target-position-dependent multipath perturbation for a link.
+    def static_offset_field(self, weights: np.ndarray) -> np.ndarray:
+        """Target-independent multipath ripple of each link, ``(m,)``.
+
+        Scatterers close to a link contribute constructively or
+        destructively depending on their (random) strength.  ``weights``
+        comes from :meth:`link_weights`.
+        """
+        offset = np.zeros(weights.shape[0])
+        for s, strength in enumerate(self._strengths):
+            offset = offset + strength * weights[:, s]
+        return offset
+
+    def target_offset_field(self, weights: np.ndarray, locations: np.ndarray) -> np.ndarray:
+        """Target-position-dependent multipath perturbation, ``(m, k)``.
 
         A target standing near a scatterer that is itself relevant to the
         link perturbs the reflected path.  The perturbation is a smooth
         deterministic function of the target position, so neighbouring
         locations still produce similar fingerprints (Observation 2), but it
         differs across links enough to break exact low-rankness.
+        ``locations`` is ``(k, 2)``.
         """
-        offset = 0.0
-        for scatterer in self._scatterers:
-            link_distance = link.distance_from(scatterer.position)
-            link_weight = np.exp(-link_distance / self.config.interaction_range_m)
-            target_distance = target_location.distance_to(scatterer.position)
-            target_weight = np.exp(-target_distance / self.config.interaction_range_m)
-            offset += scatterer.strength_db * link_weight * target_weight
-        return float(self.config.target_coupling_db * offset)
+        positions = self._positions
+        target_distance = hypot(
+            locations[:, 0:1] - positions[:, 0], locations[:, 1:2] - positions[:, 1]
+        )
+        target_weight = np.exp(-target_distance / self.config.interaction_range_m)
+        offset = np.zeros((weights.shape[0], locations.shape[0]))
+        # Scatterer by scatterer, so the sum rounds like the scalar model's.
+        for s, strength in enumerate(self._strengths):
+            offset = offset + (strength * weights[:, s])[:, None] * target_weight[:, s]
+        return self.config.target_coupling_db * offset
+
+    def static_offset_db(self, link: Link) -> float:
+        """Target-independent multipath ripple for one link."""
+        weights = self.link_weights(LinkArrays.of([link]))
+        return float(self.static_offset_field(weights)[0])
+
+    def target_offset_db(self, link: Link, target_location: Point) -> float:
+        """Target-position-dependent multipath perturbation for one link."""
+        weights = self.link_weights(LinkArrays.of([link]))
+        return float(self.target_offset_field(weights, points_array([target_location]))[0, 0])

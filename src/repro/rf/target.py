@@ -22,8 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Tuple
 
-from repro.rf.geometry import Link, Point
+import numpy as np
+
+from repro.rf.geometry import Link, LinkArrays, LinkGeometry, Point, points_array
 
 __all__ = ["ObstructionState", "TargetConfig", "TargetModel"]
 
@@ -91,23 +94,34 @@ class TargetConfig:
 
 
 class TargetModel:
-    """Maps a target location to per-link attenuation."""
+    """Maps target locations to per-link attenuation.
+
+    The array methods take a :class:`~repro.rf.geometry.LinkGeometry` of
+    ``m`` links against ``k`` target locations and return ``(m, k)`` arrays;
+    the per-link methods are views over them.
+    """
+
+    #: Obstruction state of each code :meth:`obstruction_field` returns.
+    STATES = (ObstructionState.OUTSIDE, ObstructionState.FRESNEL, ObstructionState.BLOCKING)
 
     def __init__(self, config: TargetConfig | None = None) -> None:
         self.config = config or TargetConfig()
 
-    def obstruction_state(self, link: Link, location: Point) -> ObstructionState:
-        """Classify the target's effect on ``link`` (blocking / FFZ / outside)."""
-        distance = link.distance_from(location)
-        fresnel = max(link.fresnel_radius_at(location), 1e-6)
-        if distance <= self.config.body_radius_m + 0.5 * fresnel:
-            return ObstructionState.BLOCKING
-        if distance <= self.config.body_radius_m + self.config.fresnel_margin * fresnel:
-            return ObstructionState.FRESNEL
-        return ObstructionState.OUTSIDE
+    def _zones(self, geometry: LinkGeometry) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Clamped Fresnel radius, blocking mask and inside-the-FFZ mask."""
+        cfg = self.config
+        fresnel = np.maximum(geometry.fresnel, 1e-6)
+        blocking = geometry.distance <= cfg.body_radius_m + 0.5 * fresnel
+        inside = geometry.distance <= cfg.body_radius_m + cfg.fresnel_margin * fresnel
+        return fresnel, blocking, inside
 
-    def attenuation_db(self, link: Link, location: Point) -> float:
-        """Attenuation (positive dB) the target causes on ``link``.
+    def obstruction_field(self, geometry: LinkGeometry) -> np.ndarray:
+        """Integer codes into :attr:`STATES`: 2 blocking, 1 FFZ, 0 outside."""
+        _, blocking, inside = self._zones(geometry)
+        return inside.astype(np.int64) + blocking
+
+    def attenuation_field(self, geometry: LinkGeometry) -> np.ndarray:
+        """Attenuation (positive dB) the target causes, per link and location.
 
         The blocking attenuation follows the paper's description of the RSS
         profile along a link: strongest close to the transceivers, weakest at
@@ -115,41 +129,51 @@ class TargetModel:
         attenuation decays with the ratio of the lateral offset to the local
         Fresnel-zone radius.
         """
-        state = self.obstruction_state(link, location)
-        if state is ObstructionState.OUTSIDE:
-            return self.config.outside_epsilon_db
-
-        fraction = link.along_fraction(location)
+        cfg = self.config
+        fresnel, blocking, inside = self._zones(geometry)
+        fraction, distance = geometry.fraction, geometry.distance
         # Profile along the link: 1.0 at the ends, dipping at the midpoint.
-        end_weight = abs(2.0 * fraction - 1.0)  # 1 at ends, 0 at midpoint
+        end_weight = np.abs(2.0 * fraction - 1.0)
         peak = (
-            self.config.midpoint_attenuation_db
-            + (self.config.blocking_attenuation_db - self.config.midpoint_attenuation_db)
-            * end_weight
+            cfg.midpoint_attenuation_db
+            + (cfg.blocking_attenuation_db - cfg.midpoint_attenuation_db) * end_weight
         )
         # Transmitter/receiver asymmetry: stronger on the TX half (fraction
         # near 0), weaker on the RX half (fraction near 1).
-        asym_factor = 1.0 + self.config.asymmetry * (1.0 - 2.0 * fraction)
-        peak *= max(asym_factor, 0.1)
+        asym_factor = np.maximum(1.0 + cfg.asymmetry * (1.0 - 2.0 * fraction), 0.1)
+        peak = peak * asym_factor
+        attenuation = np.full(distance.shape, cfg.outside_epsilon_db)
 
-        distance = link.distance_from(location)
-        fresnel = max(link.fresnel_radius_at(location), 1e-6)
-        lateral_scale = self.config.body_radius_m + fresnel
-
-        if state is ObstructionState.BLOCKING:
-            # Smooth decay from the peak as the body moves off the exact path.
-            decay = math.exp(-((distance / lateral_scale) ** 2))
-            return float(max(peak * decay, self.config.fresnel_attenuation_db))
+        # Blocking: smooth Gaussian decay from the peak as the body moves off
+        # the exact path.  About one element per location blocks, so the decay
+        # is taken with ``math`` there, rounding exactly like the scalar model
+        # (numpy's SIMD exp and pow round differently in the last bit).
+        ratio = (distance / (cfg.body_radius_m + fresnel))[blocking]
+        decay = np.array([math.exp(-(r**2)) for r in ratio.tolist()], dtype=float)
+        attenuation[blocking] = np.maximum(
+            peak[blocking] * decay, cfg.fresnel_attenuation_db
+        )
 
         # Inside the FFZ but not blocking: a small decrease that fades towards
         # the edge of the (margin-expanded) Fresnel zone.
-        outer = self.config.body_radius_m + self.config.fresnel_margin * fresnel
-        inner = self.config.body_radius_m + 0.5 * fresnel
-        span = max(outer - inner, 1e-6)
-        closeness = max(0.0, min(1.0, (outer - distance) / span))
-        return float(
-            max(
-                self.config.fresnel_attenuation_db * closeness * max(asym_factor, 0.1),
-                self.config.outside_epsilon_db,
-            )
-        )
+        ring = inside & ~blocking
+        outer = cfg.body_radius_m + cfg.fresnel_margin * fresnel
+        inner = cfg.body_radius_m + 0.5 * fresnel
+        span = np.maximum(outer - inner, 1e-6)
+        closeness = np.maximum(0.0, np.minimum(1.0, (outer - distance) / span))
+        attenuation[ring] = np.maximum(
+            cfg.fresnel_attenuation_db * closeness * asym_factor, cfg.outside_epsilon_db
+        )[ring]
+        return attenuation
+
+    def obstruction_state(self, link: Link, location: Point) -> ObstructionState:
+        """Classify the target's effect on ``link`` (blocking / FFZ / outside)."""
+        return self.STATES[int(self.obstruction_field(_one(link, location))[0, 0])]
+
+    def attenuation_db(self, link: Link, location: Point) -> float:
+        """Attenuation (positive dB) the target at ``location`` causes on ``link``."""
+        return float(self.attenuation_field(_one(link, location))[0, 0])
+
+
+def _one(link: Link, location: Point) -> LinkGeometry:
+    return LinkArrays.of([link]).geometry(points_array([location]))

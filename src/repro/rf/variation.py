@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.rf.geometry import Point
+from repro.rf.geometry import Point, points_array
 from repro.utils.random import RngLike, derive_rng, make_rng
 
 __all__ = ["VariationConfig", "ShortTermNoise", "LongTermDrift"]
@@ -100,23 +100,27 @@ class ShortTermNoise:
 
     def sample(self) -> float:
         """Draw the next noise sample (dB)."""
-        cfg = self.config
-        innovation_std = cfg.short_term_std_db * math.sqrt(
-            max(1.0 - cfg.short_term_correlation**2, 1e-9)
-        )
-        self._state = cfg.short_term_correlation * self._state + float(
-            self._rng.normal(0.0, innovation_std)
-        )
-        noise = self._state
-        if self._rng.random() < cfg.outlier_probability:
-            noise += float(self._rng.normal(0.0, cfg.outlier_std_db))
-        return noise
+        return float(self.sample_burst(1)[0])
 
     def sample_burst(self, count: int) -> np.ndarray:
         """Draw ``count`` consecutive samples (one measurement burst)."""
         if count <= 0:
             raise ValueError("count must be positive")
-        return np.array([self.sample() for _ in range(count)], dtype=float)
+        cfg = self.config
+        innovation_std = cfg.short_term_std_db * math.sqrt(
+            max(1.0 - cfg.short_term_correlation**2, 1e-9)
+        )
+        normal, uniform = self._rng.normal, self._rng.random
+        burst = np.empty(count)
+        state = self._state
+        for k in range(count):
+            state = cfg.short_term_correlation * state + normal(0.0, innovation_std)
+            noise = state
+            if uniform() < cfg.outlier_probability:
+                noise += normal(0.0, cfg.outlier_std_db)
+            burst[k] = noise
+        self._state = state
+        return burst
 
 
 class LongTermDrift:
@@ -150,20 +154,29 @@ class LongTermDrift:
         modulation = 1.0 + 0.15 * float(rng.normal())
         return direction * magnitude * max(modulation, 0.5)
 
-    def link_shift_db(self, link_index: int, elapsed_days: float) -> float:
-        """Per-link drift (receiver gain, antenna aging) at ``elapsed_days``."""
-        rng = derive_rng(self._seed, 211, link_index, int(round(elapsed_days * 1000)))
-        return float(
-            rng.normal(0.0, self.config.link_drift_std_db) * self._saturation(elapsed_days)
+    def link_shift_field(self, link_indices: Sequence[int], elapsed_days: float) -> np.ndarray:
+        """Per-link drift (receiver gain, antenna aging), ``(r,)``."""
+        saturation = self._saturation(elapsed_days)
+        stamp = int(round(elapsed_days * 1000))
+        return np.array(
+            [
+                derive_rng(self._seed, 211, int(i), stamp).normal(
+                    0.0, self.config.link_drift_std_db
+                )
+                * saturation
+                for i in link_indices
+            ],
+            dtype=float,
         )
 
-    def spatial_shift_db(self, location: Point, elapsed_days: float) -> float:
-        """Smooth spatial drift (furniture moved, doors opened) at a location.
+    def spatial_shift_field(self, locations: np.ndarray, elapsed_days: float) -> np.ndarray:
+        """Smooth spatial drift (furniture moved, doors opened), ``(k,)``.
 
         Implemented as a low-frequency random cosine field whose phase and
         orientation depend only on the time stamp, guaranteeing spatial
         smoothness: nearby locations receive nearly identical shifts, which
         preserves the stability of neighbouring-location differences.
+        ``locations`` is ``(k, 2)``.
         """
         rng = derive_rng(self._seed, 307, int(round(elapsed_days * 1000)))
         angle = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -173,15 +186,34 @@ class LongTermDrift:
             * self._saturation(elapsed_days)
         )
         wave_number = 2.0 * math.pi / (2.0 * self.config.spatial_drift_length_m)
-        projected = location.x * math.cos(angle) + location.y * math.sin(angle)
-        return amplitude * math.cos(wave_number * projected + phase)
+        projected = locations[:, 0] * math.cos(angle) + locations[:, 1] * math.sin(angle)
+        return amplitude * np.cos(wave_number * projected + phase)
+
+    def total_shift_field(
+        self, link_indices: Sequence[int], locations: np.ndarray, elapsed_days: float
+    ) -> np.ndarray:
+        """Total long-term drift of ``r`` links at ``k`` locations, ``(r, k)``.
+
+        The global and spatial parameters are derived once per call and the
+        per-link term once per link.
+        """
+        links = self.global_shift_db(elapsed_days) + self.link_shift_field(
+            link_indices, elapsed_days
+        )
+        return links[:, None] + self.spatial_shift_field(locations, elapsed_days)
+
+    def link_shift_db(self, link_index: int, elapsed_days: float) -> float:
+        """Per-link drift at ``elapsed_days``."""
+        return float(self.link_shift_field([link_index], elapsed_days)[0])
+
+    def spatial_shift_db(self, location: Point, elapsed_days: float) -> float:
+        """Spatial drift at one location."""
+        return float(self.spatial_shift_field(points_array([location]), elapsed_days)[0])
 
     def total_shift_db(
         self, link_index: int, location: Point, elapsed_days: float
     ) -> float:
         """Total long-term drift for a link / location pair."""
-        return (
-            self.global_shift_db(elapsed_days)
-            + self.link_shift_db(link_index, elapsed_days)
-            + self.spatial_shift_db(location, elapsed_days)
+        return float(
+            self.total_shift_field([link_index], points_array([location]), elapsed_days)[0, 0]
         )

@@ -76,6 +76,16 @@ class MeasurementCollector:
         return self._classification
 
     # ----------------------------------------------------------- full surveys
+    def _measure(self, indices, elapsed_days: float, samples: int) -> np.ndarray:
+        """``(m, k)`` sample-averaged readings with the target at each of the
+        grid ``indices`` in turn (one field evaluation)."""
+        return self.deployment.channel.measure_field(
+            self.deployment.location_array()[np.asarray(indices, dtype=int)],
+            elapsed_days=elapsed_days,
+            samples=samples,
+            with_noise=self.config.with_noise,
+        )
+
     def survey_fingerprint(
         self,
         elapsed_days: float = 0.0,
@@ -83,18 +93,7 @@ class MeasurementCollector:
     ) -> FingerprintMatrix:
         """Collect a full ground-truth fingerprint matrix (target at every grid)."""
         samples = samples or self.config.survey_samples
-        channel = self.deployment.channel
-        m = self.deployment.link_count
-        n = self.deployment.location_count
-        values = np.zeros((m, n), dtype=float)
-        for j in range(n):
-            location = self.deployment.location_point(j)
-            values[:, j] = channel.measure_vector(
-                target_location=location,
-                elapsed_days=elapsed_days,
-                samples=samples,
-                with_noise=self.config.with_noise,
-            )
+        values = self._measure(np.arange(self.deployment.location_count), elapsed_days, samples)
         return FingerprintMatrix(
             values=values,
             locations_per_link=self.deployment.locations_per_link,
@@ -113,19 +112,11 @@ class MeasurementCollector:
         decrease".
         """
         samples = samples or self.config.reference_samples
-        channel = self.deployment.channel
-        m = self.deployment.link_count
         n = self.deployment.location_count
         mask = self.classification.no_decrease_mask
-        baseline = np.zeros(m, dtype=float)
-        for i in range(m):
-            readings = [
-                channel.measure_rss_dbm(
-                    i, None, elapsed_days, with_noise=self.config.with_noise
-                )
-                for _ in range(samples)
-            ]
-            baseline[i] = float(np.mean(readings))
+        baseline = self.deployment.channel.measure_baseline(
+            elapsed_days, samples=samples, with_noise=self.config.with_noise
+        )
         observed = np.tile(baseline[:, None], (1, n)) * mask
         return observed, mask.copy()
 
@@ -140,19 +131,7 @@ class MeasurementCollector:
             reference_indices, self.deployment.location_count, "reference_indices"
         )
         samples = samples or self.config.reference_samples
-        channel = self.deployment.channel
-        columns = []
-        for j in indices:
-            location = self.deployment.location_point(int(j))
-            columns.append(
-                channel.measure_vector(
-                    target_location=location,
-                    elapsed_days=elapsed_days,
-                    samples=samples,
-                    with_noise=self.config.with_noise,
-                )
-            )
-        return np.stack(columns, axis=1)
+        return self._measure(indices, elapsed_days, samples)
 
     def collect_partial_survey(
         self,
@@ -173,19 +152,11 @@ class MeasurementCollector:
         count = max(1, int(round(fraction * n)))
         chosen = rng.choice(n, size=count, replace=False)
         samples = samples or self.config.reference_samples
-        channel = self.deployment.channel
         m = self.deployment.link_count
         observed = np.zeros((m, n), dtype=float)
         mask = np.zeros((m, n), dtype=float)
-        for j in chosen:
-            location = self.deployment.location_point(int(j))
-            observed[:, j] = channel.measure_vector(
-                target_location=location,
-                elapsed_days=elapsed_days,
-                samples=samples,
-                with_noise=self.config.with_noise,
-            )
-            mask[:, j] = 1.0
+        observed[:, chosen] = self._measure(chosen, elapsed_days, samples)
+        mask[:, chosen] = 1.0
         return observed, mask
 
     # --------------------------------------------------------------- online
@@ -196,16 +167,7 @@ class MeasurementCollector:
         samples: Optional[int] = None,
     ) -> np.ndarray:
         """One online RSS vector with the target at ``location_index``."""
-        if not 0 <= location_index < self.deployment.location_count:
-            raise ValueError("location_index out of range")
-        samples = samples or self.config.online_samples
-        location = self.deployment.location_point(location_index)
-        return self.deployment.channel.measure_vector(
-            target_location=location,
-            elapsed_days=elapsed_days,
-            samples=samples,
-            with_noise=self.config.with_noise,
-        )
+        return self.online_batch([location_index], elapsed_days, samples)[0]
 
     def online_batch(
         self,
@@ -214,9 +176,8 @@ class MeasurementCollector:
         samples: Optional[int] = None,
     ) -> np.ndarray:
         """Online RSS vectors (rows) for a list of true target locations."""
-        return np.vstack(
-            [
-                self.online_measurement(int(j), elapsed_days, samples)
-                for j in location_indices
-            ]
-        )
+        indices = np.asarray(location_indices, dtype=int).reshape(-1)
+        if np.any((indices < 0) | (indices >= self.deployment.location_count)):
+            raise ValueError("location_index out of range")
+        samples = samples or self.config.online_samples
+        return np.ascontiguousarray(self._measure(indices, elapsed_days, samples).T)

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.environments import environment_by_name
+from repro.environments.builder import build_deployment
 from repro.fingerprint.masks import DecreaseClassification, ElementCategory, classify_elements
+from tests.oracles import classify_elements_looped
 
 
 class TestClassification:
@@ -68,3 +71,15 @@ class TestClassification:
         for j in range(small_deployment.location_count):
             own = small_deployment.link_of_location(j)
             assert geometric.categories[own, j] == structural.categories[own, j]
+
+
+class TestMatchesScalarOracle:
+    @pytest.mark.parametrize("env", ["office", "hall", "library"])
+    @pytest.mark.parametrize("use_geometry", [True, False])
+    def test_equals_looped_classification(self, env, use_geometry):
+        for seed in (0, 5):
+            deployment = build_deployment(environment_by_name(env), seed=seed)
+            got = classify_elements(deployment, use_geometry=use_geometry).categories
+            want = classify_elements_looped(deployment, use_geometry=use_geometry).categories
+            assert got.dtype == want.dtype and got.flags["C_CONTIGUOUS"]
+            np.testing.assert_array_equal(got, want)

@@ -9,16 +9,23 @@ from hypothesis import strategies as st
 
 from repro.rf.geometry import (
     Link,
+    LinkArrays,
     Point,
     bounding_box,
     first_fresnel_radius,
+    hypot,
     make_grid_centres,
     point_segment_distance,
+    points_array,
     projection_parameter,
     wavelength,
 )
+from tests.oracles import fresnel_radius_scalar, projection_scalar, segment_distance_scalar
 
 coords = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+# Micrometre resolution keeps distances out of the subnormal range, below
+# which ``hypot`` may differ from ``math.hypot`` in the last bit.
+metres = coords.map(lambda v: round(v, 6))
 
 
 class TestPoint:
@@ -115,6 +122,75 @@ class TestLink:
         mid = link.fresnel_radius_at(Point(5.0, 1.0))
         end = link.fresnel_radius_at(Point(1.0, 1.0))
         assert mid > end > 0.0
+
+
+class TestArrayGeometry:
+    @given(
+        st.lists(st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+        st.floats(-60.0, 60.0, allow_nan=False),
+        st.floats(-60.0, 60.0, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hypot_is_math_hypot(self, wide, a, b):
+        """Bit for bit at any magnitude with a normal larger input, zeros and
+        subnormal smaller inputs included."""
+        x = np.array([wide[0], a, a, 0.0, 5e-324])
+        y = np.array([wide[1], b, 0.0, 0.0, b])
+        expected = [math.hypot(p, q) for p, q in zip(x.tolist(), y.tolist())]
+        np.testing.assert_array_equal(hypot(x, y), expected)
+
+    @given(st.floats(0.0, 1e-309), st.floats(0.0, 1e-309))
+    @settings(max_examples=50, deadline=None)
+    def test_hypot_subnormal_within_one_ulp(self, a, b):
+        got = float(hypot(np.array([a]), np.array([b]))[0])
+        want = math.hypot(a, b)
+        assert got in (want, np.nextafter(want, 0.0), np.nextafter(want, 1.0))
+
+    def test_hypot_random_bulk(self):
+        rng = np.random.default_rng(7)
+        x, y = rng.uniform(-30.0, 30.0, (2, 20000))
+        expected = [math.hypot(p, q) for p, q in zip(x.tolist(), y.tolist())]
+        np.testing.assert_array_equal(hypot(x, y), expected)
+
+    def test_projection_random_bulk(self):
+        """Many random segments and points against the scalar formulas."""
+        rng = np.random.default_rng(11)
+        # About one segment in a thousand has a squared length where numpy's
+        # ``x * x`` and the scalar ``x**2`` round apart.
+        coordinates = rng.uniform(-20.0, 20.0, (4000, 4))
+        links = [
+            Link(index=i, transmitter=Point(a, b), receiver=Point(c, d))
+            for i, (a, b, c, d) in enumerate(coordinates.tolist())
+        ]
+        points = [Point(x, y) for x, y in rng.uniform(-25.0, 25.0, (3, 2)).tolist()]
+        geometry = LinkArrays.of(links).geometry(points_array(points))
+        for name, scalar in (
+            ("fraction", lambda link, p: projection_scalar(p, link.transmitter, link.receiver)),
+            ("distance", lambda link, p: segment_distance_scalar(p, link.transmitter, link.receiver)),
+            ("fresnel", fresnel_radius_scalar),
+        ):
+            expected = [[scalar(link, p) for p in points] for link in links]
+            np.testing.assert_array_equal(getattr(geometry, name), expected, err_msg=name)
+
+    @given(
+        st.lists(st.tuples(metres, metres, metres, metres), min_size=1, max_size=4),
+        st.lists(st.tuples(metres, metres), min_size=1, max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_link_geometry_equals_scalar(self, segments, targets):
+        links = [
+            Link(index=i, transmitter=Point(a, b), receiver=Point(c, d))
+            for i, (a, b, c, d) in enumerate(segments)
+        ]
+        links.append(Link(index=len(links), transmitter=Point(1.0, 2.0), receiver=Point(1.0, 2.0)))
+        points = [Point(*t) for t in targets] + [links[0].transmitter, links[0].receiver]
+        geometry = LinkArrays.of(links).geometry(points_array(points))
+        for i, link in enumerate(links):
+            for j, p in enumerate(points):
+                start, end = link.transmitter, link.receiver
+                assert geometry.fraction[i, j] == projection_scalar(p, start, end)
+                assert geometry.distance[i, j] == segment_distance_scalar(p, start, end)
+                assert geometry.fresnel[i, j] == fresnel_radius_scalar(link, p)
 
 
 class TestGrid:

@@ -1,9 +1,11 @@
 """Unit tests for :mod:`repro.rf.target` (human obstruction model)."""
 
+import numpy as np
 import pytest
 
-from repro.rf.geometry import Link, Point
+from repro.rf.geometry import Link, LinkArrays, Point
 from repro.rf.target import ObstructionState, TargetConfig, TargetModel
+from tests.oracles import attenuation_db_scalar, obstruction_state_scalar
 
 
 @pytest.fixture()
@@ -82,3 +84,29 @@ class TestTargetConfigValidation:
     def test_rejects_extreme_asymmetry(self):
         with pytest.raises(ValueError):
             TargetConfig(asymmetry=1.5)
+
+
+class TestFieldMatchesScalarOracle:
+    def test_dense_cloud_around_a_slanted_link(self, model):
+        """Thousands of targets, most of them blocking or inside the FFZ,
+        where the Gaussian decay and the Fresnel ring are evaluated."""
+        link = Link(index=0, transmitter=Point(0.3, 0.7), receiver=Point(9.1, 3.4))
+        rng = np.random.default_rng(5)
+        along = rng.uniform(-0.1, 1.1, 4000)
+        offset = rng.normal(0.0, 0.6, 4000)
+        direction = np.array([8.8, 2.7]) / np.hypot(8.8, 2.7)
+        normal = np.array([-direction[1], direction[0]])
+        points = (
+            np.array([0.3, 0.7]) + along[:, None] * np.array([8.8, 2.7]) + offset[:, None] * normal
+        )
+        geometry = LinkArrays.of([link]).geometry(points)
+        attenuation = model.attenuation_field(geometry)[0]
+        states = model.obstruction_field(geometry)[0]
+        targets = [Point(x, y) for x, y in points.tolist()]
+        assert np.count_nonzero(states == 2) > 500 and np.count_nonzero(states == 1) > 500
+        np.testing.assert_array_equal(
+            attenuation, [attenuation_db_scalar(model.config, link, p) for p in targets]
+        )
+        assert [model.STATES[code] for code in states] == [
+            obstruction_state_scalar(model.config, link, p) for p in targets
+        ]

@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
+import repro.simulation.collector as collector_module
+from repro.environments import environment_by_name
+from repro.environments.builder import build_deployment
+from repro.service.synthetic import synthesize_fleet
 from repro.simulation.collector import CollectionConfig, MeasurementCollector
+from tests.oracles import (
+    classify_elements_looped,
+    collect_no_decrease_looped,
+    collect_reference_looped,
+    measure_vector_looped,
+    survey_fingerprint_looped,
+)
 
 
 class TestCollectionConfig:
@@ -100,3 +111,84 @@ class TestOnline:
         truth = small_database.original
         vector = small_campaign.collector.online_measurement(5, elapsed_days=0.0, samples=10)
         assert np.abs(vector - truth.values[:, 5]).mean() < 2.5
+
+
+# ------------------------------------------- draw order and layout regression
+def _fresh_collector(env: str, seed: int, **sampling) -> MeasurementCollector:
+    """A collector on a channel whose shadowing is still undrawn."""
+    deployment = build_deployment(environment_by_name(env), seed=seed)
+    return MeasurementCollector(deployment, CollectionConfig(**sampling))
+
+
+class TestCollectorsMatchLoopedOracle:
+    """Each collector against the one-link-at-a-time oracle on twin fresh
+    channels: equal only if the shadowing draws stay interleaved with the
+    noise and every matrix keeps the (links, locations) C layout."""
+
+    @pytest.mark.parametrize("env", ["office", "library"])
+    def test_survey_fingerprint(self, env):
+        fast = _fresh_collector(env, 21, survey_samples=2)
+        slow = _fresh_collector(env, 21, survey_samples=2)
+        got = fast.survey_fingerprint(elapsed_days=5.0)
+        want = survey_fingerprint_looped(slow, elapsed_days=5.0)
+        assert got.values.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("with_noise", [True, False])
+    def test_collect_no_decrease_is_link_major(self, with_noise):
+        fast = _fresh_collector("hall", 22, reference_samples=9, with_noise=with_noise)
+        slow = _fresh_collector("hall", 22, reference_samples=9, with_noise=with_noise)
+        got, got_mask = fast.collect_no_decrease(elapsed_days=45.0)
+        want, want_mask = collect_no_decrease_looped(slow, elapsed_days=45.0)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_mask, want_mask)
+
+    def test_collect_reference_keeps_request_order(self):
+        fast = _fresh_collector("office", 23, reference_samples=3)
+        slow = _fresh_collector("office", 23, reference_samples=3)
+        got = fast.collect_reference([40, 3, 77, 12], elapsed_days=45.0)
+        want = collect_reference_looped(slow, [40, 3, 77, 12], elapsed_days=45.0)
+        assert got.shape == (8, 4) and got.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(got, want)
+
+    def test_online_batch_is_successive_vectors(self):
+        fast = _fresh_collector("library", 24, online_samples=2)
+        slow = _fresh_collector("library", 24, online_samples=2)
+        got = fast.online_batch([9, 0, 33], elapsed_days=15.0)
+        deployment = slow.deployment
+        want = np.vstack(
+            [
+                measure_vector_looped(deployment.channel, deployment.location_point(j), 15.0, 2)
+                for j in (9, 0, 33)
+            ]
+        )
+        assert got.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(got, want)
+
+
+def _patch_looped_collectors(monkeypatch) -> None:
+    monkeypatch.setattr(MeasurementCollector, "survey_fingerprint", survey_fingerprint_looped)
+    monkeypatch.setattr(MeasurementCollector, "collect_no_decrease", collect_no_decrease_looped)
+    monkeypatch.setattr(MeasurementCollector, "collect_reference", collect_reference_looped)
+    monkeypatch.setattr(collector_module, "classify_elements", classify_elements_looped)
+
+
+class TestSynthesizedFleetMatchesOracle:
+    @pytest.mark.parametrize("env", ["office", "hall", "library"])
+    def test_arrays_equal_and_c_contiguous(self, env, monkeypatch):
+        seeds = (3, 104, 2026)
+        fast = [synthesize_fleet(1, environments=[env], seed=seed)[0] for seed in seeds]
+        _patch_looped_collectors(monkeypatch)
+        slow = [synthesize_fleet(1, environments=[env], seed=seed)[0] for seed in seeds]
+        for got, want in zip(fast, slow):
+            pairs = [
+                (got.baseline.values, want.baseline.values),
+                (got.baseline.no_decrease_mask, want.baseline.no_decrease_mask),
+                (got.no_decrease_matrix, want.no_decrease_matrix),
+                (got.no_decrease_mask, want.no_decrease_mask),
+                (got.reference_matrix, want.reference_matrix),
+            ]
+            for array, expected in pairs:
+                assert array.flags["C_CONTIGUOUS"]
+                np.testing.assert_array_equal(array, expected)
+            assert got.reference_indices == want.reference_indices
