@@ -38,7 +38,7 @@ import numpy as np
 from repro.core.constraints import continuity_matrix, similarity_matrix
 from repro.utils.linalg import batched_safe_solve, masked_gram_stack
 from repro.utils.random import RngLike, make_rng
-from repro.utils.validation import check_2d, check_matching_shapes
+from repro.utils.validation import as_float_array, check_2d, check_matching_shapes
 
 __all__ = [
     "SelfAugmentedConfig",
@@ -144,11 +144,30 @@ class SelfAugmentedResult:
     structure_weight: float
 
 
-def _stripe_views(n: int, m: int) -> np.ndarray:
-    """Map each column index j to (link ii, stripe offset jj)."""
-    width = n // m
-    columns = np.arange(n)
-    return np.stack([columns // width, columns % width], axis=1)
+def _per_site(value, trailing: int):
+    """A per-site scalar (a float, or an ``(S,)`` array for a stacked state)
+    shaped to broadcast against ``trailing`` more axes."""
+    if isinstance(value, np.ndarray):
+        return value.reshape(value.shape + (1,) * trailing)
+    return value
+
+
+def _site_sum(values: np.ndarray):
+    """Sum of each site's trailing matrix: a scalar for one site, ``(S,)``
+    for a stack.  A row reduction over the flattened matrix adds in the
+    order ``np.sum`` adds one site's matrix, so stacking moves no bits."""
+    return values.reshape(values.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def _unbox(value):
+    """Python scalar for one site, the ``(S,)`` array for a stack."""
+    value = np.asarray(value)
+    return value.item() if value.ndim == 0 else value
+
+
+def _transpose(matrix: np.ndarray) -> np.ndarray:
+    """Transpose of the trailing matrix (of every site's, for a stack)."""
+    return matrix.swapaxes(-1, -2)
 
 
 def _objective(
@@ -160,32 +179,34 @@ def _objective(
     g: Optional[np.ndarray],
     h: Optional[np.ndarray],
     locations_per_link: int,
-    lam: float,
-    w1: float,
-    w2: float,
-) -> float:
-    estimate = left @ right.T
-    value = lam * (np.sum(left**2) + np.sum(right**2))
-    value += np.sum((mask * estimate - observed) ** 2)
+    lam,
+    w1,
+    w2,
+):
+    """Eq. 18 per site: a float for one site, an ``(S,)`` array for a stack
+    (``lam`` / ``w1`` / ``w2`` are then ``(S,)`` too)."""
+    estimate = left @ _transpose(right)
+    value = lam * (_site_sum(left**2) + _site_sum(right**2))
+    value += _site_sum((mask * estimate - observed) ** 2)
     if prediction is not None:
-        value += w1 * np.sum((estimate - prediction) ** 2)
+        value += w1 * _site_sum((estimate - prediction) ** 2)
     if g is not None and h is not None:
         xd = _extract_stripes(estimate, locations_per_link)
-        value += w2 * (np.sum((xd @ g) ** 2) + np.sum((h @ xd) ** 2))
-    return float(value)
+        value += w2 * (_site_sum((xd @ g) ** 2) + _site_sum((h @ xd) ** 2))
+    return _unbox(value)
 
 
 def _stripe_blocks(matrix: np.ndarray, locations_per_link: int) -> np.ndarray:
-    """``(M, M, width)`` view of an ``M x (M * width)`` matrix: block
+    """``(..., M, M, width)`` view of an ``(..., M, M * width)`` matrix: block
     ``[i, k]`` is link ``i``'s row over link ``k``'s stripe of columns."""
-    m = matrix.shape[0]
-    return matrix.reshape(m, m, locations_per_link)
+    m = matrix.shape[-2]
+    return matrix.reshape(matrix.shape[:-2] + (m, m, locations_per_link))
 
 
 def _extract_stripes(matrix: np.ndarray, locations_per_link: int) -> np.ndarray:
     """Largely-decrease matrix of an estimate (diagonal stripe extraction)."""
-    links = np.arange(matrix.shape[0])
-    return _stripe_blocks(matrix, locations_per_link)[links, links]
+    links = np.arange(matrix.shape[-2])
+    return _stripe_blocks(matrix, locations_per_link)[..., links, links, :]
 
 
 def _svd_init(target: np.ndarray, rank: int, rng: RngLike) -> np.ndarray:
@@ -217,7 +238,8 @@ def _svd_init(target: np.ndarray, rank: int, rng: RngLike) -> np.ndarray:
 
 
 class SweepState:
-    """Validated, resumable state of one self-augmented ALS solve.
+    """Validated, resumable state of one self-augmented ALS solve — or of a
+    bucket of same-shape solves advanced as one tensor.
 
     The state owns everything :func:`self_augmented_rsvd` needs between
     sweeps: the validated inputs, the (possibly auto-scaled) constraint
@@ -229,7 +251,54 @@ class SweepState:
     lockstep while concatenating their per-sweep systems into a single
     batched solve.  Driving a single state to convergence reproduces
     :func:`self_augmented_rsvd` bit for bit.
+
+    The sweep steps are written over an optional leading site axis.
+    :meth:`stack` turns states sharing a :attr:`bucket_key` into one state
+    whose factors are ``(S, m, r)`` / ``(S, n, r)``, whose inputs are
+    ``(S, m, n)`` and whose per-site scalars (``lam``, ``w1``, ``w2``,
+    ``tolerance``, ``max_iterations``, the objective and the convergence
+    flag) are ``(S,)`` arrays; :meth:`unstack` writes it back.  Stacked
+    matmuls run one gemm per site slice, element-wise terms keep the
+    single-site association order and every objective sum reduces per site,
+    so each member moves exactly as it would alone.
     """
+
+    #: Per-site arrays a stacked state carries along a new leading axis.
+    _SITE_ARRAYS = (
+        "observed",
+        "mask",
+        "masked_observed",
+        "prediction_array",
+        "structural_scale",
+        "left",
+        "right",
+    )
+    #: Per-site scalars a stacked state carries as ``(S,)`` arrays.
+    _SITE_SCALARS = (
+        "lam",
+        "w1",
+        "w2",
+        "tolerance",
+        "max_iterations",
+        "previous_objective",
+        "converged",
+    )
+    #: What the members of a bucket share: the bucket key and its constants.
+    _SHARED = (
+        "m",
+        "n",
+        "rank",
+        "locations_per_link",
+        "use_reference",
+        "use_structure",
+        "iterations",
+        "g",
+        "h",
+        "identity",
+        "g_column_sq",
+        "h_column_sq",
+        "_structure_active",
+    )
 
     def __init__(
         self,
@@ -240,8 +309,10 @@ class SweepState:
         config: Optional[SelfAugmentedConfig] = None,
         rng: RngLike = None,
     ) -> None:
-        observed = check_2d(observed, "observed")
-        mask = check_2d(mask, "mask")
+        # C order, as the stacked copies of a bucket are: a member's gemm
+        # operands and reductions then see the same layout stacked or alone.
+        observed = np.ascontiguousarray(check_2d(observed, "observed"))
+        mask = np.ascontiguousarray(check_2d(mask, "mask"))
         check_matching_shapes(observed, mask, "observed", "mask")
         if not np.all(np.isin(mask, (0.0, 1.0))):
             raise ValueError("mask must contain only 0 and 1")
@@ -258,7 +329,7 @@ class SweepState:
             )
         cfg = config or SelfAugmentedConfig()
         if prediction is not None:
-            prediction = check_2d(prediction, "prediction")
+            prediction = np.ascontiguousarray(check_2d(prediction, "prediction"))
             check_matching_shapes(prediction, observed, "prediction", "observed")
 
         self.observed = observed
@@ -266,6 +337,7 @@ class SweepState:
         self.locations_per_link = locations_per_link
         self.prediction = prediction
         self.cfg = cfg
+        self.members: tuple = ()
         self.m = m
         self.n = n
         self.use_reference = cfg.use_reference_constraint and prediction is not None
@@ -276,6 +348,8 @@ class SweepState:
         rank = cfg.rank if cfg.rank is not None else m
         self.rank = min(rank, m, n)
         self.lam = cfg.regularization
+        self.tolerance = cfg.tolerance
+        self.max_iterations = cfg.max_iterations
         self.identity = np.eye(self.rank)
 
         if cfg.init == "svd":
@@ -285,7 +359,6 @@ class SweepState:
                 (m, self.rank)
             )
         self.right = np.zeros((n, self.rank))
-        self.stripe_map = _stripe_views(n, m)
 
         # ------------------------------------------------------------ weights
         # Scale the constraint terms to the same order of magnitude as the
@@ -317,17 +390,16 @@ class SweepState:
         self.prediction_array = (
             np.asarray(prediction) if self.use_reference else None
         )
+        self.g_column_sq = self.h_column_sq = self.structural_scale = None
         if self.use_structure:
             # Constraint-2 coefficients are functions of the constant G / H
             # matrices only: hoist them out of the sweep instead of
             # recomputing np.sum(G[:, jj]**2) per column per iteration.
             self.g_column_sq = np.sum(np.asarray(self.g) ** 2, axis=0)
             self.h_column_sq = np.sum(np.asarray(self.h) ** 2, axis=0)
-            self.stripe_links = self.stripe_map[:, 0]
-            self.stripe_offsets = self.stripe_map[:, 1]
+            # (M, width): the rank-1 weight of column (link i, offset o).
             self.structural_scale = self.w2 * (
-                self.g_column_sq[self.stripe_offsets]
-                + self.h_column_sq[self.stripe_links]
+                self.g_column_sq[None, :] + self.h_column_sq[:, None]
             )
 
         self.previous_objective = np.inf
@@ -337,12 +409,75 @@ class SweepState:
         self._structure_active = False
         self._estimate_stripe: Optional[np.ndarray] = None
 
+    # -------------------------------------------------------------- buckets
+    @property
+    def bucket_key(self) -> tuple:
+        """States with equal keys can advance as one stacked state."""
+        return (
+            self.m,
+            self.n,
+            self.rank,
+            self.locations_per_link,
+            self.use_reference,
+            self.use_structure,
+            self.iterations,
+        )
+
+    @classmethod
+    def stack(cls, states) -> "SweepState":
+        """One state advancing ``states`` (which share a :attr:`bucket_key`)
+        together along a leading site axis.  Write it back with
+        :meth:`unstack`; :meth:`finalize` stays per member."""
+        states = tuple(states)
+        if not states:
+            raise ValueError("stack needs at least one state")
+        key = states[0].bucket_key
+        for state in states:
+            if state.members:
+                raise ValueError("cannot stack an already stacked state")
+            if state.bucket_key != key:
+                raise ValueError(
+                    f"cannot stack bucket keys {state.bucket_key} and {key}"
+                )
+        stacked = cls.__new__(cls)
+        for name in cls._SHARED:
+            setattr(stacked, name, getattr(states[0], name))
+        for name in cls._SITE_ARRAYS:
+            first = getattr(states[0], name)
+            setattr(
+                stacked,
+                name,
+                None
+                if first is None
+                else np.stack([getattr(state, name) for state in states]),
+            )
+        for name in cls._SITE_SCALARS:
+            setattr(stacked, name, np.array([getattr(s, name) for s in states]))
+        stacked.members = states
+        stacked._estimate_stripe = None
+        return stacked
+
+    def unstack(self) -> tuple:
+        """Write a stacked state's progress back into its members and return
+        them (in stacking order)."""
+        for k, state in enumerate(self.members):
+            state.left = self.left[k].copy()
+            state.right = self.right[k].copy()
+            state.previous_objective = float(self.previous_objective[k])
+            state.converged = bool(self.converged[k])
+            state.iterations = self.iterations
+            state._structure_active = self._structure_active
+            state._estimate_stripe = (
+                None if self._estimate_stripe is None else self._estimate_stripe[k]
+            )
+        return self.members
+
     # ------------------------------------------------------------ warm start
     def warm_start(
         self,
         left: np.ndarray,
         right: np.ndarray,
-        objective: Optional[float] = None,
+        objective=None,
     ) -> bool:
         """Resume from a previous generation's factors.
 
@@ -356,42 +491,31 @@ class SweepState:
         refresh runs zero sweeps and :meth:`finalize` reproduces the previous
         factors bit for bit.
 
-        Returns whether the state converged without needing any sweeps.
+        Returns whether the state converged without needing any sweeps (per
+        site, for a stacked state).
         """
-        left = check_2d(left, "left")
-        right = check_2d(right, "right")
-        if left.shape != (self.m, self.rank):
-            raise ValueError(
-                f"warm-start left factor has shape {left.shape}; "
-                f"this state needs ({self.m}, {self.rank})"
-            )
-        if right.shape != (self.n, self.rank):
-            raise ValueError(
-                f"warm-start right factor has shape {right.shape}; "
-                f"this state needs ({self.n}, {self.rank})"
-            )
+        left = as_float_array(left, "left")
+        right = as_float_array(right, "right")
+        for name, factor, current in (
+            ("left", left, self.left),
+            ("right", right, self.right),
+        ):
+            if factor.shape != current.shape:
+                raise ValueError(
+                    f"warm-start {name} factor has shape {factor.shape}; "
+                    f"this state needs {current.shape}"
+                )
         self.left = left.copy()
         self.right = right.copy()
         self.iterations = 0
-        self.converged = False
         self.warm_started = True
-        current = _objective(
-            self.left,
-            self.right,
-            self.observed,
-            self.mask,
-            self.prediction if self.use_reference else None,
-            self.g,
-            self.h,
-            self.locations_per_link,
-            self.lam,
-            self.w1,
-            self.w2,
-        )
-        if objective is not None and np.isfinite(objective):
-            change = abs(objective - current) / max(objective, 1e-12)
-            if change < self.cfg.tolerance:
-                self.converged = True
+        current = self._evaluate()
+        converged = False
+        if objective is not None:
+            with np.errstate(invalid="ignore"):
+                change = np.abs(objective - current) / np.maximum(objective, 1e-12)
+                converged = np.isfinite(objective) & (change < self.tolerance)
+        self.converged = _unbox(converged)
         self.previous_objective = current
         return self.converged
 
@@ -402,9 +526,11 @@ class SweepState:
 
     # ----------------------------------------------------------- sweep driver
     @property
-    def active(self) -> bool:
-        """Whether another sweep should run (not converged, budget left)."""
-        return not self.converged and self.iterations < self.cfg.max_iterations
+    def active(self):
+        """Whether another sweep should run (not converged, budget left);
+        per site for a stacked state."""
+        # ``^ True`` negates a bool and a bool array alike.
+        return (self.iterations < self.max_iterations) & (self.converged ^ True)
 
     def begin_sweep(self) -> None:
         """Start the next sweep: advance the iteration counter and evaluate
@@ -419,9 +545,9 @@ class SweepState:
         )
         if self._structure_active:
             if self.iterations == 1:
-                reference_estimate = np.asarray(self.prediction)
+                reference_estimate = self.prediction_array
             else:
-                reference_estimate = self.left @ self.right.T
+                reference_estimate = self.left @ _transpose(self.right)
             self._estimate_stripe = _extract_stripes(
                 reference_estimate, self.locations_per_link
             )
@@ -431,59 +557,60 @@ class SweepState:
 
         Every column system shares lhs = lam I + L^T diag(B[:, j]) L plus the
         (column-independent) Constraint-1 Gram term and a rank-1 Constraint-2
-        correction; stacking all n of them lets one batched LAPACK call solve
-        the whole sweep.
+        correction; stacking all n of them (of every member, for a stacked
+        state) lets one batched LAPACK call solve the whole sweep.
         """
-        lhs = self.lam * self.identity[None, :, :] + masked_gram_stack(
-            self.left, self.mask
-        )
-        rhs = self.masked_observed.T @ self.left
+        left = self.left
+        # In-place accumulation keeps each element's association order:
+        # ((lam I + gram) + w1 L^T L) + scale * (l l^T).
+        lhs = masked_gram_stack(left, self.mask)
+        lhs += _per_site(self.lam, 3) * self.identity
+        rhs = _transpose(self.masked_observed) @ left
         if self.use_reference:
-            lhs = lhs + self.w1 * (self.left.T @ self.left)[None, :, :]
-            rhs = rhs + self.w1 * (self.prediction_array.T @ self.left)
+            lhs += _per_site(self.w1, 3) * (_transpose(left) @ left)[..., None, :, :]
+            rhs += _per_site(self.w1, 2) * (_transpose(self.prediction_array) @ left)
         if self._structure_active:
-            stripe_rows = self.left[self.stripe_links, :]
-            lhs = lhs + self.structural_scale[:, None, None] * (
-                stripe_rows[:, :, None] * stripe_rows[:, None, :]
+            # Column (link i, offset o) is row i of an (M, width) stripe
+            # grid: it adds scale[i, o] * l_i l_i^T to the lhs and
+            # target[i, o] * l_i to the rhs, l_i broadcast over the stripe.
+            row_outer = left[..., :, :, None] * left[..., :, None, :]
+            lhs += (
+                self.structural_scale[..., None, None] * row_outer[..., None, :, :]
+            ).reshape(lhs.shape)
+            target_scale = _per_site(self.w2, 2) * (
+                self.g_column_sq * _neighbour_average_stripes(self._estimate_stripe)
+                + self.h_column_sq[:, None]
+                * _adjacent_link_stripes(self._estimate_stripe)
             )
-            neighbour_targets = _neighbour_average_stripes(self._estimate_stripe)
-            adjacent_targets = _adjacent_link_stripes(self._estimate_stripe)
-            target_scale = self.w2 * (
-                self.g_column_sq[self.stripe_offsets]
-                * neighbour_targets[self.stripe_links, self.stripe_offsets]
-                + self.h_column_sq[self.stripe_links]
-                * adjacent_targets[self.stripe_links, self.stripe_offsets]
-            )
-            rhs = rhs + target_scale[:, None] * stripe_rows
-        return lhs, rhs
+            rhs += (target_scale[..., None] * left[..., :, None, :]).reshape(rhs.shape)
+        return lhs.reshape(-1, self.rank, self.rank), rhs.reshape(-1, self.rank)
 
     def set_right(self, solution: np.ndarray) -> None:
         """Install the solved R factor for the current sweep."""
-        self.right = solution
+        self.right = solution.reshape(self.right.shape)
 
     def left_systems(self) -> tuple:
         """Stacked normal equations of the L-row update."""
-        lhs = self.lam * self.identity[None, :, :] + masked_gram_stack(
-            self.right, self.mask.T
-        )
-        rhs = self.masked_observed @ self.right
+        right = self.right
+        lhs = masked_gram_stack(right, _transpose(self.mask))
+        lhs += _per_site(self.lam, 3) * self.identity
+        rhs = self.masked_observed @ right
         if self.use_reference:
-            lhs = lhs + self.w1 * (self.right.T @ self.right)[None, :, :]
-            rhs = rhs + self.w1 * (self.prediction_array @ self.right)
-        return lhs, rhs
+            lhs += _per_site(self.w1, 3) * (_transpose(right) @ right)[..., None, :, :]
+            rhs += _per_site(self.w1, 2) * (self.prediction_array @ right)
+        return lhs.reshape(-1, self.rank, self.rank), rhs.reshape(-1, self.rank)
 
     def set_left(self, solution: np.ndarray) -> None:
         """Install the solved L factor for the current sweep."""
-        self.left = solution
+        self.left = solution.reshape(self.left.shape)
 
-    def finish_sweep(self) -> bool:
-        """Evaluate the objective and update the convergence bookkeeping."""
-        objective = _objective(
+    def _evaluate(self):
+        return _objective(
             self.left,
             self.right,
             self.observed,
             self.mask,
-            self.prediction if self.use_reference else None,
+            self.prediction_array,
             self.g,
             self.h,
             self.locations_per_link,
@@ -491,19 +618,26 @@ class SweepState:
             self.w1,
             self.w2,
         )
-        if self.previous_objective < np.inf:
-            change = abs(self.previous_objective - objective) / max(
-                self.previous_objective, 1e-12
-            )
-            if change < self.cfg.tolerance:
-                self.previous_objective = objective
-                self.converged = True
-                return True
+
+    def finish_sweep(self):
+        """Evaluate the objective and update the convergence bookkeeping.
+
+        Returns whether the state converged (per site, for a stacked state).
+        """
+        objective = self._evaluate()
+        previous = self.previous_objective
+        # The first sweep has no previous objective (inf): no change to test.
+        with np.errstate(invalid="ignore"):
+            change = np.abs(previous - objective) / np.maximum(previous, 1e-12)
+            converged = (previous < np.inf) & (change < self.tolerance)
         self.previous_objective = objective
-        return False
+        self.converged = _unbox(converged)
+        return self.converged
 
     def finalize(self) -> SelfAugmentedResult:
         """Package the converged factors as a :class:`SelfAugmentedResult`."""
+        if self.members:
+            raise ValueError("finalize the members of a stacked state (unstack)")
         estimate = self.left @ self.right.T
         if self.use_structure:
             estimate = _smooth_stripes(estimate, self.locations_per_link, weight=0.6)
@@ -571,13 +705,13 @@ def solve_state(state: SweepState) -> SelfAugmentedResult:
 def _neighbour_average_stripes(stripes: np.ndarray) -> np.ndarray:
     """Average of each stripe element's along-link neighbours (the element
     itself when its stripe has width 1)."""
-    width = stripes.shape[1]
+    width = stripes.shape[-1]
     if width == 1:
         return stripes.astype(float, copy=True)
     targets = np.empty_like(stripes, dtype=float)
-    targets[:, 1:-1] = 0.5 * (stripes[:, :-2] + stripes[:, 2:])
-    targets[:, 0] = stripes[:, 1]
-    targets[:, -1] = stripes[:, -2]
+    targets[..., 1:-1] = 0.5 * (stripes[..., :-2] + stripes[..., 2:])
+    targets[..., 0] = stripes[..., 1]
+    targets[..., -1] = stripes[..., -2]
     return targets
 
 
@@ -585,12 +719,12 @@ def _adjacent_link_stripes(stripes: np.ndarray) -> np.ndarray:
     """Value of the adjacent link at the same relative stripe position: the
     previous link, the next one for link 0, the element itself when there is
     a single link."""
-    m = stripes.shape[0]
+    m = stripes.shape[-2]
     if m == 1:
         return stripes.astype(float, copy=True)
     targets = np.empty_like(stripes, dtype=float)
-    targets[1:, :] = stripes[:-1, :]
-    targets[0, :] = stripes[1, :]
+    targets[..., 1:, :] = stripes[..., :-1, :]
+    targets[..., 0, :] = stripes[..., 1, :]
     return targets
 
 

@@ -10,14 +10,15 @@ The centered dictionary and its column norms are hoisted into the
 constructor, so per-query work is a single distance evaluation; batched
 queries go through one distance-matrix GEMM
 (:meth:`KNNLocalizer.localize_batch` /
-:meth:`KNNLocalizer.localize_points_batch`), which is the code path the
-:mod:`repro.query` serving engine rides.
+:meth:`KNNLocalizer.localize_points_batch`, or both answers from one GEMM
+with :meth:`KNNLocalizer.localize_batch_with_points`, the code path the
+:mod:`repro.query` serving engine rides).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -155,7 +156,24 @@ class KNNLocalizer:
         if self.locations is None:
             raise ValueError("locations were not provided to the localizer")
         measurements = check_2d(measurements, "measurements")
+        return self._points_from_distances(self._distances_batch(measurements))
+
+    def localize_batch_with_points(
+        self, measurements: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Grid indices and coordinates (``None`` without locations) of a
+        batch, both from one distance GEMM: exactly :meth:`localize_batch`
+        and :meth:`localize_points_batch`, at the cost of one of them."""
+        measurements = check_2d(measurements, "measurements")
         distances = self._distances_batch(measurements)
+        indices = np.argmin(distances, axis=1).astype(int)
+        if self.locations is None:
+            return indices, None
+        return indices, self._points_from_distances(distances)
+
+    def _points_from_distances(self, distances: np.ndarray) -> np.ndarray:
+        """Top-k inverse-distance-weighted centroids of a ``(B, N)`` distance
+        matrix (the nearest location when unweighted or ``k == 1``)."""
         n = distances.shape[1]
         k = min(self.config.neighbours, n)
         if not self.config.weighted or k == 1:

@@ -66,13 +66,8 @@ class _KNNBound(BoundMatcher):
         self._localizer = KNNLocalizer(index.values, index.locations, config)
 
     def _match(self, measurements: np.ndarray) -> Answer:
-        indices = self._localizer.localize_batch(measurements)
-        points = (
-            self._localizer.localize_points_batch(measurements)
-            if self.index.locations is not None
-            else None
-        )
-        return indices, points
+        # One distance GEMM answers both the indices and the points.
+        return self._localizer.localize_batch_with_points(measurements)
 
 
 # ------------------------------------------------------------------------ OMP

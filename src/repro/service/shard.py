@@ -8,8 +8,8 @@ turns that into an explicit plan:
 1. **Rank grouping** — requests are grouped by factorisation rank, never
    mixed.  Equal-rank stacks concatenate without padding, which preserves
    the bitwise-parity guarantee (identity-padding is *not* bit-exact: BLAS
-   picks different kernels for different matrix sizes — see
-   :func:`~repro.utils.linalg.pad_rank_stack`).
+   picks different kernels for different matrix sizes, so
+   :func:`~repro.utils.linalg.stacked_rank_solve` never pads).
 2. **Byte budgeting** — each rank group is split into shards whose summed
    per-sweep system-stack bytes (:func:`~repro.core.stacked.sweep_stack_nbytes`)
    stay under ``ShardConfig.max_stack_bytes``, defaulting to an L3-ish

@@ -17,7 +17,6 @@ __all__ = [
     "safe_solve",
     "batched_safe_solve",
     "masked_gram_stack",
-    "pad_rank_stack",
     "stacked_rank_solve",
     "system_stack_nbytes",
     "column_normalize",
@@ -171,39 +170,7 @@ def system_stack_nbytes(batch: int, rank: int, itemsize: int = 8) -> int:
     return int(itemsize) * int(batch) * int(rank) * (int(rank) + 1)
 
 
-def pad_rank_stack(
-    lhs: np.ndarray, rhs: np.ndarray, rank: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Embed a ``(batch, r, r)`` system stack into a larger target ``rank``.
-
-    The real systems occupy the leading ``r x r`` block of each padded slice;
-    the trailing diagonal is filled with ones and the padded right-hand-side
-    entries with zeros, so the padded solutions carry exact zeros in the
-    padding coordinates.  Because the padding rows/columns are zero off the
-    diagonal, LU elimination never pivots them into the real block and, in
-    exact arithmetic, the leading ``r`` solution entries equal the unpadded
-    solutions.  In floating point they can differ by last-ulp rounding noise:
-    BLAS picks different kernels for different matrix sizes, so the padded
-    ``rank x rank`` elimination may sum in a different order than the
-    ``r x r`` one.  :func:`stacked_rank_solve` therefore only pads when asked
-    (``strategy="pad"``) and groups equal ranks by default, which is exact.
-    """
-    lhs, rhs = _check_stack(lhs, rhs)
-    batch, r = lhs.shape[:2]
-    if rank < r:
-        raise ValueError(f"target rank {rank} is smaller than the stack rank {r}")
-    if rank == r:
-        return lhs, rhs
-    padded_lhs = np.zeros((batch, rank, rank), dtype=float)
-    padded_lhs[:, :r, :r] = lhs
-    pad = np.arange(r, rank)
-    padded_lhs[:, pad, pad] = 1.0
-    padded_rhs = np.zeros((batch, rank), dtype=float)
-    padded_rhs[:, :r] = rhs
-    return padded_lhs, padded_rhs
-
-
-def stacked_rank_solve(systems, ridge: float = 1e-10, strategy: str = "group") -> list:
+def stacked_rank_solve(systems, ridge: float = 1e-10) -> list:
     """Solve several ``(batch_k, r_k, r_k)`` system stacks together.
 
     Parameters
@@ -214,28 +181,22 @@ def stacked_rank_solve(systems, ridge: float = 1e-10, strategy: str = "group") -
         *and* different ranks ``r_k``.
     ridge:
         Regularisation forwarded to the singular-system fallback.
-    strategy:
-        ``"group"`` (default) concatenates stacks of equal rank along the
-        batch axis and issues one batched solve per distinct rank.  Each
-        slice is factorised independently by LAPACK, so every stack's
-        solutions are **bit-identical** to solving it alone — the property
-        the fleet parity guarantee rests on — while a fleet with one shared
-        rank still collapses to a single LAPACK call per sweep.  A singular
-        slice anywhere triggers a per-stack retry, so a clean stack keeps
-        its exact float path even when a co-tenant needs the regularised
-        fallback.
-        ``"pad"`` embeds all stacks into the largest rank with
-        :func:`pad_rank_stack` and issues exactly one call regardless of
-        rank mix, at the cost of last-ulp rounding differences (BLAS kernel
-        selection depends on the matrix size) and of cubically more work on
-        the padded slices.
+
+    Stacks of equal rank are concatenated along the batch axis and solved
+    with one batched call per distinct rank; ranks are never padded to a
+    common size (BLAS picks kernels by matrix size, so padding is not
+    bit-exact).  Each slice is factorised independently by LAPACK, so every
+    stack's solutions are **bit-identical** to solving it alone — the
+    property the fleet parity guarantee rests on — while a fleet with one
+    shared rank still collapses to a single LAPACK call per sweep.  A
+    singular slice anywhere triggers a per-stack retry, so a clean stack
+    keeps its exact float path even when a co-tenant needs the regularised
+    fallback.
 
     Returns the per-stack solutions (``(batch_k, r_k)`` arrays) in input
     order.  This is how a fleet of heterogeneous sites turns every per-site
     sweep solve into stacked batched solves instead of a Python loop.
     """
-    if strategy not in ("group", "pad"):
-        raise ValueError(f"unknown strategy {strategy!r}; expected 'group' or 'pad'")
     systems = list(systems)
     if not systems:
         return []
@@ -245,25 +206,6 @@ def stacked_rank_solve(systems, ridge: float = 1e-10, strategy: str = "group") -
     shaped = [_check_stack(lhs, rhs) for lhs, rhs in systems]
 
     results: list = [None] * len(shaped)
-    if strategy == "pad":
-        rank = max(lhs.shape[1] for lhs, _ in shaped)
-        padded = [pad_rank_stack(lhs, rhs, rank) for lhs, rhs in shaped]
-        stacked_lhs = np.concatenate([lhs for lhs, _ in padded], axis=0)
-        stacked_rhs = np.concatenate([rhs for _, rhs in padded], axis=0)
-        try:
-            solutions = np.linalg.solve(stacked_lhs, stacked_rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # A singular slice in one stack must not drag the other stacks
-            # through the regularised fallback: retry each stack alone so
-            # only the owner pays for it.
-            return [batched_safe_solve(lhs, rhs, ridge=ridge) for lhs, rhs in shaped]
-        offset = 0
-        for index, (lhs, rhs) in enumerate(shaped):
-            batch, r = rhs.shape
-            results[index] = solutions[offset : offset + batch, :r].copy()
-            offset += batch
-        return results
-
     by_rank: dict = {}
     for index, (lhs, rhs) in enumerate(shaped):
         by_rank.setdefault(lhs.shape[1], []).append(index)
@@ -278,8 +220,9 @@ def stacked_rank_solve(systems, ridge: float = 1e-10, strategy: str = "group") -
         try:
             solutions = np.linalg.solve(stacked_lhs, stacked_rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            # Keep stacks independent under singularity (see the pad branch):
-            # a clean co-tenant keeps its exact batched-solve float path.
+            # A singular slice in one stack must not drag the other stacks
+            # through the regularised fallback: retry each stack alone so
+            # only the owner pays for it.
             for index in indices:
                 results[index] = batched_safe_solve(*shaped[index], ridge=ridge)
             continue
@@ -307,18 +250,23 @@ def masked_gram_stack(factor: np.ndarray, weights: np.ndarray) -> np.ndarray:
     bulk of every masked ridge system in an alternating-least-squares sweep;
     building all of them with one ``(batch, m) @ (m, r*r)`` matmul replaces
     ``batch`` tiny per-column Gram products.
+
+    Both arguments may carry the same leading axes (a stack of sites,
+    ``(S, m, r)`` with ``(S, m, batch)``); the result is then
+    ``(S, batch, r, r)``, one gemm per site exactly as for that site alone.
     """
     factor = np.asarray(factor, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if factor.ndim != 2 or weights.ndim != 2:
-        raise ValueError("factor and weights must be 2-D")
-    if weights.shape[0] != factor.shape[0]:
+    if factor.ndim < 2 or weights.shape[:-1] != factor.shape[:-1]:
         raise ValueError(
-            f"weights rows {weights.shape[0]} must match factor rows {factor.shape[0]}"
+            f"weights {weights.shape} must match the rows of factor "
+            f"{factor.shape} (and its leading axes, if any)"
         )
-    m, rank = factor.shape
-    pairs = (factor[:, :, None] * factor[:, None, :]).reshape(m, rank * rank)
-    return (weights.T @ pairs).reshape(weights.shape[1], rank, rank)
+    *lead, m, rank = factor.shape
+    pairs = (factor[..., None] * factor[..., None, :]).reshape(*lead, m, rank * rank)
+    return (weights.swapaxes(-1, -2) @ pairs).reshape(
+        *lead, weights.shape[-1], rank, rank
+    )
 
 
 def column_normalize(matrix: np.ndarray) -> np.ndarray:

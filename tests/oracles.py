@@ -115,7 +115,7 @@ def solve_state_looped(state: SweepState) -> SelfAugmentedResult:
         estimate_stripe = state._estimate_stripe
 
         for j in range(state.n):
-            ii, jj = int(state.stripe_map[j, 0]), int(state.stripe_map[j, 1])
+            ii, jj = divmod(j, state.locations_per_link)  # (link, stripe offset)
             lw = left * mask[:, j][:, None]
             lhs = lam * identity + lw.T @ left
             rhs = lw.T @ observed[:, j]

@@ -10,7 +10,7 @@ without changing any answer.
 import numpy as np
 import pytest
 
-from repro.localization.knn import KNNConfig
+from repro.localization.knn import KNNConfig, KNNLocalizer
 from repro.localization.omp import OMPConfig
 from repro.query import QueryIndex, bind_matcher, grid_locations
 from repro.query.matchers import MATCHERS, _snap_to_grid
@@ -70,6 +70,62 @@ class TestBackendParity:
                 matcher, query_index, measurement
             )
             np.testing.assert_array_equal(v_indices, l_indices)
+
+
+class TestKNNOneDistancePass:
+    """The bound kNN matcher derives its indices and points from one
+    ``(B, N)`` distance matrix; the answers must equal the two separate
+    batched calls (each computing its own distances) bit for bit."""
+
+    @pytest.mark.parametrize("batch", (1, 64))
+    @pytest.mark.parametrize("with_locations", (True, False))
+    @pytest.mark.parametrize(
+        "config",
+        (KNNConfig(), KNNConfig(neighbours=1, weighted=False, center_columns=False)),
+        ids=("default", "nearest-uncentered"),
+    )
+    def test_answers_equal_separate_calls(
+        self, striped_fingerprint, rng, batch, with_locations, config
+    ):
+        matrix = striped_fingerprint
+        locations = (
+            grid_locations(matrix.link_count, matrix.locations_per_link)
+            if with_locations
+            else None
+        )
+        index = QueryIndex.build("site", matrix, locations=locations)
+        columns = rng.integers(0, matrix.location_count, size=batch)
+        measurements = matrix.values.T[columns] + rng.normal(
+            0.0, 0.15, size=(batch, matrix.link_count)
+        )
+        indices, points = bind_matcher("knn", index, knn=config).localize(
+            measurements
+        )
+        separate = KNNLocalizer(index.values, index.locations, config)
+        expected = separate.localize_batch(measurements)
+        assert indices.dtype == expected.dtype
+        np.testing.assert_array_equal(indices, expected)
+        if with_locations:
+            expected_points = separate.localize_points_batch(measurements)
+            assert points.shape == expected_points.shape
+            assert points.tobytes() == expected_points.tobytes()
+        else:
+            assert points is None
+
+    def test_one_distance_matrix_per_batch(
+        self, query_index, noisy_queries, monkeypatch
+    ):
+        measurements, _ = noisy_queries
+        calls = []
+        original = KNNLocalizer._distances_batch
+
+        def counting(self, batch):
+            calls.append(batch.shape)
+            return original(self, batch)
+
+        monkeypatch.setattr(KNNLocalizer, "_distances_batch", counting)
+        bind_matcher("knn", query_index).localize(measurements)
+        assert calls == [measurements.shape]
 
 
 class TestMatcherBehaviour:

@@ -1,0 +1,91 @@
+"""Golden refresh payload: the seeded paper-scale fleet must refresh to the
+same report bytes, sweep for sweep.
+
+The fleet is the three paper environments (office ``(8, 96)``, hall
+``(8, 120)``, library ``(6, 72)``) times four replicas, each replica with its
+own solver seed over the same measurements — twelve sites in three shape
+buckets, two rank groups.  It is refreshed the way ``fleet run`` does it
+(default shards, serial executor) and encoded with ``save_report``.  The
+SHA-256 of those bytes, the executed plan's per-shard sweeps and the
+per-site sweep counts are pinned, so any change to how sites advance (for
+example stacking same-shape sites into one tensor) must reproduce every
+float the per-site solver produced.
+"""
+
+import hashlib
+import io
+from dataclasses import replace
+
+import pytest
+
+from repro.environments import environment_by_name
+from repro.io import save_report
+from repro.service.fleet import FleetCampaign, FleetConfig
+from repro.service.service import UpdateService
+from repro.service.shard import ShardConfig
+from repro.service.types import FleetReport
+from repro.simulation.campaign import CampaignConfig
+from repro.simulation.collector import CollectionConfig
+
+DAY = 45.0
+REPLICAS = 4
+GOLDEN_REPORT_SHA256 = "c63790b5f95045b1b794af609f4cd31cb1b86a7d9103f8f6161c71a9830f7b21"
+GOLDEN_SHARD_SWEEPS = [40, 40]
+GOLDEN_SITE_SWEEPS = [40] * 3 * REPLICAS
+
+
+def golden_requests():
+    """Seeded office/hall/library requests at day 45, four replicas each."""
+    specs = {
+        f"{env}-{index:03d}": environment_by_name(env)
+        for index, env in enumerate(("office", "hall", "library"))
+    }
+    campaign = FleetCampaign(
+        specs,
+        FleetConfig(
+            campaign=CampaignConfig(
+                timestamps_days=(0.0, DAY),
+                collection=CollectionConfig(
+                    survey_samples=3, reference_samples=2, online_samples=1
+                ),
+                seed=1000,
+            )
+        ),
+    )
+    base = campaign.build_requests(DAY)
+    return [
+        replace(request, site=f"{request.site}-r{copy:02d}", rng=request.rng + 7919 * copy)
+        for copy in range(REPLICAS)
+        for request in base
+    ]
+
+
+@pytest.fixture(scope="module")
+def golden_report():
+    service = UpdateService()
+    reports = service.update_fleet(
+        golden_requests(), shards=ShardConfig(), executor="serial"
+    )
+    return FleetReport(
+        elapsed_days=DAY,
+        reports=tuple(reports),
+        stacked_sweeps=service.last_stacked_sweeps,
+        plan=service.last_plan,
+        executor="serial",
+        workers=0,
+        sweeps_saved=service.last_sweeps_saved,
+    )
+
+
+class TestGoldenRefresh:
+    def test_report_bytes_are_pinned(self, golden_report):
+        buffer = io.BytesIO()
+        save_report(buffer, golden_report)
+        assert hashlib.sha256(buffer.getvalue()).hexdigest() == GOLDEN_REPORT_SHA256
+
+    def test_plan_sweeps_are_pinned(self, golden_report):
+        assert [shard.sweeps for shard in golden_report.plan.shards] == GOLDEN_SHARD_SWEEPS
+        assert golden_report.stacked_sweeps == max(GOLDEN_SHARD_SWEEPS)
+
+    def test_site_sweeps_are_pinned(self, golden_report):
+        assert [report.sweeps for report in golden_report.reports] == GOLDEN_SITE_SWEEPS

@@ -148,40 +148,6 @@ class TestErrorMetrics:
         np.testing.assert_allclose(distances, [[1.0], [np.sqrt(2.0)]])
 
 
-class TestPadRankStack:
-    def test_padding_preserves_solutions(self, rng):
-        lhs = rng.normal(size=(6, 3, 3))
-        lhs = lhs @ np.transpose(lhs, (0, 2, 1)) + 0.2 * np.eye(3)
-        rhs = rng.normal(size=(6, 3))
-        padded_lhs, padded_rhs = linalg.pad_rank_stack(lhs, rhs, 5)
-        assert padded_lhs.shape == (6, 5, 5)
-        assert padded_rhs.shape == (6, 5)
-        solutions = linalg.batched_safe_solve(padded_lhs, padded_rhs)
-        reference = linalg.batched_safe_solve(lhs, rhs)
-        # Leading entries match to BLAS kernel noise (padding changes the
-        # matrix size, which can change the summation order); the padding
-        # coordinates are exactly zero.
-        np.testing.assert_allclose(solutions[:, :3], reference, atol=1e-10, rtol=0.0)
-        np.testing.assert_array_equal(solutions[:, 3:], np.zeros((6, 2)))
-
-    def test_equal_rank_is_passthrough(self, rng):
-        lhs = rng.normal(size=(2, 3, 3))
-        rhs = rng.normal(size=(2, 3))
-        padded_lhs, padded_rhs = linalg.pad_rank_stack(lhs, rhs, 3)
-        assert padded_lhs is lhs or np.shares_memory(padded_lhs, lhs)
-        np.testing.assert_array_equal(padded_rhs, rhs)
-
-    def test_shrinking_rejected(self, rng):
-        with pytest.raises(ValueError):
-            linalg.pad_rank_stack(np.zeros((2, 3, 3)), np.zeros((2, 3)), 2)
-
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.pad_rank_stack(np.zeros((2, 3, 4)), np.zeros((2, 3)), 5)
-        with pytest.raises(ValueError):
-            linalg.pad_rank_stack(np.zeros((2, 3, 3)), np.zeros((3, 3)), 5)
-
-
 class TestStackedRankSolve:
     def make_stack(self, rng, batch, rank):
         lhs = rng.normal(size=(batch, rank, rank))
@@ -199,23 +165,16 @@ class TestStackedRankSolve:
         for (lhs, rhs), solution in zip(systems, stacked):
             expected = linalg.batched_safe_solve(lhs, rhs)
             assert solution.shape == rhs.shape
-            # The default "group" strategy is bit-exact per stack, including
-            # the two rank-3 stacks sharing one concatenated solve.
+            # Bit-exact per stack, including the two rank-3 stacks sharing
+            # one concatenated solve.
             np.testing.assert_array_equal(solution, expected)
 
-    def test_pad_strategy_matches_to_kernel_noise(self, rng):
-        systems = [
-            self.make_stack(rng, batch, rank)
-            for batch, rank in [(7, 3), (4, 5), (9, 2)]
-        ]
-        stacked = linalg.stacked_rank_solve(systems, strategy="pad")
-        for (lhs, rhs), solution in zip(systems, stacked):
-            expected = linalg.batched_safe_solve(lhs, rhs)
-            np.testing.assert_allclose(solution, expected, atol=1e-10, rtol=0.0)
-
     def test_unknown_strategy_rejected(self, rng):
-        with pytest.raises(ValueError, match="strategy"):
-            linalg.stacked_rank_solve([self.make_stack(rng, 2, 2)], strategy="merge")
+        """There is one way to stack ranks (grouping, never padding): the
+        old ``strategy`` switch is gone and must stay gone."""
+        with pytest.raises(TypeError, match="strategy"):
+            linalg.stacked_rank_solve([self.make_stack(rng, 2, 2)], strategy="pad")
+        assert not hasattr(linalg, "pad_rank_stack")
 
     def test_single_stack_short_circuits(self, rng):
         lhs, rhs = self.make_stack(rng, 5, 4)
@@ -242,15 +201,6 @@ class TestStackedRankSolve:
         solutions = linalg.stacked_rank_solve([(good_lhs, good_rhs), singular])
         np.testing.assert_array_equal(
             solutions[0], linalg.batched_safe_solve(good_lhs, good_rhs)
-        )
-        assert np.all(np.isfinite(solutions[1]))
-
-    def test_singular_stack_in_pad_strategy_keeps_cotenant_finite(self, rng):
-        good = self.make_stack(rng, 4, 2)
-        singular = (np.zeros((2, 3, 3)), np.ones((2, 3)))
-        solutions = linalg.stacked_rank_solve([good, singular], strategy="pad")
-        np.testing.assert_array_equal(
-            solutions[0], linalg.batched_safe_solve(*good)
         )
         assert np.all(np.isfinite(solutions[1]))
 
