@@ -41,134 +41,72 @@ The package is organised around the paper's pipeline:
   subcommand).
 """
 
-from repro.core.updater import IUpdater, UpdaterConfig, UpdateResult
-from repro.daemon import (
-    Coordinator,
-    DaemonClient,
-    DaemonConfig,
-    DaemonServer,
-    JobQueue,
-    JobRecord,
-)
-from repro.environments import (
-    build_deployment,
-    environment_by_name,
-    hall_environment,
-    library_environment,
-    office_environment,
-)
-from repro.fingerprint.matrix import FingerprintMatrix
-from repro.fingerprint.database import FingerprintDatabase
-from repro.io import (
-    FleetDelta,
-    apply_delta,
-    load_answers,
-    load_delta,
-    load_queries,
-    load_report,
-    load_requests,
-    report_fingerprint,
-    save_answers,
-    save_delta,
-    save_queries,
-    save_report,
-    save_requests,
-)
-from repro.localization.omp import OMPLocalizer
-from repro.query import (
-    GenerationStore,
-    QueryAnswer,
-    QueryBatch,
-    QueryConfig,
-    QueryEngine,
-    QueryIndex,
-    grid_locations,
-    indexes_from_report,
-)
-from repro.service import (
-    Fault,
-    FaultPlan,
-    FleetCampaign,
-    FleetConfig,
-    FleetReport,
-    InvalidWorkerCountError,
-    ProcessExecutor,
-    RemoteExecutor,
-    RemoteShardError,
-    SerialExecutor,
-    ShardConfig,
-    ShardExecutor,
-    ShardPlan,
-    UpdateReport,
-    UpdateRequest,
-    UpdateService,
-    WarmFactors,
-    WorkerServer,
-    synthesize_fleet,
-)
-from repro.simulation.campaign import SurveyCampaign, CampaignConfig
+from repro._lazy import lazy_exports
 
 __version__ = "1.7.0"
 
-__all__ = [
-    "UpdateRequest",
-    "UpdateReport",
-    "FleetReport",
-    "UpdateService",
-    "FleetCampaign",
-    "FleetConfig",
-    "ShardConfig",
-    "ShardPlan",
-    "ShardExecutor",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "RemoteExecutor",
-    "WorkerServer",
-    "Fault",
-    "FaultPlan",
-    "RemoteShardError",
-    "InvalidWorkerCountError",
-    "Coordinator",
-    "DaemonConfig",
-    "DaemonServer",
-    "DaemonClient",
-    "JobQueue",
-    "JobRecord",
-    "WarmFactors",
-    "save_requests",
-    "load_requests",
-    "save_report",
-    "load_report",
-    "save_queries",
-    "load_queries",
-    "save_answers",
-    "load_answers",
-    "FleetDelta",
-    "report_fingerprint",
-    "save_delta",
-    "load_delta",
-    "apply_delta",
-    "QueryEngine",
-    "QueryConfig",
-    "QueryIndex",
-    "QueryBatch",
-    "QueryAnswer",
-    "GenerationStore",
-    "indexes_from_report",
-    "grid_locations",
-    "synthesize_fleet",
-    "IUpdater",
-    "UpdaterConfig",
-    "UpdateResult",
-    "FingerprintMatrix",
-    "FingerprintDatabase",
-    "OMPLocalizer",
-    "SurveyCampaign",
-    "CampaignConfig",
-    "office_environment",
-    "library_environment",
-    "hall_environment",
-    "environment_by_name",
-    "build_deployment",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "UpdateRequest": "repro.service.types",
+        "UpdateReport": "repro.service.types",
+        "FleetReport": "repro.service.types",
+        "UpdateService": "repro.service.service",
+        "FleetCampaign": "repro.service.fleet",
+        "FleetConfig": "repro.service.fleet",
+        "ShardConfig": "repro.service.shard",
+        "ShardPlan": "repro.service.shard",
+        "ShardExecutor": "repro.service.executor",
+        "SerialExecutor": "repro.service.executor",
+        "ProcessExecutor": "repro.service.executor",
+        "RemoteExecutor": "repro.service.remote",
+        "WorkerServer": "repro.service.remote",
+        "Fault": "repro.service.remote",
+        "FaultPlan": "repro.service.remote",
+        "RemoteShardError": "repro.service.remote",
+        "InvalidWorkerCountError": "repro.service.executor",
+        "Coordinator": "repro.daemon.coordinator",
+        "DaemonConfig": "repro.daemon.coordinator",
+        "DaemonServer": "repro.daemon.http",
+        "DaemonClient": "repro.daemon.client",
+        "JobQueue": "repro.daemon.queue",
+        "JobRecord": "repro.io.jobs",
+        "WarmFactors": "repro.service.types",
+        "save_requests": "repro.io.wire",
+        "load_requests": "repro.io.wire",
+        "save_report": "repro.io.wire",
+        "load_report": "repro.io.wire",
+        "save_queries": "repro.io.query",
+        "load_queries": "repro.io.query",
+        "save_answers": "repro.io.query",
+        "load_answers": "repro.io.query",
+        "FleetDelta": "repro.io.delta",
+        "report_fingerprint": "repro.io.delta",
+        "save_delta": "repro.io.delta",
+        "load_delta": "repro.io.delta",
+        "apply_delta": "repro.io.delta",
+        "QueryEngine": "repro.query.engine",
+        "QueryConfig": "repro.query.engine",
+        "QueryIndex": "repro.query.index",
+        "QueryBatch": "repro.query.types",
+        "QueryAnswer": "repro.query.types",
+        "GenerationStore": "repro.query.engine",
+        "indexes_from_report": "repro.query.index",
+        "grid_locations": "repro.query.index",
+        "synthesize_fleet": "repro.service.synthetic",
+        "IUpdater": "repro.core.updater",
+        "UpdaterConfig": "repro.core.updater",
+        "UpdateResult": "repro.core.updater",
+        "FingerprintMatrix": "repro.fingerprint.matrix",
+        "FingerprintDatabase": "repro.fingerprint.database",
+        "OMPLocalizer": "repro.localization.omp",
+        "SurveyCampaign": "repro.simulation.campaign",
+        "CampaignConfig": "repro.simulation.campaign",
+        "office_environment": "repro.environments",
+        "library_environment": "repro.environments",
+        "hall_environment": "repro.environments",
+        "environment_by_name": "repro.environments",
+        "build_deployment": "repro.environments",
+    },
+)
+__all__ += ["__version__"]

@@ -18,53 +18,34 @@
 * :mod:`repro.core.updater` — the high-level :class:`IUpdater` pipeline.
 """
 
-from repro.core.analysis import (
-    als_values,
-    low_rank_report,
-    nlc_values,
-    singular_value_profile,
-)
-from repro.core.constraints import (
-    continuity_matrix,
-    relationship_matrix,
-    similarity_matrix,
-)
-from repro.core.lrr import LRRConfig, LRRResult, low_rank_representation
-from repro.core.mic import MICResult, select_reference_locations
-from repro.core.rsvd import RSVDConfig, RSVDResult, rsvd_complete
-from repro.core.self_augmented import (
-    SelfAugmentedConfig,
-    SelfAugmentedResult,
-    SweepState,
-    self_augmented_rsvd,
-    solve_state,
-)
-from repro.core.stacked import run_stacked_sweeps
-from repro.core.updater import IUpdater, UpdaterConfig, UpdateResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "als_values",
-    "low_rank_report",
-    "nlc_values",
-    "singular_value_profile",
-    "continuity_matrix",
-    "relationship_matrix",
-    "similarity_matrix",
-    "LRRConfig",
-    "LRRResult",
-    "low_rank_representation",
-    "MICResult",
-    "select_reference_locations",
-    "RSVDConfig",
-    "RSVDResult",
-    "rsvd_complete",
-    "SelfAugmentedConfig",
-    "SelfAugmentedResult",
-    "SweepState",
-    "self_augmented_rsvd",
-    "solve_state",
-    "run_stacked_sweeps",
-    "IUpdater",
-    "UpdaterConfig",
-    "UpdateResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "als_values": "repro.core.analysis",
+        "low_rank_report": "repro.core.analysis",
+        "nlc_values": "repro.core.analysis",
+        "singular_value_profile": "repro.core.analysis",
+        "continuity_matrix": "repro.core.constraints",
+        "relationship_matrix": "repro.core.constraints",
+        "similarity_matrix": "repro.core.constraints",
+        "LRRConfig": "repro.core.lrr",
+        "LRRResult": "repro.core.lrr",
+        "low_rank_representation": "repro.core.lrr",
+        "MICResult": "repro.core.mic",
+        "select_reference_locations": "repro.core.mic",
+        "RSVDConfig": "repro.core.rsvd",
+        "RSVDResult": "repro.core.rsvd",
+        "rsvd_complete": "repro.core.rsvd",
+        "SelfAugmentedConfig": "repro.core.self_augmented",
+        "SelfAugmentedResult": "repro.core.self_augmented",
+        "SweepState": "repro.core.self_augmented",
+        "self_augmented_rsvd": "repro.core.self_augmented",
+        "solve_state": "repro.core.self_augmented",
+        "run_stacked_sweeps": "repro.core.stacked",
+        "IUpdater": "repro.core.updater",
+        "UpdaterConfig": "repro.core.updater",
+        "UpdateResult": "repro.core.updater",
+    },
+)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from repro.utils.validation import check_2d
 
@@ -68,6 +67,8 @@ def numerical_rank(matrix: np.ndarray, tolerance: Optional[float] = None) -> int
 
 def _qr_selection(matrix: np.ndarray, count: int) -> List[int]:
     """Column-pivoted QR: the first ``count`` pivots are the MIC columns."""
+    import scipy.linalg  # deferred: importing repro.core must not load scipy
+
     _, _, pivots = scipy.linalg.qr(matrix, mode="economic", pivoting=True)
     return [int(p) for p in pivots[:count]]
 

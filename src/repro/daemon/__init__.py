@@ -21,29 +21,22 @@ See ``docs/ARCHITECTURE.md`` for the lifecycle (survey → job queue →
 refresh → publish → serve) and ``docs/API.md`` for the HTTP surface.
 """
 
-from repro.daemon.client import DaemonClient, DaemonError
-from repro.daemon.coordinator import (
-    JOB_KINDS,
-    REFRESH_FLEET,
-    SERVE_PUBLISH,
-    Coordinator,
-    DaemonConfig,
-)
-from repro.daemon.http import DaemonRequestHandler, DaemonServer
-from repro.daemon.queue import JobQueue
-from repro.io.jobs import JOB_STATES, JobRecord
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JOB_KINDS",
-    "JOB_STATES",
-    "REFRESH_FLEET",
-    "SERVE_PUBLISH",
-    "JobRecord",
-    "JobQueue",
-    "DaemonConfig",
-    "Coordinator",
-    "DaemonServer",
-    "DaemonRequestHandler",
-    "DaemonClient",
-    "DaemonError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "JOB_KINDS": "repro.daemon.coordinator",
+        "JOB_STATES": "repro.io.jobs",
+        "REFRESH_FLEET": "repro.daemon.coordinator",
+        "SERVE_PUBLISH": "repro.daemon.coordinator",
+        "JobRecord": "repro.io.jobs",
+        "JobQueue": "repro.daemon.queue",
+        "DaemonConfig": "repro.daemon.coordinator",
+        "Coordinator": "repro.daemon.coordinator",
+        "DaemonServer": "repro.daemon.http",
+        "DaemonRequestHandler": "repro.daemon.http",
+        "DaemonClient": "repro.daemon.client",
+        "DaemonError": "repro.daemon.client",
+    },
+)

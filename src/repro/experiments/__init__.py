@@ -1,7 +1,12 @@
 """Experiment harness regenerating every figure of the paper's evaluation."""
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentRunner
-from repro.experiments import figures
+from repro._lazy import lazy_exports
 
-__all__ = ["ExperimentConfig", "ExperimentRunner", "figures"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ExperimentConfig": "repro.experiments.config",
+        "ExperimentRunner": "repro.experiments.runner",
+        "figures": "repro.experiments.figures",
+    },
+)

@@ -1,13 +1,14 @@
 """Fingerprint matrix machinery: matrices, masks and the time-stamped database."""
 
-from repro.fingerprint.database import FingerprintDatabase, TimestampedFingerprint
-from repro.fingerprint.masks import DecreaseClassification, classify_elements
-from repro.fingerprint.matrix import FingerprintMatrix
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FingerprintMatrix",
-    "FingerprintDatabase",
-    "TimestampedFingerprint",
-    "DecreaseClassification",
-    "classify_elements",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "FingerprintMatrix": "repro.fingerprint.matrix",
+        "FingerprintDatabase": "repro.fingerprint.database",
+        "TimestampedFingerprint": "repro.fingerprint.database",
+        "DecreaseClassification": "repro.fingerprint.masks",
+        "classify_elements": "repro.fingerprint.masks",
+    },
+)

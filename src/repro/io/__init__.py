@@ -14,94 +14,50 @@ journal, next to the jobs' NPZ payloads.  See :mod:`repro.io.wire` for the
 layout and guarantees, and ``docs/WIRE_FORMAT.md`` for the on-disk spec.
 """
 
-from repro.io.delta import (
-    DELTA_FORMAT,
-    DELTA_VERSION,
-    FleetDelta,
-    apply_delta,
-    load_delta,
-    report_fingerprint,
-    save_delta,
-)
-from repro.io.jobs import (
-    JOB_STATES,
-    JOURNAL_FORMAT,
-    JOURNAL_VERSION,
-    JobRecord,
-    job_from_json,
-    job_to_json,
-    load_journal,
-    save_journal,
-)
-from repro.io.query import (
-    ANSWERS_FORMAT,
-    QUERIES_FORMAT,
-    load_answers,
-    load_queries,
-    save_answers,
-    save_queries,
-)
-from repro.io.wire import (
-    REPORT_FORMAT,
-    REQUESTS_FORMAT,
-    SHARD_RESULT_FORMAT,
-    SHARD_TASK_FORMAT,
-    WIRE_VERSION,
-    ShardTask,
-    WirePayloadError,
-    load_report,
-    load_requests,
-    payload_info,
-    requests_from_bytes,
-    requests_to_bytes,
-    save_report,
-    save_requests,
-    shard_fingerprint,
-    shard_result_from_bytes,
-    shard_result_to_bytes,
-    shard_task_from_bytes,
-    shard_task_to_bytes,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WIRE_VERSION",
-    "REQUESTS_FORMAT",
-    "REPORT_FORMAT",
-    "SHARD_TASK_FORMAT",
-    "SHARD_RESULT_FORMAT",
-    "WirePayloadError",
-    "ShardTask",
-    "shard_fingerprint",
-    "shard_task_to_bytes",
-    "shard_task_from_bytes",
-    "shard_result_to_bytes",
-    "shard_result_from_bytes",
-    "QUERIES_FORMAT",
-    "ANSWERS_FORMAT",
-    "DELTA_FORMAT",
-    "DELTA_VERSION",
-    "FleetDelta",
-    "report_fingerprint",
-    "save_delta",
-    "load_delta",
-    "apply_delta",
-    "save_requests",
-    "load_requests",
-    "requests_to_bytes",
-    "requests_from_bytes",
-    "save_report",
-    "load_report",
-    "save_queries",
-    "load_queries",
-    "save_answers",
-    "load_answers",
-    "payload_info",
-    "JOURNAL_FORMAT",
-    "JOURNAL_VERSION",
-    "JOB_STATES",
-    "JobRecord",
-    "job_to_json",
-    "job_from_json",
-    "save_journal",
-    "load_journal",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "WIRE_VERSION": "repro.io.wire",
+        "REQUESTS_FORMAT": "repro.io.wire",
+        "REPORT_FORMAT": "repro.io.wire",
+        "SHARD_TASK_FORMAT": "repro.io.wire",
+        "SHARD_RESULT_FORMAT": "repro.io.wire",
+        "WirePayloadError": "repro.io.wire",
+        "ShardTask": "repro.io.wire",
+        "shard_fingerprint": "repro.io.wire",
+        "shard_task_to_bytes": "repro.io.wire",
+        "shard_task_from_bytes": "repro.io.wire",
+        "shard_result_to_bytes": "repro.io.wire",
+        "shard_result_from_bytes": "repro.io.wire",
+        "QUERIES_FORMAT": "repro.io.query",
+        "ANSWERS_FORMAT": "repro.io.query",
+        "DELTA_FORMAT": "repro.io.delta",
+        "DELTA_VERSION": "repro.io.delta",
+        "FleetDelta": "repro.io.delta",
+        "report_fingerprint": "repro.io.delta",
+        "save_delta": "repro.io.delta",
+        "load_delta": "repro.io.delta",
+        "apply_delta": "repro.io.delta",
+        "save_requests": "repro.io.wire",
+        "load_requests": "repro.io.wire",
+        "requests_to_bytes": "repro.io.wire",
+        "requests_from_bytes": "repro.io.wire",
+        "save_report": "repro.io.wire",
+        "load_report": "repro.io.wire",
+        "save_queries": "repro.io.query",
+        "load_queries": "repro.io.query",
+        "save_answers": "repro.io.query",
+        "load_answers": "repro.io.query",
+        "payload_info": "repro.io.wire",
+        "JOURNAL_FORMAT": "repro.io.jobs",
+        "JOURNAL_VERSION": "repro.io.jobs",
+        "JOB_STATES": "repro.io.jobs",
+        "JobRecord": "repro.io.jobs",
+        "job_to_json": "repro.io.jobs",
+        "job_from_json": "repro.io.jobs",
+        "save_journal": "repro.io.jobs",
+        "load_journal": "repro.io.jobs",
+    },
+)

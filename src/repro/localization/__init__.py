@@ -1,24 +1,19 @@
 """Target localization: OMP matching plus KNN / SVR / RASS baselines."""
 
-from repro.localization.knn import KNNLocalizer
-from repro.localization.metrics import (
-    LocalizationReport,
-    localization_errors,
-    summarize_errors,
-)
-from repro.localization.omp import OMPLocalizer, OMPConfig
-from repro.localization.rass import RASSLocalizer, RASSConfig
-from repro.localization.svr import SupportVectorRegressor, SVRConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OMPLocalizer",
-    "OMPConfig",
-    "KNNLocalizer",
-    "SupportVectorRegressor",
-    "SVRConfig",
-    "RASSLocalizer",
-    "RASSConfig",
-    "LocalizationReport",
-    "localization_errors",
-    "summarize_errors",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "OMPLocalizer": "repro.localization.omp",
+        "OMPConfig": "repro.localization.omp",
+        "KNNLocalizer": "repro.localization.knn",
+        "SupportVectorRegressor": "repro.localization.svr",
+        "SVRConfig": "repro.localization.svr",
+        "RASSLocalizer": "repro.localization.rass",
+        "RASSConfig": "repro.localization.rass",
+        "LocalizationReport": "repro.localization.metrics",
+        "localization_errors": "repro.localization.metrics",
+        "summarize_errors": "repro.localization.metrics",
+    },
+)

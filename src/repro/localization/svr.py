@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.utils.validation import check_1d, check_2d
 
@@ -86,6 +85,8 @@ class SupportVectorRegressor:
     # ------------------------------------------------------------------- fit
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "SupportVectorRegressor":
         """Fit the regressor on ``(n_samples, n_features)`` data."""
+        from scipy import optimize  # deferred: importing repro.query must not load scipy
+
         features = check_2d(features, "features")
         targets = check_1d(targets, "targets")
         if features.shape[0] != targets.size:

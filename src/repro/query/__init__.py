@@ -24,32 +24,25 @@ users localizing against those refreshed databases:
   workflow.
 """
 
-from repro.query.cache import CacheStats, ResultCache
-from repro.query.engine import (
-    BoundSite,
-    Generation,
-    GenerationStore,
-    QueryConfig,
-    QueryEngine,
-)
-from repro.query.index import QueryIndex, grid_locations, indexes_from_report
-from repro.query.matchers import MATCHERS, BoundMatcher, bind_matcher
-from repro.query.types import QueryAnswer, QueryBatch
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QueryEngine",
-    "QueryConfig",
-    "QueryIndex",
-    "QueryBatch",
-    "QueryAnswer",
-    "Generation",
-    "GenerationStore",
-    "BoundSite",
-    "BoundMatcher",
-    "bind_matcher",
-    "indexes_from_report",
-    "grid_locations",
-    "ResultCache",
-    "CacheStats",
-    "MATCHERS",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "QueryEngine": "repro.query.engine",
+        "QueryConfig": "repro.query.engine",
+        "QueryIndex": "repro.query.index",
+        "QueryBatch": "repro.query.types",
+        "QueryAnswer": "repro.query.types",
+        "Generation": "repro.query.engine",
+        "GenerationStore": "repro.query.engine",
+        "BoundSite": "repro.query.engine",
+        "BoundMatcher": "repro.query.matchers",
+        "bind_matcher": "repro.query.matchers",
+        "indexes_from_report": "repro.query.index",
+        "grid_locations": "repro.query.index",
+        "ResultCache": "repro.query.cache",
+        "CacheStats": "repro.query.cache",
+        "MATCHERS": "repro.query.matchers",
+    },
+)

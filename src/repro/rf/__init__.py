@@ -7,28 +7,26 @@ zone human-obstruction model, and both short-term and long-term temporal
 variation processes.  See DESIGN.md section 2 for the substitution argument.
 """
 
-from repro.rf.channel import LinkChannel, ChannelConfig
-from repro.rf.geometry import Link, Point, first_fresnel_radius, point_segment_distance
-from repro.rf.multipath import MultipathField, MultipathConfig
-from repro.rf.propagation import PathLossModel, PropagationConfig
-from repro.rf.target import TargetModel, TargetConfig, ObstructionState
-from repro.rf.variation import ShortTermNoise, LongTermDrift, VariationConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LinkChannel",
-    "ChannelConfig",
-    "Link",
-    "Point",
-    "first_fresnel_radius",
-    "point_segment_distance",
-    "MultipathField",
-    "MultipathConfig",
-    "PathLossModel",
-    "PropagationConfig",
-    "TargetModel",
-    "TargetConfig",
-    "ObstructionState",
-    "ShortTermNoise",
-    "LongTermDrift",
-    "VariationConfig",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "LinkChannel": "repro.rf.channel",
+        "ChannelConfig": "repro.rf.channel",
+        "Link": "repro.rf.geometry",
+        "Point": "repro.rf.geometry",
+        "first_fresnel_radius": "repro.rf.geometry",
+        "point_segment_distance": "repro.rf.geometry",
+        "MultipathField": "repro.rf.multipath",
+        "MultipathConfig": "repro.rf.multipath",
+        "PathLossModel": "repro.rf.propagation",
+        "PropagationConfig": "repro.rf.propagation",
+        "TargetModel": "repro.rf.target",
+        "TargetConfig": "repro.rf.target",
+        "ObstructionState": "repro.rf.target",
+        "ShortTermNoise": "repro.rf.variation",
+        "LongTermDrift": "repro.rf.variation",
+        "VariationConfig": "repro.rf.variation",
+    },
+)

@@ -35,58 +35,33 @@ database at a time, this package makes the multi-site workload primary:
 path; see ``docs/API.md`` for the public surface.
 """
 
-from repro.service.executor import (
-    InvalidWorkerCountError,
-    ProcessExecutor,
-    SerialExecutor,
-    ShardExecutor,
-)
-from repro.service.fleet import PAPER_FLEET, FleetCampaign, FleetConfig
-from repro.service.remote import (
-    Fault,
-    FaultPlan,
-    RemoteExecutor,
-    RemoteShardError,
-    WorkerServer,
-)
-from repro.service.service import UpdateService
-from repro.service.shard import (
-    DEFAULT_MAX_STACK_BYTES,
-    Shard,
-    ShardConfig,
-    ShardPlan,
-    plan_shards,
-)
-from repro.service.synthetic import synthesize_fleet
-from repro.service.types import (
-    FleetReport,
-    UpdateReport,
-    UpdateRequest,
-    WarmFactors,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "UpdateRequest",
-    "UpdateReport",
-    "FleetReport",
-    "WarmFactors",
-    "UpdateService",
-    "FleetCampaign",
-    "FleetConfig",
-    "PAPER_FLEET",
-    "DEFAULT_MAX_STACK_BYTES",
-    "Shard",
-    "ShardConfig",
-    "ShardPlan",
-    "ShardExecutor",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "RemoteExecutor",
-    "WorkerServer",
-    "Fault",
-    "FaultPlan",
-    "RemoteShardError",
-    "InvalidWorkerCountError",
-    "plan_shards",
-    "synthesize_fleet",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "UpdateRequest": "repro.service.types",
+        "UpdateReport": "repro.service.types",
+        "FleetReport": "repro.service.types",
+        "WarmFactors": "repro.service.types",
+        "UpdateService": "repro.service.service",
+        "FleetCampaign": "repro.service.fleet",
+        "FleetConfig": "repro.service.fleet",
+        "PAPER_FLEET": "repro.service.fleet",
+        "DEFAULT_MAX_STACK_BYTES": "repro.service.shard",
+        "Shard": "repro.service.shard",
+        "ShardConfig": "repro.service.shard",
+        "ShardPlan": "repro.service.shard",
+        "ShardExecutor": "repro.service.executor",
+        "SerialExecutor": "repro.service.executor",
+        "ProcessExecutor": "repro.service.executor",
+        "RemoteExecutor": "repro.service.remote",
+        "WorkerServer": "repro.service.remote",
+        "Fault": "repro.service.remote",
+        "FaultPlan": "repro.service.remote",
+        "RemoteShardError": "repro.service.remote",
+        "InvalidWorkerCountError": "repro.service.executor",
+        "plan_shards": "repro.service.shard",
+        "synthesize_fleet": "repro.service.synthetic",
+    },
+)

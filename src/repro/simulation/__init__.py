@@ -1,14 +1,15 @@
 """Survey campaigns, measurement collection and the labor-cost model."""
 
-from repro.simulation.campaign import CampaignConfig, SurveyCampaign
-from repro.simulation.collector import MeasurementCollector, CollectionConfig
-from repro.simulation.labor import LaborCostModel, LaborCostConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SurveyCampaign",
-    "CampaignConfig",
-    "MeasurementCollector",
-    "CollectionConfig",
-    "LaborCostModel",
-    "LaborCostConfig",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "SurveyCampaign": "repro.simulation.campaign",
+        "CampaignConfig": "repro.simulation.campaign",
+        "MeasurementCollector": "repro.simulation.collector",
+        "CollectionConfig": "repro.simulation.collector",
+        "LaborCostModel": "repro.simulation.labor",
+        "LaborCostConfig": "repro.simulation.labor",
+    },
+)

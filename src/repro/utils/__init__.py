@@ -1,34 +1,23 @@
 """Shared utilities: linear algebra helpers, CDF tools, RNG management."""
 
-from repro.utils.cdf import empirical_cdf, percentile, median
-from repro.utils.linalg import (
-    frobenius_norm,
-    masked_frobenius_error,
-    normalized_singular_values,
-    relative_energy,
-    safe_solve,
-)
-from repro.utils.random import make_rng, spawn_rngs
-from repro.utils.validation import (
-    check_2d,
-    check_matching_shapes,
-    check_positive,
-    check_probability,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "empirical_cdf",
-    "percentile",
-    "median",
-    "frobenius_norm",
-    "masked_frobenius_error",
-    "normalized_singular_values",
-    "relative_energy",
-    "safe_solve",
-    "make_rng",
-    "spawn_rngs",
-    "check_2d",
-    "check_matching_shapes",
-    "check_positive",
-    "check_probability",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "empirical_cdf": "repro.utils.cdf",
+        "percentile": "repro.utils.cdf",
+        "median": "repro.utils.cdf",
+        "frobenius_norm": "repro.utils.linalg",
+        "masked_frobenius_error": "repro.utils.linalg",
+        "normalized_singular_values": "repro.utils.linalg",
+        "relative_energy": "repro.utils.linalg",
+        "safe_solve": "repro.utils.linalg",
+        "make_rng": "repro.utils.random",
+        "spawn_rngs": "repro.utils.random",
+        "check_2d": "repro.utils.validation",
+        "check_matching_shapes": "repro.utils.validation",
+        "check_positive": "repro.utils.validation",
+        "check_probability": "repro.utils.validation",
+    },
+)
