@@ -1,7 +1,7 @@
 """Stdlib HTTP client for the fleet daemon's submit/status/result API.
 
-:class:`DaemonClient` wraps ``urllib.request`` around the routes
-:mod:`repro.daemon.http` serves, translating JSON error bodies into
+:class:`DaemonClient` calls the routes :mod:`repro.daemon.http` serves
+through :func:`repro.utils.http.http_call`, translating error responses into
 :class:`DaemonError` and job/answer JSON back into plain dicts and NumPy
 arrays.  It is deliberately dependency-free so any process that can
 ``import repro`` — or a few lines of hand-rolled ``urllib`` in one that
@@ -14,12 +14,12 @@ import base64
 import http.client
 import json
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import List, Optional, Union
 
 import numpy as np
+
+from repro.utils.http import HttpStatusError, http_call
 
 __all__ = ["DaemonError", "DaemonClient"]
 
@@ -55,34 +55,18 @@ class DaemonClient:
     def _request(
         self, method: str, path: str, body: Optional[dict] = None
     ) -> bytes:
-        data = None
-        headers = {"Accept": "application/json"}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.url + path, data=data, headers=headers, method=method
-        )
+        data = None if body is None else json.dumps(body).encode("utf-8")
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read()
-        except urllib.error.HTTPError as exc:
-            raw = exc.read()
-            try:
-                message = json.loads(raw).get("error", raw.decode("utf-8", "replace"))
-            except (json.JSONDecodeError, AttributeError):
-                message = raw.decode("utf-8", "replace") or str(exc)
-            raise DaemonError(message, status=exc.code) from exc
-        except urllib.error.URLError as exc:
-            raise DaemonError(
-                f"cannot reach daemon at {self.url}: {exc.reason}"
-            ) from exc
+            return http_call(
+                self.url + path, method, data, "application/json", self.timeout
+            )
+        except HttpStatusError as exc:
+            raise DaemonError(str(exc), status=exc.status) from exc
         except (http.client.HTTPException, OSError) as exc:
-            # e.g. RemoteDisconnected / ConnectionResetError when the
-            # daemon closes its socket mid-request while draining.
-            raise DaemonError(
-                f"connection to daemon at {self.url} failed: {exc}"
-            ) from exc
+            # Refused or timed out (``URLError``), or the daemon closed its
+            # socket mid-request while draining (``RemoteDisconnected``).
+            reason = getattr(exc, "reason", exc)
+            raise DaemonError(f"cannot reach daemon at {self.url}: {reason}") from exc
 
     def _request_json(self, method: str, path: str, body: Optional[dict] = None):
         raw = self._request(method, path, body)

@@ -1,7 +1,7 @@
 """HTTP surface of the daemon: submit / status / result / cancel / localize.
 
-A thin stdlib layer — ``http.server.ThreadingHTTPServer`` plus a request
-handler — over the :class:`~repro.daemon.coordinator.Coordinator`'s
+A thin layer — routes over :mod:`repro.utils.http`'s server and handler
+bases — on the :class:`~repro.daemon.coordinator.Coordinator`'s
 same-process API.  Bodies are JSON both ways (job payloads ride either as
 a filesystem path the daemon can read, or uploaded inline as
 base64-encoded NPZ wire bytes); the one binary endpoint is the result
@@ -31,54 +31,35 @@ import base64
 import binascii
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 import numpy as np
 
-from repro.io.wire import checked_content_length
+from repro.utils.http import HttpServer, JsonRequestHandler
 
 __all__ = ["DaemonRequestHandler", "DaemonServer"]
 
 
-class DaemonRequestHandler(BaseHTTPRequestHandler):
+class DaemonRequestHandler(JsonRequestHandler):
     """Maps the HTTP routes onto the owning server's coordinator."""
 
     server_version = "repro-daemon"
-    protocol_version = "HTTP/1.1"
+    #: POST: unknown job 404, draining 503, malformed input (a wrongly
+    #: typed JSON field is a ``TypeError``) 400.
+    error_statuses = (
+        (KeyError, 404),
+        (RuntimeError, 503),
+        ((TypeError, ValueError), 400),
+    )
+    #: GET carries no input, so a ``ValueError`` is an illegal state.
+    _get_statuses = ((KeyError, 404), (ValueError, 409))
 
     @property
     def coordinator(self):
         return self.server.coordinator
 
-    def log_message(self, format, *args):  # noqa: A002 — BaseHTTPRequestHandler API
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
-
-    # ------------------------------------------------------------- responses
-    def _send(self, code: int, body: bytes, content_type: str) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, code: int, payload) -> None:
-        self._send(
-            code, json.dumps(payload).encode("utf-8"), "application/json"
-        )
-
-    def _send_error_json(self, code: int, message: str) -> None:
-        self._send_json(code, {"error": message})
-
     def _read_json_body(self) -> dict:
-        try:
-            length = checked_content_length(self.headers.get("Content-Length"))
-        except ValueError:
-            # The body was never read, so the connection cannot be reused.
-            self.close_connection = True
-            raise
-        raw = self.rfile.read(length) if length else b""
+        raw = self._read_body()
         if not raw:
             return {}
         try:
@@ -97,7 +78,7 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
 
     # ----------------------------------------------------------------- routes
     def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        path = self.path.split("?", 1)[0].rstrip("/")
+        path = self._route()
         try:
             if path == "/api/health":
                 self._send_json(200, self.coordinator.health())
@@ -126,19 +107,13 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
                 )
             else:
                 self._send_error_json(404, f"unknown route {path!r}")
-        except KeyError as exc:
-            self._send_error_json(404, str(exc.args[0]) if exc.args else str(exc))
-        except ValueError as exc:
-            self._send_error_json(409, str(exc))
+        except Exception as exc:  # noqa: BLE001 — unmapped ones re-raise
+            self._send_exception(exc, self._get_statuses)
 
     def do_POST(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        path = self.path.split("?", 1)[0].rstrip("/")
+        path = self._route()
         try:
             body = self._read_json_body()
-        except ValueError as exc:
-            self._send_error_json(400, str(exc))
-            return
-        try:
             if path == "/api/jobs":
                 self._submit(body)
             elif path.startswith("/api/jobs/") and path.endswith("/cancel"):
@@ -153,12 +128,8 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(202, {"draining": True})
             else:
                 self._send_error_json(404, f"unknown route {path!r}")
-        except KeyError as exc:
-            self._send_error_json(404, str(exc.args[0]) if exc.args else str(exc))
-        except RuntimeError as exc:
-            self._send_error_json(503, str(exc))
-        except ValueError as exc:
-            self._send_error_json(400, str(exc))
+        except Exception as exc:  # noqa: BLE001 — unmapped ones re-raise
+            self._send_exception(exc)
 
     # ---------------------------------------------------------------- handlers
     def _submit(self, body: dict) -> None:
@@ -218,7 +189,7 @@ class DaemonRequestHandler(BaseHTTPRequestHandler):
         )
 
 
-class DaemonServer(ThreadingHTTPServer):
+class DaemonServer(HttpServer):
     """The daemon's HTTP front end, owning one coordinator.
 
     ``start`` boots the coordinator's scheduler and serves requests on a
@@ -229,31 +200,18 @@ class DaemonServer(ThreadingHTTPServer):
     finish.  ``wait`` blocks until that sequence completes.
     """
 
-    daemon_threads = True
-    allow_reuse_address = True
+    thread_name = "repro-daemon-http"
 
     def __init__(self, coordinator, host: str = "127.0.0.1", port: int = 0) -> None:
-        super().__init__((host, port), DaemonRequestHandler)
+        super().__init__(host, port, DaemonRequestHandler)
         self.coordinator = coordinator
-        self.verbose = False
-        self._serve_thread: Optional[threading.Thread] = None
         self._drain_thread: Optional[threading.Thread] = None
         self._drain_lock = threading.Lock()
-        self._drained = threading.Event()
-
-    @property
-    def url(self) -> str:
-        """Base URL clients should talk to."""
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
 
     def start(self) -> None:
         """Start the coordinator and serve HTTP on a background thread."""
         self.coordinator.start()
-        self._serve_thread = threading.Thread(
-            target=self.serve_forever, name="repro-daemon-http", daemon=True
-        )
-        self._serve_thread.start()
+        super().start()
 
     def initiate_drain(self) -> None:
         """Begin graceful shutdown without blocking the calling thread."""
@@ -273,14 +231,8 @@ class DaemonServer(ThreadingHTTPServer):
     def _drain_and_close(self) -> None:
         try:
             self.coordinator.drain()
-            self.shutdown()
-            self.server_close()
         finally:
-            self._drained.set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until a drain completes; returns ``False`` on timeout."""
-        return self._drained.wait(timeout=timeout)
+            self.close()
 
     def stop(self, timeout: Optional[float] = None) -> bool:
         """Drain and wait — the blocking convenience for tests and the CLI."""

@@ -784,11 +784,26 @@ def run_fleet_run(args) -> int:
     return 0
 
 
-def run_fleet_workers_serve(args) -> int:
-    """Run ``fleet workers serve``: one remote shard worker, until signalled."""
+def _serve_until_signalled(server, stop, banner: str) -> None:
+    """Start ``server``, print ``banner``, block until it has closed.
+
+    SIGTERM and SIGINT run ``stop`` on its own thread, so a stop that joins
+    the serve loop never blocks inside the signal handler.
+    """
     import signal
     import threading
 
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(
+            signum, lambda *_: threading.Thread(target=stop, daemon=True).start()
+        )
+    server.start()
+    print(banner, flush=True)
+    server.wait()
+
+
+def run_fleet_workers_serve(args) -> int:
+    """Run ``fleet workers serve``: one remote shard worker, until signalled."""
     from repro.service.remote import FaultPlan, WorkerServer
 
     faults = None
@@ -804,24 +819,13 @@ def run_fleet_workers_serve(args) -> int:
         print(f"cannot bind {args.host}:{args.port}: {error}", file=sys.stderr)
         return 2
     server.verbose = args.verbose
-
-    # Stop from the signal handler without joining the serve loop inline:
-    # WorkerServer.stop() is safe off the serving thread (start() serves on
-    # a daemon thread), and wait() below unblocks once it has run.
-    def _stop(signum, frame):
-        threading.Thread(target=server.stop, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _stop)
-    signal.signal(signal.SIGINT, _stop)
-
-    server.start()
     armed = 0 if faults is None else len(faults.pending)
-    print(
+    _serve_until_signalled(
+        server,
+        server.stop,
         f"worker listening on {server.url}"
         + (f" ({armed} fault(s) armed)" if armed else ""),
-        flush=True,
     )
-    server.wait()
     print(f"worker stopped after solving {server.solved} shard(s)", flush=True)
     return 0
 
@@ -1130,8 +1134,6 @@ def run_fleet(args) -> int:
 
 def run_daemon_start(args) -> int:
     """Run the ``daemon start`` subcommand: serve until drained."""
-    import signal
-
     from repro.daemon import Coordinator, DaemonConfig, DaemonServer
     from repro.query import QueryConfig
 
@@ -1164,51 +1166,35 @@ def run_daemon_start(args) -> int:
 
     server = DaemonServer(coordinator, host=args.host, port=args.port)
     server.verbose = args.verbose
-
-    def _drain(signum, frame):
-        server.initiate_drain()
-
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
-
-    server.start()
-    print(
+    _serve_until_signalled(
+        server,
+        server.initiate_drain,
         f"daemon listening on {server.url} (spool: {coordinator.queue.spool})",
-        flush=True,
     )
-    server.wait()
     print("daemon drained; queued jobs are journaled for the next start", flush=True)
     return 0
 
 
 def run_daemon_submit(args) -> int:
     """Run the ``daemon submit`` subcommand."""
-    from repro.daemon import DaemonClient, DaemonError
+    from repro.daemon import DaemonClient
 
     client = DaemonClient(args.url)
-    try:
-        record = client.submit(
-            args.input,
-            kind=args.kind,
-            priority=args.priority,
-            max_attempts=args.max_attempts,
-            backoff_seconds=args.backoff,
-            label=args.label,
-            max_stack_bytes=args.max_stack_bytes,
-            workers=args.workers,
-            upload=args.upload,
-        )
-    except DaemonError as error:
-        print(error, file=sys.stderr)
-        return 1
+    record = client.submit(
+        args.input,
+        kind=args.kind,
+        priority=args.priority,
+        max_attempts=args.max_attempts,
+        backoff_seconds=args.backoff,
+        label=args.label,
+        max_stack_bytes=args.max_stack_bytes,
+        workers=args.workers,
+        upload=args.upload,
+    )
     print(f"submitted {record['id']} ({record['kind']}, priority {record['priority']})")
     if not args.wait:
         return 0
-    try:
-        record = client.wait(record["id"], timeout=args.timeout)
-    except (DaemonError, TimeoutError) as error:
-        print(error, file=sys.stderr)
-        return 1
+    record = client.wait(record["id"], timeout=args.timeout)
     line = f"{record['id']}: {record['state']} after {record['attempts']} attempt(s)"
     if record.get("generation") is not None:
         line += f", published generation {record['generation']}"
@@ -1222,28 +1208,20 @@ def run_daemon_status(args) -> int:
     """Run the ``daemon status`` subcommand."""
     import json as _json
 
-    from repro.daemon import DaemonClient, DaemonError
+    from repro.daemon import DaemonClient
 
     client = DaemonClient(args.url)
-    try:
-        payload = client.status(args.job) if args.job else client.health()
-    except DaemonError as error:
-        print(error, file=sys.stderr)
-        return 1
+    payload = client.status(args.job) if args.job else client.health()
     print(_json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
 def run_daemon_result(args) -> int:
     """Run the ``daemon result`` subcommand."""
-    from repro.daemon import DaemonClient, DaemonError
+    from repro.daemon import DaemonClient
 
     client = DaemonClient(args.url)
-    try:
-        out = client.fetch_result(args.job, args.out)
-    except DaemonError as error:
-        print(error, file=sys.stderr)
-        return 1
+    out = client.fetch_result(args.job, args.out)
     print(f"wrote {out} ({out.stat().st_size:,} bytes)")
     return 0
 
@@ -1255,11 +1233,7 @@ def run_daemon_stop(args) -> int:
     from repro.daemon import DaemonClient, DaemonError
 
     client = DaemonClient(args.url)
-    try:
-        client.drain()
-    except DaemonError as error:
-        print(error, file=sys.stderr)
-        return 1
+    client.drain()
     deadline = _time.monotonic() + args.timeout
     health = {"jobs": {}}
     while _time.monotonic() < deadline:
@@ -1302,13 +1276,19 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     if args.command == "daemon":
         if args.daemon_command == "start":
             return run_daemon_start(args)
-        if args.daemon_command == "submit":
-            return run_daemon_submit(args)
-        if args.daemon_command == "status":
-            return run_daemon_status(args)
-        if args.daemon_command == "result":
-            return run_daemon_result(args)
-        return run_daemon_stop(args)
+        from repro.daemon import DaemonError
+
+        try:
+            if args.daemon_command == "submit":
+                return run_daemon_submit(args)
+            if args.daemon_command == "status":
+                return run_daemon_status(args)
+            if args.daemon_command == "result":
+                return run_daemon_result(args)
+            return run_daemon_stop(args)
+        except (DaemonError, TimeoutError) as error:
+            print(error, file=sys.stderr)
+            return 1
 
     if args.command == "query":
         if args.query_command == "export":

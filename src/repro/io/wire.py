@@ -60,14 +60,12 @@ from repro.service.types import (
 
 __all__ = [
     "WIRE_VERSION",
-    "MAX_BODY_BYTES",
     "REQUESTS_FORMAT",
     "REPORT_FORMAT",
     "SHARD_TASK_FORMAT",
     "SHARD_RESULT_FORMAT",
     "WirePayloadError",
     "check_legacy_value",
-    "checked_content_length",
     "ShardTask",
     "save_requests",
     "load_requests",
@@ -103,9 +101,6 @@ SOLVER_BACKENDS = ("batched", "looped")
 single path, so writers always emit the first; readers validate the key
 against this tuple and ignore it."""
 
-MAX_BODY_BYTES = 256 * 1024 * 1024
-"""Largest request body an HTTP endpoint (daemon API, shard worker) reads."""
-
 
 class WirePayloadError(ValueError):
     """A wire payload failed validation (corrupt, truncated, wrong format).
@@ -129,22 +124,6 @@ def check_legacy_value(value, allowed: Sequence, key: str) -> None:
         raise WirePayloadError(
             f"unknown {key} {value!r}; expected one of {tuple(allowed)}"
         )
-
-
-def checked_content_length(header: Optional[str]) -> int:
-    """Validate a ``Content-Length`` header before reading any body byte.
-
-    A missing header means an empty body.  A negative, non-integer or
-    above-:data:`MAX_BODY_BYTES` value raises ``ValueError`` so the endpoint
-    can answer 400 at once instead of blocking on bytes that never come.
-    """
-    try:
-        length = int(header or 0)
-    except ValueError:
-        raise ValueError(f"invalid Content-Length {header!r}") from None
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise ValueError(f"unreasonable request body size {length}")
-    return length
 
 
 # ----------------------------------------------------------------- codec core

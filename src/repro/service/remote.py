@@ -47,21 +47,16 @@ code paths end to end.
 from __future__ import annotations
 
 import http.client
-import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.self_augmented import SelfAugmentedResult
 from repro.core.stacked import ShardResult
 from repro.io.wire import (
     WirePayloadError,
-    checked_content_length,
     requests_to_bytes,
     shard_fingerprint,
     shard_result_from_bytes,
@@ -79,6 +74,7 @@ from repro.service.executor import (
 )
 from repro.service.prepare import PreparedSite
 from repro.service.shard import Shard, ShardPlan
+from repro.utils.http import HttpServer, HttpStatusError, JsonRequestHandler, http_call
 
 __all__ = [
     "FAULT_KINDS",
@@ -230,56 +226,32 @@ class FaultPlan:
 
 
 # --------------------------------------------------------------- worker server
-class _WorkerRequestHandler(BaseHTTPRequestHandler):
+class _WorkerRequestHandler(JsonRequestHandler):
     """Routes: ``GET /api/health`` and ``POST /api/shard``."""
 
     server_version = "repro-worker"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 — base-class API
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
-
-    def _send(self, code: int, body: bytes, content_type: str) -> None:
-        try:
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        except OSError:
-            # The client gave up (timeout, straggler race) — a delayed
-            # response to a dead socket is the expected fate of a loser.
-            self.close_connection = True
-
-    def _send_json(self, code: int, payload: dict) -> None:
-        self._send(code, json.dumps(payload).encode("utf-8"), "application/json")
+    #: A bad task is the client's fault; a failed solve is terminal.
+    error_statuses = ((ValueError, 400), (Exception, 500))
 
     def do_GET(self) -> None:  # noqa: N802 — base-class API
-        path = self.path.split("?", 1)[0].rstrip("/")
+        path = self._route()
         if path == "/api/health":
             self._send_json(200, self.server.health())
         else:
-            self._send_json(404, {"error": f"unknown route {path!r}"})
+            self._send_error_json(404, f"unknown route {path!r}")
 
     def do_POST(self) -> None:  # noqa: N802 — base-class API
-        path = self.path.split("?", 1)[0].rstrip("/")
+        path = self._route()
         if path != "/api/shard":
-            self._send_json(404, {"error": f"unknown route {path!r}"})
+            self._send_error_json(404, f"unknown route {path!r}")
             return
         try:
-            length = checked_content_length(self.headers.get("Content-Length"))
-        except ValueError as exc:
-            # The body was never read, so the connection cannot be reused.
-            self.close_connection = True
-            self._send_json(400, {"error": str(exc)})
-            return
-        try:
-            task = shard_task_from_bytes(self.rfile.read(length))
-        except (WirePayloadError, ValueError) as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
+            self._solve(shard_task_from_bytes(self._read_body()))
+        except Exception as exc:  # noqa: BLE001 — mapped to 400 / 500
+            self._send_exception(exc)
 
+    def _solve(self, task) -> None:
+        """Solve one decoded task and answer it, injecting any armed fault."""
         fault = None
         if self.server.faults is not None:
             fault = self.server.faults.take(
@@ -297,16 +269,7 @@ class _WorkerRequestHandler(BaseHTTPRequestHandler):
             self.server.kill()
             return
 
-        try:
-            result = _solve_shard_payload(task.requests_payload, task.shard_index)
-        except (WirePayloadError, ValueError) as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
-        except Exception as exc:  # noqa: BLE001 — solve failures are terminal
-            self._send_json(
-                500, {"error": f"{type(exc).__name__}: {exc}"}
-            )
-            return
+        result = _solve_shard_payload(task.requests_payload, task.shard_index)
         self.server.count_solved()
 
         body_out = shard_result_to_bytes(
@@ -323,7 +286,7 @@ class _WorkerRequestHandler(BaseHTTPRequestHandler):
         self._send(200, body_out, "application/octet-stream")
 
 
-class WorkerServer(ThreadingHTTPServer):
+class WorkerServer(HttpServer):
     """A remote shard worker: solve ``repro-shard-task`` payloads over HTTP.
 
     The serving-side half of :class:`RemoteExecutor`.  Each ``POST
@@ -342,8 +305,7 @@ class WorkerServer(ThreadingHTTPServer):
         serving — the chaos-test seam (``fleet workers serve --fault``).
     """
 
-    daemon_threads = True
-    allow_reuse_address = True
+    thread_name = "repro-worker-http"
 
     def __init__(
         self,
@@ -351,21 +313,11 @@ class WorkerServer(ThreadingHTTPServer):
         port: int = 0,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        super().__init__((host, port), _WorkerRequestHandler)
+        super().__init__(host, port, _WorkerRequestHandler)
         self.faults = faults
-        self.verbose = False
         self._solved = 0
         self._count_lock = threading.Lock()
-        self._serve_thread: Optional[threading.Thread] = None
-        self._stopped = threading.Event()
-        self._stop_lock = threading.Lock()
         self.killed = False
-
-    @property
-    def url(self) -> str:
-        """Base URL of this worker (``http://host:port``)."""
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
 
     @property
     def solved(self) -> int:
@@ -386,21 +338,7 @@ class WorkerServer(ThreadingHTTPServer):
             "faults_injected": 0 if self.faults is None else len(self.faults.fired),
         }
 
-    def start(self) -> None:
-        """Serve on a background thread (tests and the CLI both use this)."""
-        self._serve_thread = threading.Thread(
-            target=self.serve_forever, name="repro-worker-http", daemon=True
-        )
-        self._serve_thread.start()
-
-    def stop(self) -> None:
-        """Stop serving and release the socket; idempotent."""
-        with self._stop_lock:
-            if self._stopped.is_set():
-                return
-            self._stopped.set()
-        self.shutdown()
-        self.server_close()
+    stop = HttpServer.close
 
     def kill(self) -> None:
         """Die like a lost machine: stop accepting, close the socket.
@@ -411,10 +349,6 @@ class WorkerServer(ThreadingHTTPServer):
         """
         self.killed = True
         threading.Thread(target=self.stop, daemon=True).start()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the server has stopped (CLI foreground mode)."""
-        return self._stopped.wait(timeout=timeout)
 
 
 # ------------------------------------------------------------- remote executor
@@ -647,12 +581,6 @@ class RemoteExecutor(ShardExecutor):
                 result = self._dispatch(
                     shard, payload, fingerprint, attempt, endpoint, stats
                 )
-            except _WorkerSolveError as exc:
-                sites = ", ".join(repr(site) for site in shard.sites)
-                raise RemoteShardError(
-                    f"remote worker failed solving shard {shard.index} "
-                    f"(sites {sites}): {exc}"
-                ) from exc
             except _RETRYABLE as exc:
                 last_error = exc
                 continue
@@ -761,29 +689,15 @@ class RemoteExecutor(ShardExecutor):
 
     def _post(self, endpoint: str, task: bytes) -> bytes:
         """POST one task payload; return the raw response body."""
-        request = urllib.request.Request(
-            f"{endpoint}/api/shard",
-            data=task,
-            headers={"Content-Type": "application/octet-stream"},
-            method="POST",
-        )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read()
-        except urllib.error.HTTPError as exc:
-            try:
-                detail = json.loads(exc.read().decode("utf-8")).get("error", "")
-            except Exception:  # noqa: BLE001 — diagnostics only
-                detail = ""
-            if exc.code >= 500:
+            return http_call(f"{endpoint}/api/shard", "POST", task, timeout=self.timeout)
+        except HttpStatusError as exc:
+            if exc.status >= 500:
                 # The worker reached the solve and the solve failed — a
                 # deterministic error that retrying elsewhere cannot fix.
-                raise _WorkerSolveError(
-                    detail or f"worker answered HTTP {exc.code}"
-                ) from exc
+                raise _WorkerSolveError(str(exc)) from exc
             raise WirePayloadError(
-                f"worker {endpoint} rejected the task (HTTP {exc.code}): "
-                f"{detail or 'no detail'}"
+                f"worker {endpoint} rejected the task (HTTP {exc.status}): {exc}"
             ) from exc
 
     def _decode(

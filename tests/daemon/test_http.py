@@ -208,21 +208,25 @@ class TestErrorMapping:
             urllib.request.urlopen(request, timeout=30.0)
         assert excinfo.value.code == 400
 
-
-    @pytest.mark.parametrize("length", (str(10**12), "-5", "ten"))
-    def test_bad_content_length_is_400_not_a_hang(self, client, length):
-        import http.client
-        import urllib.parse
-
-        url = urllib.parse.urlsplit(client.url)
-        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=5.0)
-        try:
-            connection.putrequest("POST", "/api/jobs")
-            connection.putheader("Content-Length", length)
-            connection.endheaders(b"0123456789")
-            assert connection.getresponse().status == 400
-        finally:
-            connection.close()
+    @pytest.mark.parametrize(
+        "path, body",
+        (
+            ("/api/jobs", {"payload_path": "x", "priority": [1]}),
+            ("/api/jobs", {"payload_path": "x", "max_stack_bytes": {}}),
+            ("/api/localize", {"site": "a", "measurements": {"a": 1}}),
+        ),
+        ids=("priority-list", "max-stack-bytes-object", "measurements-object"),
+    )
+    def test_wrongly_typed_field_is_400(self, client, path, body):
+        """A JSON field of the wrong type raises ``TypeError`` in the
+        handler; it must answer 400 with a JSON error, not drop the
+        connection."""
+        with pytest.raises(DaemonError) as excinfo:
+            client._request_json("POST", path, body)
+        assert excinfo.value.status == 400
+        assert str(excinfo.value)
+        # The daemon is still serving.
+        assert client.health()["status"]
 
 
 class TestDrainOverHttp:

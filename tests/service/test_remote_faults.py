@@ -11,10 +11,8 @@ driving the *production* code paths, with the per-site
 the executor's dispatch statistics as the accounting oracle.
 """
 
-import http.client
 import json
 import urllib.error
-import urllib.parse
 import urllib.request
 from contextlib import contextmanager
 
@@ -323,24 +321,6 @@ class TestWorkerServerEndpoints:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
             assert excinfo.value.code == 400
-
-    @pytest.mark.parametrize("length", (str(10**12), "-5", "ten"))
-    def test_bad_content_length_is_400_not_a_hang(self, length):
-        """A declared length the body never delivers must not park the
-        handler on ``rfile.read``: the worker answers 400 before reading,
-        well within the client's socket timeout."""
-        with running_workers(1) as (worker,):
-            url = urllib.parse.urlsplit(worker.url)
-            connection = http.client.HTTPConnection(url.hostname, url.port, timeout=5.0)
-            try:
-                connection.putrequest("POST", "/api/shard")
-                connection.putheader("Content-Length", length)
-                connection.endheaders(b"0123456789")
-                response = connection.getresponse()
-                assert response.status == 400
-                assert "error" in json.loads(response.read())
-            finally:
-                connection.close()
 
     def test_wrong_fingerprint_response_is_rejected(self, fleet_requests):
         """A completion answering a different dispatch must not be gathered."""

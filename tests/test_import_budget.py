@@ -1,10 +1,11 @@
 """Import layering guard: cheap entry points must not load heavy modules.
 
 Package ``__init__``s export lazily (PEP 562), scipy is imported only
-inside the functions that need it, and ``repro.service`` never imports
-``repro.daemon``.  Each case imports one entry point in a fresh interpreter
-and checks the set of loaded modules, not the wall-clock time, so the
-guard is deterministic on any host.
+inside the functions that need it, ``repro.service`` never imports
+``repro.daemon``, and the HTTP layer under the daemon and the shard
+workers (``repro.utils.http``) is stdlib only.  Each case imports one entry
+point in a fresh interpreter and checks the set of loaded modules, not the
+wall-clock time, so the guard is deterministic on any host.
 """
 
 import json
@@ -49,3 +50,14 @@ def test_entry_point_loads_neither_scipy_nor_daemon(module):
     loaded = _loaded_after(module)
     assert module in loaded
     assert [name for name in loaded if _forbidden(name)] == []
+
+
+def test_http_layer_is_stdlib_only():
+    loaded = _loaded_after("repro.utils.http")
+    assert "repro.utils.http" in loaded
+    heavy = [
+        name
+        for name in loaded
+        if _forbidden(name) or name.split(".")[0] == "numpy"
+    ]
+    assert heavy == []
