@@ -2,12 +2,14 @@
 
 A refreshed synthetic site is published into a :class:`QueryEngine`, and the
 same query workload is timed through the engine's vectorized
-``localize_batch`` and through the per-query loop of
-:func:`tests.oracles.localize_looped` over the engine's bound matcher, at
-batch sizes 1, 64 and 1024.  Answers must be identical (the parity
-invariant the serving engine rests on); the rows are printed as
-``BENCH_query_qps_*`` (and optionally written as JSON for CI artifacts via
-``REPRO_BENCH_JSON``).
+``localize_batch``, through the same engine with a 4096-entry result cache,
+and through the per-query loop of :func:`tests.oracles.localize_looped` over
+the engine's bound matcher, at batch sizes 1, 64 and 1024.  Answers must be
+identical (the parity invariant the serving engine rests on); the rows are
+printed as ``BENCH_query_qps_*`` (and optionally written as JSON for CI
+artifacts via ``REPRO_BENCH_JSON``).  The cached path's first call of each
+batch misses on every row (``cached_cold_qps_b*``); its best repeat answers
+every row from the cache (``cached_qps_b*``).
 
 The hard performance assertion — the vectorized path clears ≥ 10x the
 looped throughput at the 1024-query batch — is the point of the read path:
@@ -32,6 +34,7 @@ from tests.oracles import localize_looped
 BATCH_SIZES = (1, 64, 1024)
 REPEATS = 3
 MIN_SPEEDUP_AT_1024 = 10.0
+CACHE_SIZE = 4096
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +47,14 @@ def served_site():
     report = FleetReport(elapsed_days=45.0, reports=tuple(reports))
     engine = QueryEngine(QueryConfig(matcher="knn"))
     engine.publish_report(report)
+    cached = QueryEngine(QueryConfig(matcher="knn", cache_size=CACHE_SIZE))
+    cached.publish_report(report)
     site = report.sites[0]
     matcher = engine.store.current().sites[site].matcher
     paths = {
         "looped": lambda queries: localize_looped(matcher, queries),
         "vectorized": lambda queries: engine.localize_batch(site, queries),
+        "cached": lambda queries: cached.localize_batch(site, queries),
     }
     return paths, report.report_for(site).matrix
 
@@ -71,18 +77,25 @@ def test_query_qps_vectorized_vs_looped(served_site):
         )
         answers = {}
         for name, localize in paths.items():
-            best = float("inf")
+            seconds = []
             for _ in range(REPEATS):
                 start = time.perf_counter()
                 answers[name] = localize(queries)
-                best = min(best, time.perf_counter() - start)
-            qps[(name, batch_size)] = batch_size / best
+                seconds.append(time.perf_counter() - start)
+            qps[(name, batch_size)] = batch_size / min(seconds)
+            if name == "cached":
+                qps[("cached_cold", batch_size)] = batch_size / seconds[0]
 
         # Hard invariant: vectorization never changes an answer.
         fast = answers["vectorized"]
         looped_indices, looped_points = answers["looped"]
         np.testing.assert_array_equal(fast.indices, looped_indices)
         np.testing.assert_allclose(fast.points, looped_points, atol=1e-10)
+        # Nor does the result cache: hits replay the exact miss answers.
+        warm = answers["cached"]
+        assert warm.cache_hits == batch_size
+        np.testing.assert_array_equal(warm.indices, fast.indices)
+        np.testing.assert_array_equal(warm.points, fast.points)
 
         rows[f"looped_qps_b{batch_size}"] = round(qps[("looped", batch_size)], 1)
         rows[f"vectorized_qps_b{batch_size}"] = round(
@@ -91,6 +104,10 @@ def test_query_qps_vectorized_vs_looped(served_site):
         rows[f"speedup_b{batch_size}"] = round(
             qps[("vectorized", batch_size)] / qps[("looped", batch_size)], 2
         )
+        rows[f"cached_cold_qps_b{batch_size}"] = round(
+            qps[("cached_cold", batch_size)], 1
+        )
+        rows[f"cached_qps_b{batch_size}"] = round(qps[("cached", batch_size)], 1)
 
     print()
     for key, value in rows.items():

@@ -13,10 +13,11 @@ LRU).
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,8 +51,8 @@ class ResultCache:
     def __init__(self, capacity: int, quantum_db: float = 0.25) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
-        if quantum_db <= 0:
-            raise ValueError("quantum_db must be positive")
+        if not (math.isfinite(quantum_db) and quantum_db > 0):
+            raise ValueError("quantum_db must be positive and finite")
         self.capacity = int(capacity)
         self.quantum_db = float(quantum_db)
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
@@ -65,6 +66,27 @@ class ResultCache:
         """Whether the cache stores anything at all."""
         return self.capacity > 0
 
+    def keys(
+        self,
+        site: str,
+        generation: int,
+        matcher: str,
+        measurements: np.ndarray,
+    ) -> List[Tuple]:
+        """Cache keys of a ``(B, M)`` batch, one per row: identity fields +
+        the row's quantized vector.  The batch is quantized in one pass and
+        each key slices its row out of the quantized array's bytes."""
+        quantized = np.rint(
+            np.asarray(measurements, dtype=float) / self.quantum_db
+        ).astype(np.int64)
+        data = quantized.tobytes()
+        width = quantized.itemsize * quantized.shape[1]
+        generation = int(generation)
+        return [
+            (site, generation, matcher, data[row * width : (row + 1) * width])
+            for row in range(quantized.shape[0])
+        ]
+
     def key(
         self,
         site: str,
@@ -72,21 +94,20 @@ class ResultCache:
         matcher: str,
         measurement: np.ndarray,
     ) -> Tuple:
-        """Cache key of one query: identity fields + the quantized vector."""
-        quantized = np.round(
-            np.asarray(measurement, dtype=float) / self.quantum_db
-        ).astype(np.int64)
-        return (site, int(generation), matcher, quantized.tobytes())
+        """Cache key of one query: :meth:`keys` of a one-row batch."""
+        return self.keys(site, generation, matcher, np.reshape(measurement, (1, -1)))[0]
 
     def get(self, key: Hashable) -> Optional[object]:
-        """Look up a key, refreshing its LRU position on a hit."""
+        """Look up a key, refreshing its LRU position on a hit (stored values
+        are never ``None``, so ``None`` means a miss)."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return self._entries[key]
-            self._misses += 1
-            return None
+            entry = self._entries.get(key)
+            if entry is None:
+                self._misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return entry
 
     def put(self, key: Hashable, value: object) -> None:
         """Insert (or refresh) an entry, evicting the LRU tail over capacity."""

@@ -21,6 +21,7 @@ UpdateService`: the write path refreshes fingerprint databases, the
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
@@ -74,8 +75,8 @@ class QueryConfig:
             )
         if self.cache_size < 0:
             raise ValueError("cache_size must be non-negative")
-        if self.cache_quantum_db <= 0:
-            raise ValueError("cache_quantum_db must be positive")
+        if not (math.isfinite(self.cache_quantum_db) and self.cache_quantum_db > 0):
+            raise ValueError("cache_quantum_db must be positive and finite")
 
 
 class BoundSite(NamedTuple):
@@ -250,7 +251,10 @@ class QueryEngine:
                 f"unknown site {site!r}; generation {generation.ordinal} "
                 f"serves {list(generation.site_names)}"
             )
-        measurements = check_2d(measurements, "measurements")
+        # One layout for every caller: the matcher's float reductions (and so
+        # the answer) must not depend on whether the batch came in C or
+        # Fortran order.
+        measurements = np.ascontiguousarray(check_2d(measurements, "measurements"))
         if measurements.shape[1] != bound.index.link_count:
             raise ValueError(
                 f"measurements must have {bound.index.link_count} columns "
@@ -268,41 +272,40 @@ class QueryEngine:
                 points=points,
             )
 
-        keys = [
-            self.cache.key(site, generation.ordinal, matcher.name, row)
-            for row in measurements
-        ]
-        cached = [self.cache.get(key) for key in keys]
-        miss_rows = [i for i, entry in enumerate(cached) if entry is None]
-
-        count = measurements.shape[0]
-        indices = np.empty(count, dtype=int)
-        has_points = bound.index.locations is not None
-        points = np.empty((count, 2)) if has_points else None
+        # The batch is quantized once; lookups and inserts stay per row so the
+        # hit/miss counters and the LRU order follow the rows.  Entries are
+        # ``(index, point)`` with ``point`` a row of a private copy (or None).
+        cache = self.cache
+        keys = cache.keys(site, generation.ordinal, matcher.name, measurements)
+        cached = [cache.get(key) for key in keys]
+        miss_rows = [row for row, entry in enumerate(cached) if entry is None]
+        hits = len(keys) - len(miss_rows)
         if miss_rows:
-            miss_indices, miss_points = matcher.localize(measurements[miss_rows])
-            for position, row in enumerate(miss_rows):
-                point = (
-                    miss_points[position].copy() if miss_points is not None else None
-                )
-                self.cache.put(keys[row], (int(miss_indices[position]), point))
-                indices[row] = miss_indices[position]
-                if points is not None:
-                    points[row] = point
-        for row, entry in enumerate(cached):
-            if entry is None:
-                continue
-            cached_index, cached_point = entry
-            indices[row] = cached_index
-            if points is not None:
-                points[row] = cached_point
+            indices, points = matcher.localize(
+                measurements[miss_rows] if hits else measurements
+            )
+            stored_points = (
+                [None] * len(miss_rows) if points is None else list(points.copy())
+            )
+            for row, entry in zip(miss_rows, zip(indices.tolist(), stored_points)):
+                cache.put(keys[row], entry)
+                cached[row] = entry
+        if hits:
+            # An all-miss batch keeps the matcher's arrays; anything else is
+            # assembled from the entries, one array per field.
+            indices = np.array([entry[0] for entry in cached], dtype=int)
+            points = (
+                np.array([entry[1] for entry in cached], dtype=float)
+                if bound.index.locations is not None
+                else None
+            )
         return QueryAnswer(
             site=site,
             matcher=matcher.name,
             generation=generation.ordinal,
             indices=indices,
             points=points,
-            cache_hits=count - len(miss_rows),
+            cache_hits=hits,
         )
 
     def answer(self, batch: QueryBatch) -> QueryAnswer:

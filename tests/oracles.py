@@ -5,11 +5,11 @@ batched LAPACK call, the matchers answer a whole query batch with a few
 GEMMs, and the simulated radio evaluates a whole site as one array field.
 This module keeps the paper-faithful loops those paths replaced —
 Algorithm 1's ``MyInverse`` one column (and one row) at a time, the
-localizers one query at a time, the radio one (sample, link, location) at a
-time through scalar ``math`` — so tests and benchmarks can compare the
-fast paths against them.  Nothing in ``src/`` imports it; tests and
-benchmarks import it as ``tests.oracles`` (``pytest.ini`` puts the
-repository root on the path).
+localizers one query at a time, the result cache one row at a time, the
+radio one (sample, link, location) at a time through scalar ``math`` — so
+tests and benchmarks can compare the fast paths against them.  Nothing in
+``src/`` imports it; tests and benchmarks import it as ``tests.oracles``
+(``pytest.ini`` puts the repository root on the path).
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from repro.core.self_augmented import SelfAugmentedConfig, SelfAugmentedResult, 
 from repro.environments.base import Deployment
 from repro.fingerprint.masks import DecreaseClassification, ElementCategory
 from repro.fingerprint.matrix import FingerprintMatrix
+from repro.query.engine import QueryEngine
 from repro.query.matchers import BoundMatcher
+from repro.query.types import QueryAnswer
 from repro.rf.channel import LinkChannel
 from repro.rf.geometry import Link, Point
 from repro.rf.multipath import MultipathField
@@ -247,6 +249,60 @@ def localize_looped(
     if matcher.index.locations is not None:
         points = np.vstack([localizer.localize_point(row) for row in measurements])
     return indices, points
+
+
+# --------------------------------------------------------------- result cache
+def cache_key_looped(
+    quantum_db: float, site: str, generation: int, matcher: str, row: np.ndarray
+) -> Tuple:
+    """The result-cache key of one query, quantized on its own."""
+    quantized = np.round(np.asarray(row, dtype=float) / quantum_db).astype(np.int64)
+    return (site, int(generation), matcher, quantized.tobytes())
+
+
+def localize_cached_looped(
+    engine: QueryEngine, site: str, measurements: np.ndarray
+) -> QueryAnswer:
+    """The cached branch of :meth:`QueryEngine.localize_batch` one row at a
+    time: a key per row, a copied entry per miss and per-row assembly,
+    against ``engine``'s own generation store and cache."""
+    generation = engine.store.current()
+    bound = generation.sites[site]
+    measurements = check_2d(measurements, "measurements")
+    matcher = bound.matcher
+    cache = engine.cache
+    keys = [
+        cache_key_looped(cache.quantum_db, site, generation.ordinal, matcher.name, row)
+        for row in measurements
+    ]
+    cached = [cache.get(key) for key in keys]
+    miss_rows = [i for i, entry in enumerate(cached) if entry is None]
+
+    count = measurements.shape[0]
+    indices = np.empty(count, dtype=int)
+    points = np.empty((count, 2)) if bound.index.locations is not None else None
+    if miss_rows:
+        miss_indices, miss_points = matcher.localize(measurements[miss_rows])
+        for position, row in enumerate(miss_rows):
+            point = miss_points[position].copy() if miss_points is not None else None
+            cache.put(keys[row], (int(miss_indices[position]), point))
+            indices[row] = miss_indices[position]
+            if points is not None:
+                points[row] = point
+    for row, entry in enumerate(cached):
+        if entry is None:
+            continue
+        indices[row] = entry[0]
+        if points is not None:
+            points[row] = entry[1]
+    return QueryAnswer(
+        site=site,
+        matcher=matcher.name,
+        generation=generation.ordinal,
+        indices=indices,
+        points=points,
+        cache_hits=count - len(miss_rows),
+    )
 
 
 # -------------------------------------------------------------- scalar radio

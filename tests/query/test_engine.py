@@ -11,6 +11,7 @@ from repro.query import (
     QueryIndex,
     bind_matcher,
 )
+from repro.query.cache import ResultCache
 from repro.query.engine import BoundSite
 
 
@@ -36,6 +37,15 @@ class TestQueryConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             QueryConfig(**kwargs)
+
+    @pytest.mark.parametrize("quantum", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_quantum_rejected(self, quantum):
+        # A NaN quantum turns every key into INT64_MIN and an infinite one
+        # rounds every row to 0: one cached answer would serve every query.
+        with pytest.raises(ValueError, match="finite"):
+            QueryConfig(cache_size=16, cache_quantum_db=quantum)
+        with pytest.raises(ValueError, match="finite"):
+            ResultCache(16, quantum)
 
 
 class TestGenerationStore:
@@ -110,6 +120,21 @@ class TestQueryEngineServing:
         np.testing.assert_array_equal(answer.indices, np.arange(4))
         assert answer.points is None
 
+    def test_answer_independent_of_batch_layout(self, refreshed_fleet, rng):
+        site = refreshed_fleet.sites[0]
+        matrix = refreshed_fleet.report_for(site).matrix
+        queries = matrix.values.T[rng.integers(0, matrix.location_count, 40)]
+        queries = queries + rng.normal(0.0, 0.5, queries.shape)
+        answers = []
+        for cache_size in (0, 64):
+            for batch in (np.ascontiguousarray(queries), np.asfortranarray(queries)):
+                engine = QueryEngine(QueryConfig(cache_size=cache_size))
+                engine.publish_report(refreshed_fleet)
+                answers.append(engine.localize_batch(site, batch))
+        for answer in answers[1:]:
+            assert np.array_equal(answer.indices, answers[0].indices)
+            assert np.array_equal(answer.points, answers[0].points)
+
 
 class TestResultCaching:
     @pytest.fixture()
@@ -141,6 +166,17 @@ class TestResultCaching:
         exact = uncached.localize_batch("test-site", measurements)
         np.testing.assert_array_equal(full.indices, exact.indices)
         np.testing.assert_allclose(full.points, exact.points)
+
+    def test_answers_do_not_alias_cache_entries(self, cached_engine, noisy_queries):
+        measurements, _ = noisy_queries
+        cold = cached_engine.localize_batch("test-site", measurements)
+        expected = cold.points.copy()
+        cold.points[:] = 0.0
+        warm = cached_engine.localize_batch("test-site", measurements)
+        np.testing.assert_array_equal(warm.points, expected)
+        warm.points[:] = 1.0
+        again = cached_engine.localize_batch("test-site", measurements)
+        np.testing.assert_array_equal(again.points, expected)
 
     def test_new_generation_invalidates(self, cached_engine, query_index, noisy_queries):
         measurements, _ = noisy_queries
