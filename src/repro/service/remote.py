@@ -357,9 +357,9 @@ class RemoteShardError(RuntimeError):
 
 
 #: Transient dispatch failures worth retrying on another worker: connection
-#: errors and timeouts (``URLError`` subclasses ``OSError``), protocol-level
-#: breakage (``RemoteDisconnected`` after a ``drop``), and responses that
-#: fail wire validation (``corrupt`` in transit).
+#: errors and timeouts (``OSError``), protocol-level breakage
+#: (``RemoteDisconnected`` after a ``drop``), and responses that fail wire
+#: validation (``corrupt`` in transit).
 _RETRYABLE = (OSError, http.client.HTTPException, WirePayloadError)
 
 

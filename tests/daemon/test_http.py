@@ -38,9 +38,9 @@ def server(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def client(server):
-    client = DaemonClient(server.url, timeout=30.0)
-    client.wait_until_ready(timeout=30.0)
-    return client
+    with DaemonClient(server.url, timeout=30.0) as client:
+        client.wait_until_ready(timeout=30.0)
+        yield client
 
 
 @pytest.fixture(scope="module")

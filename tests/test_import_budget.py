@@ -3,7 +3,8 @@
 Package ``__init__``s export lazily (PEP 562), scipy is imported only
 inside the functions that need it, ``repro.service`` never imports
 ``repro.daemon``, and the HTTP layer under the daemon and the shard
-workers (``repro.utils.http``) is stdlib only.  Each case imports one entry
+workers (``repro.utils.http``) is stdlib only and speaks ``http.client``,
+not ``urllib.request``.  Each case imports one entry
 point in a fresh interpreter and checks the set of loaded modules, not the
 wall-clock time, so the guard is deterministic on any host.
 """
@@ -61,3 +62,10 @@ def test_http_layer_is_stdlib_only():
         if _forbidden(name) or name.split(".")[0] == "numpy"
     ]
     assert heavy == []
+
+
+@pytest.mark.parametrize("module", ["repro.utils.http", "repro.daemon.client"])
+def test_http_clients_do_not_load_urllib_request(module):
+    loaded = _loaded_after(module)
+    assert module in loaded
+    assert "urllib.request" not in loaded
