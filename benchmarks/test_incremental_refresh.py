@@ -31,16 +31,11 @@ import numpy as np
 import pytest
 
 from repro.core.self_augmented import SelfAugmentedConfig
-from repro.core.updater import UpdaterConfig
 from repro.service.service import UpdateService
 from repro.service.synthetic import synthesize_fleet
 from repro.service.types import FleetReport
 
 FLEET_SITES = 10
-# A tolerance both paths actually reach inside the sweep budget: with the
-# pinned 1e-7 default nothing converges in 60 sweeps and cold and warm both
-# burn the full budget, which measures nothing.
-SOLVER = SelfAugmentedConfig(max_iterations=60, tolerance=1e-4)
 #: (label, additive measurement-noise scale in dB) refresh schedule.
 DRIFT_SCHEDULE = (("zero", 0.0), ("small", 0.003), ("large", 1.0))
 ACCURACY_TOLERANCE_DB = 0.5
@@ -55,7 +50,6 @@ def previous_generation():
         seed=11,
         link_count=(3, 4),
         locations_per_link=4,
-        updater=UpdaterConfig(solver=SOLVER),
     )
     service = UpdateService()
     reports = service.update_fleet(requests)
@@ -99,7 +93,7 @@ def test_incremental_refresh_drift_schedule(previous_generation):
 
     rows = {
         "sites": FLEET_SITES,
-        "tolerance": SOLVER.tolerance,
+        "tolerance": SelfAugmentedConfig().tolerance,
         "base_sweeps": sum(r.sweeps for r in base_report.reports),
     }
     results = {}

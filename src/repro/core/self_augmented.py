@@ -62,7 +62,12 @@ class SelfAugmentedConfig:
     max_iterations:
         Number of alternating sweeps (the paper's iteration count ``t``).
     tolerance:
-        Relative objective-change threshold for early stopping.
+        Early-stopping threshold ``tau`` on the estimate's relative change:
+        a solve stops after the sweep ``k`` where
+        ``||X_k - X_{k-1}||_F < tau ||X_{k-1}||_F`` (``X = L R^T``).  A warm
+        start also compares the warm factors' objective on the new data
+        with the previous generation's against it (see
+        :meth:`SweepState.warm_start`).
     reference_weight:
         Weight ``w1`` of Constraint 1 (reference/correlation fit).  ``None``
         enables auto-scaling relative to the data-fit term.
@@ -85,7 +90,7 @@ class SelfAugmentedConfig:
     rank: Optional[int] = None
     regularization: float = 0.01
     max_iterations: int = 40
-    tolerance: float = 1e-7
+    tolerance: float = 3e-4
     reference_weight: Optional[float] = None
     structure_weight: Optional[float] = None
     use_reference_constraint: bool = True
@@ -129,7 +134,9 @@ class SelfAugmentedResult:
     iterations:
         Number of alternating sweeps executed.
     converged:
-        Whether the objective change fell below the tolerance.
+        Whether the solve stopped on its tolerance rather than its sweep
+        budget: the estimate's relative change fell below it, or a warm
+        start's data had not moved (zero sweeps).
     reference_weight, structure_weight:
         The (possibly auto-scaled) constraint weights actually used.
     """
@@ -171,6 +178,7 @@ def _transpose(matrix: np.ndarray) -> np.ndarray:
 
 
 def _objective(
+    estimate: np.ndarray,
     left: np.ndarray,
     right: np.ndarray,
     observed: np.ndarray,
@@ -183,9 +191,9 @@ def _objective(
     w1,
     w2,
 ):
-    """Eq. 18 per site: a float for one site, an ``(S,)`` array for a stack
-    (``lam`` / ``w1`` / ``w2`` are then ``(S,)`` too)."""
-    estimate = left @ _transpose(right)
+    """Eq. 18 per site at ``estimate = L R^T``: a float for one site, an
+    ``(S,)`` array for a stack (``lam`` / ``w1`` / ``w2`` are then ``(S,)``
+    too)."""
     value = lam * (_site_sum(left**2) + _site_sum(right**2))
     value += _site_sum((mask * estimate - observed) ** 2)
     if prediction is not None:
@@ -257,7 +265,8 @@ class SweepState:
     whose factors are ``(S, m, r)`` / ``(S, n, r)``, whose inputs are
     ``(S, m, n)`` and whose per-site scalars (``lam``, ``w1``, ``w2``,
     ``tolerance``, ``max_iterations``, the objective and the convergence
-    flag) are ``(S,)`` arrays; :meth:`unstack` writes it back.  Stacked
+    flag) are ``(S,)`` arrays, as is the estimate ``L R^T`` the stop test
+    compares against; :meth:`unstack` writes it back.  Stacked
     matmuls run one gemm per site slice, element-wise terms keep the
     single-site association order and every objective sum reduces per site,
     so each member moves exactly as it would alone.
@@ -272,6 +281,7 @@ class SweepState:
         "structural_scale",
         "left",
         "right",
+        "estimate",
     )
     #: Per-site scalars a stacked state carries as ``(S,)`` arrays.
     _SITE_SCALARS = (
@@ -359,6 +369,10 @@ class SweepState:
                 (m, self.rank)
             )
         self.right = np.zeros((n, self.rank))
+        # L R^T of the current factors: the next sweep's structural targets
+        # and the previous iterate of its stop test.  L0 R0^T = 0, so the
+        # first sweep of a cold solve cannot stop.
+        self.estimate = np.zeros((m, n))
 
         # ------------------------------------------------------------ weights
         # Scale the constraint terms to the same order of magnitude as the
@@ -463,6 +477,7 @@ class SweepState:
         for k, state in enumerate(self.members):
             state.left = self.left[k].copy()
             state.right = self.right[k].copy()
+            state.estimate = self.estimate[k]
             state.previous_objective = float(self.previous_objective[k])
             state.converged = bool(self.converged[k])
             state.iterations = self.iterations
@@ -483,13 +498,13 @@ class SweepState:
 
         Replaces the cold-start factors with ``left`` / ``right`` and resets
         the convergence bookkeeping so the sweep budget starts over.  The
-        objective of the warm factors *on the new data* seeds
-        ``previous_objective``, so a barely-drifted refresh converges after a
-        single sweep — and when ``objective`` (the previous generation's
-        final objective) is given and matches within the configured
-        tolerance, the state is marked converged immediately: an unchanged
-        refresh runs zero sweeps and :meth:`finalize` reproduces the previous
-        factors bit for bit.
+        warm estimate ``L R^T`` is the first sweep's previous iterate, so a
+        barely-drifted refresh stops after a single sweep — and when
+        ``objective`` (the previous generation's final objective) is given
+        and the warm factors' objective *on the new data* matches it within
+        the configured tolerance, the state is marked converged immediately:
+        an unchanged refresh runs zero sweeps and :meth:`finalize` reproduces
+        the previous factors bit for bit.
 
         Returns whether the state converged without needing any sweeps (per
         site, for a stacked state).
@@ -509,7 +524,8 @@ class SweepState:
         self.right = right.copy()
         self.iterations = 0
         self.warm_started = True
-        current = self._evaluate()
+        self.estimate = self.left @ _transpose(self.right)
+        current = self._evaluate(self.estimate)
         converged = False
         if objective is not None:
             with np.errstate(invalid="ignore"):
@@ -547,7 +563,7 @@ class SweepState:
             if self.iterations == 1:
                 reference_estimate = self.prediction_array
             else:
-                reference_estimate = self.left @ _transpose(self.right)
+                reference_estimate = self.estimate
             self._estimate_stripe = _extract_stripes(
                 reference_estimate, self.locations_per_link
             )
@@ -604,8 +620,9 @@ class SweepState:
         """Install the solved L factor for the current sweep."""
         self.left = solution.reshape(self.left.shape)
 
-    def _evaluate(self):
+    def _evaluate(self, estimate: np.ndarray):
         return _objective(
+            estimate,
             self.left,
             self.right,
             self.observed,
@@ -620,18 +637,19 @@ class SweepState:
         )
 
     def finish_sweep(self):
-        """Evaluate the objective and update the convergence bookkeeping.
+        """Form the estimate ``X_k = L R^T`` once, evaluate the objective on
+        it and stop each site whose ``||X_k - X_{k-1}||_F`` fell below
+        ``tolerance * ||X_{k-1}||_F``.
 
         Returns whether the state converged (per site, for a stacked state).
         """
-        objective = self._evaluate()
-        previous = self.previous_objective
-        # The first sweep has no previous objective (inf): no change to test.
-        with np.errstate(invalid="ignore"):
-            change = np.abs(previous - objective) / np.maximum(previous, 1e-12)
-            converged = (previous < np.inf) & (change < self.tolerance)
-        self.previous_objective = objective
-        self.converged = _unbox(converged)
+        estimate = self.left @ _transpose(self.right)
+        self.previous_objective = self._evaluate(estimate)
+        change = np.sqrt(_site_sum((estimate - self.estimate) ** 2))
+        scale = np.sqrt(_site_sum(self.estimate**2))
+        # A zero previous estimate (a cold first sweep) never stops: 0 < 0.
+        self.converged = _unbox(change < self.tolerance * scale)
+        self.estimate = estimate
         return self.converged
 
     def finalize(self) -> SelfAugmentedResult:

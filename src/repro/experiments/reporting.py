@@ -56,13 +56,13 @@ def format_series_table(
 def format_fleet_report(report) -> str:
     """Render a :class:`~repro.service.types.FleetReport` as a text table.
 
-    One row per site (shape, sweeps, convergence, reconstruction error vs
+    One row per site (shape, sweeps, stop reason, reconstruction error vs
     the stale baseline) followed by the aggregate summary the fleet CLI
     prints per refresh.
     """
     lines = [f"fleet refresh @ {report.elapsed_days:g} days"]
     header = (
-        f"  {'site':<12}{'links':>6}{'grids':>7}{'sweeps':>8}{'conv':>6}"
+        f"  {'site':<12}{'links':>6}{'grids':>7}{'sweeps':>8}{'stop':>16}"
         f"{'error_db':>10}{'stale_db':>10}"
     )
     lines.append(header)
@@ -75,7 +75,7 @@ def format_fleet_report(report) -> str:
             f"{matrix.link_count:>6}"
             f"{matrix.location_count:>7}"
             f"{site_report.sweeps:>8}"
-            f"{'yes' if site_report.converged else 'no':>6}"
+            f"{site_report.stop_reason:>16}"
             + (f"{error:>10.3f}" if error is not None else f"{'-':>10}")
             + (f"{stale:>10.3f}" if stale is not None else f"{'-':>10}")
         )

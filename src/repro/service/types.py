@@ -8,7 +8,7 @@ The service speaks three value types:
   solver seed.
 * :class:`UpdateReport` — the per-site outcome, wrapping the familiar
   :class:`~repro.core.updater.UpdateResult` with service-level bookkeeping
-  (how many sweeps, convergence, warm start).
+  (how many sweeps, why the solve stopped, warm start).
 * :class:`FleetReport` — one refresh of a whole fleet: the per-site reports
   plus reconstruction-error summaries against ground truth where the caller
   (typically :class:`~repro.service.fleet.FleetCampaign`) knows it.
@@ -31,6 +31,14 @@ from repro.utils.validation import check_2d, check_matching_shapes
 
 __all__ = ["WarmFactors", "UpdateRequest", "UpdateReport", "FleetReport"]
 
+#: Each :attr:`UpdateReport.stop_reason` and the :meth:`FleetReport.aggregate`
+#: key counting the sites that stopped for it.
+_STOP_COUNT_KEYS = {
+    "warm-unchanged": "stop_unchanged",
+    "tolerance": "stop_tolerance",
+    "budget": "stop_budget",
+}
+
 
 @dataclass(frozen=True)
 class WarmFactors:
@@ -43,8 +51,9 @@ class WarmFactors:
         refresh, fed to :meth:`~repro.core.self_augmented.SweepState.warm_start`.
     objective:
         The previous generation's final objective.  When given, a refresh
-        whose data has not drifted past the solver tolerance converges with
-        zero sweeps and reproduces the factors bit for bit.
+        whose warm factors' objective on the new data is within the solver
+        tolerance of it stops with zero sweeps and reproduces the factors
+        bit for bit.
     """
 
     left: np.ndarray
@@ -169,7 +178,9 @@ class UpdateReport:
     sweeps:
         Alternating sweeps this site consumed.
     converged:
-        Whether the site's solve met its tolerance within budget.
+        Whether the site's solve stopped before its sweep budget: the
+        estimate's relative change per sweep fell below the solver
+        tolerance, or a warm start found its data unchanged.
     warm_started:
         Whether this site's solve resumed from a previous generation's
         factors instead of a cold init.
@@ -180,6 +191,17 @@ class UpdateReport:
     sweeps: int
     converged: bool
     warm_started: bool = False
+
+    @property
+    def stop_reason(self) -> str:
+        """Why the solve stopped: ``"warm-unchanged"`` (a warm start whose
+        data had not moved, zero sweeps), ``"tolerance"`` (the estimate
+        stopped moving) or ``"budget"`` (the sweep cap)."""
+        if not self.converged:
+            return "budget"
+        if self.warm_started and self.sweeps == 0:
+            return "warm-unchanged"
+        return "tolerance"
 
     @property
     def matrix(self) -> FingerprintMatrix:
@@ -276,8 +298,10 @@ class FleetReport:
         summary: Dict[str, float] = {
             "sites": float(len(self.reports)),
             "stacked_sweeps": float(self.stacked_sweeps),
-            "converged_sites": float(sum(r.converged for r in self.reports)),
         }
+        reasons = [r.stop_reason for r in self.reports]
+        for reason, key in _STOP_COUNT_KEYS.items():
+            summary[key] = float(reasons.count(reason))
         warm_sites = sum(r.warm_started for r in self.reports)
         if warm_sites:
             summary["warm_sites"] = float(warm_sites)

@@ -630,6 +630,7 @@ class TestFleetCommand:
         assert "office" in output and "library" in output
         assert "mean_error_db" in output
         assert "stacked_sweeps" in output
+        assert "stop_tolerance" in output and "stop_budget" in output
 
     def test_unknown_environment_rejected(self, capsys):
         assert main(["fleet", "--environments", "warehouse"]) == 2

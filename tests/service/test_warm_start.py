@@ -15,11 +15,18 @@ import pytest
 
 from repro.core.self_augmented import SelfAugmentedConfig
 from repro.core.updater import UpdaterConfig
+from repro.service.fleet import FleetCampaign, FleetConfig
 from repro.io.wire import load_report, load_requests, save_report, save_requests
 from repro.service.executor import ProcessExecutor
 from repro.service.service import UpdateService
 from repro.service.synthetic import synthesize_fleet
 from repro.service.types import FleetReport, WarmFactors
+from repro.simulation.campaign import CampaignConfig
+from repro.simulation.collector import CollectionConfig
+
+#: Warm-start accuracy gate: a warm refresh may be this much worse than a
+#: cold solve of the same requests.
+WARM_GATE_DB = 0.05
 
 
 @pytest.fixture(scope="module")
@@ -130,9 +137,86 @@ class TestWarmFrom:
         )
         summary = warm_report.aggregate()
         assert summary["warm_sites"] == len(requests)
+        assert summary["stop_unchanged"] == len(requests)
+        assert summary["stop_tolerance"] == summary["stop_budget"] == 0.0
         assert summary["sweeps_saved"] == sum(
             service.last_sweeps_saved.values()
         )
+
+
+@pytest.fixture(scope="module", params=(1, 2, 3))
+def default_generations(request):
+    """A paper-scale three-environment fleet at the default solver config:
+    the day-45 requests with their cold refresh, the day-46 requests and the
+    day-46 ground truths."""
+    campaign = FleetCampaign(
+        config=FleetConfig(
+            campaign=CampaignConfig(
+                timestamps_days=(0.0, 45.0, 46.0),
+                collection=CollectionConfig(
+                    survey_samples=3, reference_samples=2, online_samples=1
+                ),
+                seed=1000 * request.param,
+            )
+        )
+    )
+    before = campaign.build_requests(45.0)
+    previous = FleetReport(
+        elapsed_days=45.0, reports=tuple(UpdateService().update_fleet(before))
+    )
+    after = campaign.build_requests(46.0)
+    truths = [campaign.campaign(site).ground_truth(46.0) for site in campaign.sites]
+    return before, previous, after, truths
+
+
+class TestWarmStartAtDefaultConfig:
+    """The estimate-change stop must not let a warm start skip real drift
+    or trade accuracy for sweeps."""
+
+    def test_drifted_data_sweeps_and_matches_the_cold_solve(
+        self, default_generations
+    ):
+        before, previous, after, truths = default_generations
+        for old, new in zip(before, after):
+            both = (old.no_decrease_mask * new.no_decrease_mask) > 0
+            drift = np.abs(new.no_decrease_matrix - old.no_decrease_matrix)[both]
+            assert drift.mean() >= 0.3
+        service = UpdateService()
+        cold = service.update_fleet(after)
+        warm = service.update_fleet(after, warm_from=previous)
+        for a, b, truth in zip(cold, warm, truths):
+            assert b.warm_started and b.sweeps >= 1
+            assert b.stop_reason != "warm-unchanged"
+            gap = b.matrix.reconstruction_error_db(
+                truth
+            ) - a.matrix.reconstruction_error_db(truth)
+            assert gap <= WARM_GATE_DB, (b.site, gap)
+
+    def test_unchanged_data_takes_zero_sweeps_bit_identical(
+        self, default_generations
+    ):
+        before, previous, _, _ = default_generations
+        reports = UpdateService().update_fleet(before, warm_from=previous)
+        for old, report in zip(previous.reports, reports):
+            assert report.sweeps == 0
+            assert report.stop_reason == "warm-unchanged"
+            for name in ("left", "right"):
+                assert (
+                    getattr(report.result.solver, name).tobytes()
+                    == getattr(old.result.solver, name).tobytes()
+                )
+            assert report.estimate.tobytes() == old.estimate.tobytes()
+
+
+class TestStopReason:
+    def test_derived_from_the_wire_fields(self, base_generation):
+        report = base_generation[1].reports[0]
+        assert replace(report, converged=False).stop_reason == "budget"
+        assert replace(report, converged=True).stop_reason == "tolerance"
+        warm = replace(report, converged=True, warm_started=True)
+        assert replace(warm, sweeps=0).stop_reason == "warm-unchanged"
+        assert replace(warm, sweeps=2).stop_reason == "tolerance"
+        assert replace(warm, converged=False, sweeps=60).stop_reason == "budget"
 
 
 class TestWarmStartWire:
