@@ -29,9 +29,9 @@ from repro.simulation.collector import CollectionConfig
 
 DAY = 45.0
 REPLICAS = 4
-GOLDEN_REPORT_SHA256 = "c63790b5f95045b1b794af609f4cd31cb1b86a7d9103f8f6161c71a9830f7b21"
-GOLDEN_SHARD_SWEEPS = [40, 40]
-GOLDEN_SITE_SWEEPS = [40] * 3 * REPLICAS
+GOLDEN_REPORT_SHA256 = "8c1dd9df5734d96a4ff315a7791525cfa20bdc5956481e0c6f4f7d8b8efc91d8"
+GOLDEN_SHARD_SWEEPS = [19, 23]
+GOLDEN_SITE_SWEEPS = [6, 13, 23, 7, 8, 11, 4, 10, 13, 6, 19, 9]
 
 
 def golden_requests():
