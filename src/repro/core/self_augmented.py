@@ -65,9 +65,8 @@ class SelfAugmentedConfig:
         Early-stopping threshold ``tau`` on the estimate's relative change:
         a solve stops after the sweep ``k`` where
         ``||X_k - X_{k-1}||_F < tau ||X_{k-1}||_F`` (``X = L R^T``).  A warm
-        start also compares the warm factors' objective on the new data
-        with the previous generation's against it (see
-        :meth:`SweepState.warm_start`).
+        start's zero-sweep check tests the relative change of the objective
+        against the same value (see :meth:`SweepState.warm_start`).
     reference_weight:
         Weight ``w1`` of Constraint 1 (reference/correlation fit).  ``None``
         enables auto-scaling relative to the data-fit term.
@@ -647,7 +646,8 @@ class SweepState:
         self.previous_objective = self._evaluate(estimate)
         change = np.sqrt(_site_sum((estimate - self.estimate) ** 2))
         scale = np.sqrt(_site_sum(self.estimate**2))
-        # A zero previous estimate (a cold first sweep) never stops: 0 < 0.
+        # A zero previous estimate (a cold first sweep) bounds the change
+        # by 0, which no change is below.
         self.converged = _unbox(change < self.tolerance * scale)
         self.estimate = estimate
         return self.converged
