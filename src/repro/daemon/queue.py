@@ -187,16 +187,6 @@ class JobQueue:
             self._persist()
             return copy_record(job)
 
-    def next_eta(self) -> Optional[float]:
-        """Epoch time the earliest backoff window opens (``None`` if none)."""
-        with self._lock:
-            etas = [
-                job.not_before
-                for job in self._jobs.values()
-                if job.state == JOB_QUEUED and job.not_before > self._clock()
-            ]
-            return min(etas) if etas else None
-
     # ------------------------------------------------------------- transitions
     def _running(self, job_id: str) -> JobRecord:
         job = self._jobs.get(job_id)
@@ -286,12 +276,6 @@ class JobQueue:
             for job in self._jobs.values():
                 counts[job.state] += 1
             return counts
-
-    @property
-    def pending_count(self) -> int:
-        """Queued plus running jobs — what a drain leaves journaled."""
-        counts = self.counts()
-        return counts[JOB_QUEUED] + counts[JOB_RUNNING]
 
     # ------------------------------------------------------------------- paths
     def payload_path(self, job: JobRecord) -> Path:

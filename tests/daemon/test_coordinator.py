@@ -450,4 +450,5 @@ class TestAcceptanceScenario:
         finally:
             assert coordinator.drain(timeout=30.0)
         # Graceful drain left nothing pending in the journal.
-        assert coordinator.queue.pending_count == 0
+        counts = coordinator.queue.counts()
+        assert counts["queued"] == counts["running"] == 0

@@ -260,6 +260,7 @@ class TestDrainOverHttp:
             pytest.fail("submit after drain must be rejected")
 
         assert server.wait(timeout=30.0)
-        assert coordinator.queue.pending_count == 0
+        counts = coordinator.queue.counts()
+        assert counts["queued"] == counts["running"] == 0
         with pytest.raises(DaemonError):
             client.health()
