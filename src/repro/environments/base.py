@@ -132,21 +132,3 @@ class Deployment:
     def location_point(self, location_index: int) -> Point:
         """Coordinates of a grid location."""
         return self.locations[location_index]
-
-    def neighbours_along_link(self, location_index: int) -> List[int]:
-        """Indices of the neighbouring locations on the same link stripe."""
-        link = self.link_of_location(location_index)
-        offset = self.stripe_offset(location_index)
-        stripe = list(self.stripe_indices(link))
-        neighbours = []
-        if offset > 0:
-            neighbours.append(stripe[offset - 1])
-        if offset < self.locations_per_link - 1:
-            neighbours.append(stripe[offset + 1])
-        return neighbours
-
-    def localization_error_m(self, true_index: int, estimated_index: int) -> float:
-        """Euclidean distance between two grid locations (the paper's metric)."""
-        true_point = self.location_point(true_index)
-        estimated_point = self.location_point(estimated_index)
-        return true_point.distance_to(estimated_point)

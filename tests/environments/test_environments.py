@@ -11,6 +11,7 @@ from repro.environments import (
 )
 from repro.environments.base import EnvironmentSpec
 from repro.environments.builder import multipath_config_for_level
+from tests.oracles import segment_distance_scalar
 
 
 class TestEnvironmentSpecs:
@@ -76,7 +77,10 @@ class TestBuildDeployment:
         deployment = build_deployment(small_spec, seed=1)
         for j in range(deployment.location_count):
             link = deployment.links[deployment.link_of_location(j)]
-            assert link.distance_from(deployment.location_point(j)) < 1e-9
+            location = deployment.location_point(j)
+            assert segment_distance_scalar(
+                location, link.transmitter, link.receiver
+            ) < 1e-9
 
     def test_deterministic_given_seed(self, small_spec):
         a = build_deployment(small_spec, seed=3)
@@ -112,19 +116,9 @@ class TestDeploymentHelpers:
         for j in range(small_deployment.location_count):
             assert 0 <= small_deployment.stripe_offset(j) < small_deployment.locations_per_link
 
-    def test_neighbours_along_link(self, small_deployment):
-        width = small_deployment.locations_per_link
-        assert small_deployment.neighbours_along_link(0) == [1]
-        assert small_deployment.neighbours_along_link(1) == [0, 2]
-        assert small_deployment.neighbours_along_link(width - 1) == [width - 2]
-
     def test_location_array_shape(self, small_deployment):
         array = small_deployment.location_array()
         assert array.shape == (small_deployment.location_count, 2)
-
-    def test_localization_error_metric(self, small_deployment):
-        assert small_deployment.localization_error_m(0, 0) == 0.0
-        assert small_deployment.localization_error_m(0, 1) > 0.0
 
     def test_invalid_indices_rejected(self, small_deployment):
         with pytest.raises(ValueError):
