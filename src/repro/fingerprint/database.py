@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.fingerprint.matrix import FingerprintMatrix
 
 __all__ = ["TimestampedFingerprint", "FingerprintDatabase", "PAPER_TIMESTAMPS_DAYS"]
@@ -57,11 +55,6 @@ class FingerprintDatabase:
     def original(self) -> FingerprintMatrix:
         """The matrix surveyed at the original time (day 0)."""
         return self._snapshots[0.0].matrix
-
-    @property
-    def latest_updated_days(self) -> float:
-        """Time stamp of the most recently updated (current) matrix."""
-        return self._latest_updated_days
 
     @property
     def current(self) -> FingerprintMatrix:
@@ -108,27 +101,3 @@ class FingerprintDatabase:
         self._snapshots[key] = TimestampedFingerprint(elapsed_days=key, matrix=matrix)
         if mark_as_current and key >= self._latest_updated_days:
             self._latest_updated_days = key
-
-    def drop_snapshot(self, elapsed_days: float) -> None:
-        """Remove a snapshot (the day-0 original cannot be removed)."""
-        key = float(elapsed_days)
-        if key == 0.0:
-            raise ValueError("the original (day 0) snapshot cannot be removed")
-        if key not in self._snapshots:
-            raise KeyError(f"no snapshot at {elapsed_days} days")
-        del self._snapshots[key]
-        if self._latest_updated_days == key:
-            self._latest_updated_days = max(self._snapshots)
-
-    # ---------------------------------------------------------------- queries
-    def staleness_days(self, now_days: float) -> float:
-        """How old the current matrix is relative to ``now_days``."""
-        if now_days < self._latest_updated_days:
-            raise ValueError("now_days precedes the latest update")
-        return now_days - self._latest_updated_days
-
-    def drift_between(self, first_days: float, second_days: float) -> float:
-        """Mean absolute RSS change between two stored snapshots (dB)."""
-        first = self.get(first_days)
-        second = self.get(second_days)
-        return float(np.mean(np.abs(first.values - second.values)))

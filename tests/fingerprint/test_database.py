@@ -42,13 +42,12 @@ class TestSnapshots:
     def test_mark_as_current(self):
         database = FingerprintDatabase(make_matrix())
         database.add_snapshot(5.0, make_matrix(2.0), mark_as_current=True)
-        assert database.latest_updated_days == 5.0
         assert database.current.values[0, 0] == pytest.approx(-58.0)
 
     def test_ground_truth_snapshots_do_not_change_current(self):
         database = FingerprintDatabase(make_matrix())
         database.add_snapshot(5.0, make_matrix(2.0), mark_as_current=False)
-        assert database.latest_updated_days == 0.0
+        assert database.current.values[0, 0] == pytest.approx(-60.0)
 
     def test_shape_mismatch_rejected(self):
         database = FingerprintDatabase(make_matrix())
@@ -65,34 +64,3 @@ class TestSnapshots:
         database = FingerprintDatabase(make_matrix())
         with pytest.raises(KeyError):
             database.get(7.0)
-
-    def test_drop_snapshot(self):
-        database = FingerprintDatabase(make_matrix())
-        database.add_snapshot(5.0, make_matrix())
-        database.drop_snapshot(5.0)
-        assert 5.0 not in database
-        assert database.latest_updated_days == 0.0
-
-    def test_cannot_drop_original(self):
-        database = FingerprintDatabase(make_matrix())
-        with pytest.raises(ValueError):
-            database.drop_snapshot(0.0)
-
-
-class TestQueries:
-    def test_staleness(self):
-        database = FingerprintDatabase(make_matrix())
-        assert database.staleness_days(45.0) == 45.0
-        database.add_snapshot(30.0, make_matrix())
-        assert database.staleness_days(45.0) == 15.0
-
-    def test_staleness_rejects_past(self):
-        database = FingerprintDatabase(make_matrix())
-        database.add_snapshot(30.0, make_matrix())
-        with pytest.raises(ValueError):
-            database.staleness_days(10.0)
-
-    def test_drift_between(self):
-        database = FingerprintDatabase(make_matrix())
-        database.add_snapshot(5.0, make_matrix(3.0), mark_as_current=False)
-        assert database.drift_between(0.0, 5.0) == pytest.approx(3.0)
