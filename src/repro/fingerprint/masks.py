@@ -57,25 +57,6 @@ class DecreaseClassification:
         """The index matrix ``B``: 1 where the element has no RSS decrease."""
         return (self.categories == ElementCategory.NONE.value).astype(float)
 
-    @property
-    def large_decrease_mask(self) -> np.ndarray:
-        """1 where the target blocks the direct path of the link."""
-        return (self.categories == ElementCategory.LARGE.value).astype(float)
-
-    @property
-    def small_decrease_mask(self) -> np.ndarray:
-        """1 where the target is inside the FFZ without blocking."""
-        return (self.categories == ElementCategory.SMALL.value).astype(float)
-
-    @property
-    def labor_mask(self) -> np.ndarray:
-        """1 where a measurement requires a person (large or small decrease)."""
-        return 1.0 - self.no_decrease_mask
-
-    def fraction_no_decrease(self) -> float:
-        """Fraction of elements measurable without a person present."""
-        return float(self.no_decrease_mask.mean())
-
 
 def classify_elements(
     deployment: Deployment, use_geometry: bool = True

@@ -25,18 +25,9 @@ class TestClassification:
 
     def test_masks_partition_elements(self, small_deployment):
         classification = classify_elements(small_deployment)
-        total = (
-            classification.no_decrease_mask
-            + classification.small_decrease_mask
-            + classification.large_decrease_mask
-        )
-        np.testing.assert_allclose(total, np.ones_like(total))
-
-    def test_labor_mask_complement(self, small_deployment):
-        classification = classify_elements(small_deployment)
-        np.testing.assert_allclose(
-            classification.labor_mask, 1.0 - classification.no_decrease_mask
-        )
+        assert set(np.unique(classification.categories)) <= {
+            category.value for category in ElementCategory
+        }
 
     def test_far_links_have_no_decrease(self, small_deployment):
         classification = classify_elements(small_deployment)
@@ -46,7 +37,7 @@ class TestClassification:
 
     def test_fraction_no_decrease_positive(self, small_deployment):
         classification = classify_elements(small_deployment)
-        assert 0.0 < classification.fraction_no_decrease() < 1.0
+        assert 0.0 < classification.no_decrease_mask.mean() < 1.0
 
     def test_structural_mode_matches_figure4_sketch(self, small_deployment):
         classification = classify_elements(small_deployment, use_geometry=False)
@@ -59,14 +50,6 @@ class TestClassification:
     def test_geometry_and_structural_agree_on_own_stripe(self, small_deployment):
         geometric = classify_elements(small_deployment, use_geometry=True)
         structural = classify_elements(small_deployment, use_geometry=False)
-        np.testing.assert_allclose(
-            geometric.large_decrease_mask.diagonal()
-            if geometric.large_decrease_mask.shape[0] == geometric.large_decrease_mask.shape[1]
-            else np.ones(1),
-            structural.large_decrease_mask.diagonal()
-            if structural.large_decrease_mask.shape[0] == structural.large_decrease_mask.shape[1]
-            else np.ones(1),
-        )
         # Both agree that every column's own link is a large decrease.
         for j in range(small_deployment.location_count):
             own = small_deployment.link_of_location(j)
