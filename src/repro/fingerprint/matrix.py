@@ -103,13 +103,6 @@ class FingerprintMatrix:
             raise ValueError(f"column must lie in [0, {self.location_count - 1}]")
         return column % self.locations_per_link
 
-    def stripe_columns(self, link_index: int) -> range:
-        """Columns forming the stripe of ``link_index``."""
-        if not 0 <= link_index < self.link_count:
-            raise ValueError(f"link_index must lie in [0, {self.link_count - 1}]")
-        width = self.locations_per_link
-        return range(link_index * width, (link_index + 1) * width)
-
     def _structural_no_decrease_mask(self) -> np.ndarray:
         """Default ``B``: links two or more stripes away see no decrease."""
         m, n = self.values.shape
@@ -133,17 +126,6 @@ class FingerprintMatrix:
         for i in range(self.link_count):
             xd[i, :] = self.values[i, i * width : (i + 1) * width]
         return xd
-
-    def set_largely_decrease_matrix(self, xd: np.ndarray) -> None:
-        """Write an ``M x (N/M)`` matrix back into the diagonal stripes."""
-        xd = check_2d(xd, "xd")
-        width = self.locations_per_link
-        if xd.shape != (self.link_count, width):
-            raise ValueError(
-                f"xd must have shape {(self.link_count, width)}, got {xd.shape}"
-            )
-        for i in range(self.link_count):
-            self.values[i, i * width : (i + 1) * width] = xd[i, :]
 
     def no_decrease_matrix(self) -> np.ndarray:
         """``X_B = B ∘ X`` — the observable entries with nobody present."""
@@ -185,7 +167,3 @@ class FingerprintMatrix:
         if other_values.shape != self.values.shape:
             raise ValueError("matrices must share the same shape")
         return np.mean(np.abs(self.values - other_values), axis=0)
-
-    def singular_values(self) -> np.ndarray:
-        """Singular values of the matrix (used by the low-rank diagnostics)."""
-        return np.linalg.svd(self.values, compute_uv=False)

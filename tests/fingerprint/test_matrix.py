@@ -72,14 +72,13 @@ class TestStripeMath:
 
     def test_stripe_columns(self):
         matrix = make_matrix(links=3, width=5)
-        assert list(matrix.stripe_columns(1)) == [5, 6, 7, 8, 9]
+        stripe = [j for j in range(15) if matrix.link_of_column(j) == 1]
+        assert stripe == [5, 6, 7, 8, 9]
 
     def test_out_of_range_rejected(self):
         matrix = make_matrix()
         with pytest.raises(ValueError):
             matrix.link_of_column(99)
-        with pytest.raises(ValueError):
-            matrix.stripe_columns(9)
 
 
 class TestDerivedMatrices:
@@ -93,16 +92,6 @@ class TestDerivedMatrices:
             np.testing.assert_allclose(
                 xd[i], striped_fingerprint.values[i, i * 6 : (i + 1) * 6]
             )
-
-    def test_set_largely_decrease_roundtrip(self, striped_fingerprint):
-        matrix = striped_fingerprint.copy()
-        xd = matrix.largely_decrease_matrix() + 1.0
-        matrix.set_largely_decrease_matrix(xd)
-        np.testing.assert_allclose(matrix.largely_decrease_matrix(), xd)
-
-    def test_set_largely_decrease_rejects_bad_shape(self, striped_fingerprint):
-        with pytest.raises(ValueError):
-            striped_fingerprint.set_largely_decrease_matrix(np.zeros((4, 5)))
 
     def test_no_decrease_matrix_is_masked(self, striped_fingerprint):
         xb = striped_fingerprint.no_decrease_matrix()
@@ -140,10 +129,6 @@ class TestMetrics:
     def test_shape_mismatch_rejected(self, striped_fingerprint):
         with pytest.raises(ValueError):
             striped_fingerprint.reconstruction_error_db(np.zeros((4, 23)))
-
-    def test_singular_values_descending(self, striped_fingerprint):
-        values = striped_fingerprint.singular_values()
-        assert np.all(np.diff(values) <= 1e-9)
 
     @given(st.floats(-5.0, 5.0, allow_nan=False))
     @settings(max_examples=30, deadline=None)
