@@ -32,16 +32,6 @@ class LocalizationReport:
         """Empirical CDF of the errors (for CDF figures)."""
         return empirical_cdf(self.errors_m)
 
-    def improvement_over(self, other: "LocalizationReport") -> float:
-        """Relative mean-error improvement of ``self`` over ``other``.
-
-        Matches the paper's phrasing "improves the localization accuracy by
-        X %": ``(other.mean - self.mean) / other.mean``.
-        """
-        if other.mean_m <= 0:
-            raise ValueError("cannot compute improvement over a zero-error baseline")
-        return float((other.mean_m - self.mean_m) / other.mean_m)
-
 
 def localization_errors(
     true_points: np.ndarray, estimated_points: np.ndarray

@@ -71,18 +71,6 @@ class TestSummarizeErrors:
         report = summarize_errors([0.5, 1.5, 2.5])
         assert report.cdf.probability_below(2.0) == pytest.approx(2 / 3)
 
-    def test_improvement_over(self):
-        better = summarize_errors([1.0, 1.0])
-        worse = summarize_errors([2.0, 2.0])
-        assert better.improvement_over(worse) == pytest.approx(0.5)
-        assert worse.improvement_over(better) == pytest.approx(-1.0)
-
-    def test_improvement_over_zero_baseline_rejected(self):
-        zero = summarize_errors([0.0, 0.0])
-        other = summarize_errors([1.0])
-        with pytest.raises(ValueError):
-            other.improvement_over(zero)
-
     @given(st.lists(st.floats(0.0, 100.0, allow_nan=False), min_size=1, max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_median_never_exceeds_p90(self, samples):
