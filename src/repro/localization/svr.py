@@ -137,10 +137,3 @@ class SupportVectorRegressor:
         features = check_2d(features, "features")
         kernel = self._kernel(features, self._train_x)
         return kernel @ self._coefficients + self._bias
-
-    @property
-    def support_vector_count(self) -> int:
-        """Number of training points with non-negligible coefficients."""
-        if self._coefficients is None:
-            return 0
-        return int(np.sum(np.abs(self._coefficients) > 1e-8))

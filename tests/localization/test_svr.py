@@ -55,12 +55,6 @@ class TestSupportVectorRegressor:
         predictions = model.predict(rng.normal(size=(10, 3)))
         np.testing.assert_allclose(predictions, 4.2, atol=0.3)
 
-    def test_support_vector_count_reported(self, rng):
-        features = rng.normal(size=(25, 2))
-        targets = features[:, 0]
-        model = SupportVectorRegressor(SVRConfig(c=10.0, epsilon=0.01)).fit(features, targets)
-        assert 0 < model.support_vector_count <= 25
-
     def test_explicit_gamma_used(self, rng):
         features = rng.normal(size=(20, 2))
         targets = features[:, 0]
