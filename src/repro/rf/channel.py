@@ -215,18 +215,6 @@ class LinkChannel:
         mean = self._mean_field(np.arange(self.link_count), None, elapsed_days)
         return self._readings(mean[:, None], noise).mean(axis=1)
 
-    def measure_rss_dbm(
-        self,
-        link_index: int,
-        target_location: Optional[Point] = None,
-        elapsed_days: float = 0.0,
-        with_noise: bool = True,
-    ) -> float:
-        """One RSS sample (optionally noisy and quantised to 0.5 dB)."""
-        mean = self.mean_rss_dbm(link_index, target_location, elapsed_days)
-        noise = self._noise.sample() if with_noise else 0.0
-        return float(self._readings(mean, noise))
-
     def measure_vector(
         self,
         target_location: Optional[Point] = None,

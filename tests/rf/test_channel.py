@@ -71,13 +71,13 @@ class TestMeanRSS:
 
 class TestMeasurement:
     def test_quantization_step(self, channel):
-        value = channel.measure_rss_dbm(0, Point(3.0, 1.0), 0.0)
+        value = channel.measure_vector(Point(3.0, 1.0), 0.0)[0]
         step = channel.config.rss_quantization_db
         assert abs(value / step - round(value / step)) < 1e-9
 
     def test_noiseless_measurement_matches_mean(self, channel):
         mean = channel.mean_rss_dbm(0, Point(3.0, 1.0), 0.0)
-        measured = channel.measure_rss_dbm(0, Point(3.0, 1.0), 0.0, with_noise=False)
+        measured = channel.measure_vector(Point(3.0, 1.0), 0.0, with_noise=False)[0]
         assert measured == pytest.approx(mean, abs=channel.config.rss_quantization_db)
 
     def test_measure_vector_shape(self, channel):
@@ -272,9 +272,6 @@ class TestDrawOrder:
     def test_measure_rss_and_time_series_on_fresh_channel(self):
         fast, slow = _fresh_office(6).channel, _fresh_office(6).channel
         location = Point(6.0, 4.2)
-        assert fast.measure_rss_dbm(2, location, 5.0) == measure_rss_dbm_scalar(
-            slow, 2, location, 5.0
-        )
         series = fast.rss_time_series(3, 5.0, 0.5, target_location=location, elapsed_days=45.0)
         slow._noise.reset()
         expected = [measure_rss_dbm_scalar(slow, 3, location, 45.0) for _ in range(10)]
