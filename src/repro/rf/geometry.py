@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,14 +56,6 @@ class Point:
         """Euclidean distance to another point."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def as_array(self) -> np.ndarray:
-        """Return the point as a length-2 numpy array."""
-        return np.array([self.x, self.y], dtype=float)
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a copy of the point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
 
 @dataclass(frozen=True)
 class Link:
@@ -101,10 +93,6 @@ class Link:
             (self.transmitter.y + self.receiver.y) / 2.0,
         )
 
-    def distance_from(self, location: Point) -> float:
-        """Perpendicular distance from ``location`` to the link segment."""
-        return point_segment_distance(location, self.transmitter, self.receiver)
-
     def along_fraction(self, location: Point) -> float:
         """Normalised projection of ``location`` onto the link (clipped to [0, 1]).
 
@@ -112,13 +100,6 @@ class Link:
         the location-dependent obstruction profile along the link.
         """
         return projection_parameter(location, self.transmitter, self.receiver)
-
-    def fresnel_radius_at(self, location: Point) -> float:
-        """First-Fresnel-zone radius of the link at the projection of ``location``."""
-        fraction = self.along_fraction(location)
-        d1 = fraction * self.length
-        d2 = (1.0 - fraction) * self.length
-        return first_fresnel_radius(d1, d2, self.wavelength)
 
 
 def wavelength(frequency_hz: float) -> float:
@@ -352,12 +333,3 @@ def make_grid_centres(
             centres.append(Point(cx, cy))
     return centres
 
-
-def bounding_box(points: Iterable[Point]) -> Tuple[float, float, float, float]:
-    """Return ``(x_min, y_min, x_max, y_max)`` of a collection of points."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("points must be non-empty")
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    return min(xs), min(ys), max(xs), max(ys)

@@ -11,7 +11,6 @@ from repro.rf.geometry import (
     Link,
     LinkArrays,
     Point,
-    bounding_box,
     first_fresnel_radius,
     hypot,
     make_grid_centres,
@@ -35,11 +34,7 @@ class TestPoint:
         assert b.distance_to(a) == pytest.approx(5.0)
 
     def test_as_array(self):
-        np.testing.assert_allclose(Point(1.0, 2.0).as_array(), [1.0, 2.0])
-
-    def test_translated(self):
-        moved = Point(1.0, 1.0).translated(2.0, -1.0)
-        assert (moved.x, moved.y) == (3.0, 0.0)
+        np.testing.assert_allclose(points_array([Point(1.0, 2.0)]), [[1.0, 2.0]])
 
     @given(coords, coords, coords, coords)
     @settings(max_examples=50, deadline=None)
@@ -115,12 +110,13 @@ class TestLink:
 
     def test_distance_from(self):
         link = self.make_link()
-        assert link.distance_from(Point(5.0, 4.0)) == pytest.approx(3.0)
+        distance = point_segment_distance(Point(5.0, 4.0), link.transmitter, link.receiver)
+        assert distance == pytest.approx(3.0)
 
     def test_fresnel_radius_midpoint_largest(self):
         link = self.make_link()
-        mid = link.fresnel_radius_at(Point(5.0, 1.0))
-        end = link.fresnel_radius_at(Point(1.0, 1.0))
+        points = points_array([Point(5.0, 1.0), Point(1.0, 1.0)])
+        mid, end = LinkArrays.of([link]).geometry(points).fresnel[0]
         assert mid > end > 0.0
 
 
@@ -205,11 +201,3 @@ class TestGrid:
     def test_grid_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             make_grid_centres(0.0, 2.0, 1.0)
-
-    def test_bounding_box(self):
-        box = bounding_box([Point(0.0, 1.0), Point(2.0, -1.0)])
-        assert box == (0.0, -1.0, 2.0, 1.0)
-
-    def test_bounding_box_empty_raises(self):
-        with pytest.raises(ValueError):
-            bounding_box([])
