@@ -20,7 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.rf.geometry import Link, LinkArrays, Point, hypot, points_array
+from repro.rf.geometry import LinkArrays, Point, hypot, points_array
 from repro.utils.random import RngLike, make_rng
 
 __all__ = ["Scatterer", "MultipathConfig", "MultipathField"]
@@ -143,13 +143,3 @@ class MultipathField:
         for s, strength in enumerate(self._strengths):
             offset = offset + (strength * weights[:, s])[:, None] * target_weight[:, s]
         return self.config.target_coupling_db * offset
-
-    def static_offset_db(self, link: Link) -> float:
-        """Target-independent multipath ripple for one link."""
-        weights = self.link_weights(LinkArrays.of([link]))
-        return float(self.static_offset_field(weights)[0])
-
-    def target_offset_db(self, link: Link, target_location: Point) -> float:
-        """Target-position-dependent multipath perturbation for one link."""
-        weights = self.link_weights(LinkArrays.of([link]))
-        return float(self.target_offset_field(weights, points_array([target_location]))[0, 0])
