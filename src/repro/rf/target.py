@@ -170,10 +170,6 @@ class TargetModel:
         """Classify the target's effect on ``link`` (blocking / FFZ / outside)."""
         return self.STATES[int(self.obstruction_field(_one(link, location))[0, 0])]
 
-    def attenuation_db(self, link: Link, location: Point) -> float:
-        """Attenuation (positive dB) the target at ``location`` causes on ``link``."""
-        return float(self.attenuation_field(_one(link, location))[0, 0])
-
 
 def _one(link: Link, location: Point) -> LinkGeometry:
     return LinkArrays.of([link]).geometry(points_array([location]))

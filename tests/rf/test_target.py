@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rf.geometry import Link, LinkArrays, Point
+from repro.rf.geometry import Link, LinkArrays, Point, points_array
 from repro.rf.target import ObstructionState, TargetConfig, TargetModel
 from tests.oracles import attenuation_db_scalar, obstruction_state_scalar
 
@@ -16,6 +16,12 @@ def link() -> Link:
 @pytest.fixture()
 def model() -> TargetModel:
     return TargetModel(TargetConfig())
+
+
+def attenuation(model, link, *locations):
+    """Attenuation (dB) on ``link`` with the target at each location."""
+    geometry = LinkArrays.of([link]).geometry(points_array(locations))
+    return model.attenuation_field(geometry)[0]
 
 
 class TestObstructionState:
@@ -34,35 +40,31 @@ class TestObstructionState:
 
 class TestAttenuation:
     def test_blocking_larger_than_fresnel(self, model, link):
-        blocking = model.attenuation_db(link, Point(2.0, 0.0))
-        fresnel = model.attenuation_db(link, Point(2.0, 0.7))
-        outside = model.attenuation_db(link, Point(2.0, 5.0))
+        blocking, fresnel, outside = attenuation(
+            model, link, Point(2.0, 0.0), Point(2.0, 0.7), Point(2.0, 5.0)
+        )
         assert blocking > fresnel > outside
 
     def test_outside_attenuation_negligible(self, model, link):
-        assert model.attenuation_db(link, Point(5.0, 6.0)) <= 0.1
+        assert attenuation(model, link, Point(5.0, 6.0))[0] <= 0.1
 
     def test_stronger_near_transceiver_than_midpoint(self, model, link):
-        near_tx = model.attenuation_db(link, Point(1.0, 0.0))
-        midpoint = model.attenuation_db(link, Point(5.0, 0.0))
+        near_tx, midpoint = attenuation(model, link, Point(1.0, 0.0), Point(5.0, 0.0))
         assert near_tx > midpoint
 
     def test_asymmetry_tx_side_stronger(self, link):
         model = TargetModel(TargetConfig(asymmetry=0.4))
-        tx_side = model.attenuation_db(link, Point(2.0, 0.0))
-        rx_side = model.attenuation_db(link, Point(8.0, 0.0))
+        tx_side, rx_side = attenuation(model, link, Point(2.0, 0.0), Point(8.0, 0.0))
         assert tx_side > rx_side
 
     def test_zero_asymmetry_is_symmetric(self, link):
         model = TargetModel(TargetConfig(asymmetry=0.0))
-        tx_side = model.attenuation_db(link, Point(2.0, 0.0))
-        rx_side = model.attenuation_db(link, Point(8.0, 0.0))
+        tx_side, rx_side = attenuation(model, link, Point(2.0, 0.0), Point(8.0, 0.0))
         assert tx_side == pytest.approx(rx_side, abs=1e-6)
 
     def test_attenuation_always_positive(self, model, link):
-        for x in (0.5, 2.5, 5.0, 7.5, 9.5):
-            for y in (0.0, 0.3, 1.0, 3.0):
-                assert model.attenuation_db(link, Point(x, y)) > 0.0
+        grid = [Point(x, y) for x in (0.5, 2.5, 5.0, 7.5, 9.5) for y in (0.0, 0.3, 1.0, 3.0)]
+        assert np.all(attenuation(model, link, *grid) > 0.0)
 
 
 class TestTargetConfigValidation:
