@@ -202,14 +202,6 @@ class LongTermDrift:
         )
         return links[:, None] + self.spatial_shift_field(locations, elapsed_days)
 
-    def link_shift_db(self, link_index: int, elapsed_days: float) -> float:
-        """Per-link drift at ``elapsed_days``."""
-        return float(self.link_shift_field([link_index], elapsed_days)[0])
-
-    def spatial_shift_db(self, location: Point, elapsed_days: float) -> float:
-        """Spatial drift at one location."""
-        return float(self.spatial_shift_field(points_array([location]), elapsed_days)[0])
-
     def total_shift_db(
         self, link_index: int, location: Point, elapsed_days: float
     ) -> float:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rf.geometry import Point
+from repro.rf.geometry import Point, points_array
 from repro.rf.variation import LongTermDrift, ShortTermNoise, VariationConfig
 
 
@@ -92,13 +92,12 @@ class TestLongTermDrift:
         # Nearby locations must receive nearly identical spatial shifts so
         # that neighbouring-location differences stay stable (Observation 2).
         drift = LongTermDrift(VariationConfig(), seed=3)
-        a = drift.spatial_shift_db(Point(4.0, 2.0), 45.0)
-        b = drift.spatial_shift_db(Point(4.3, 2.0), 45.0)
-        far = drift.spatial_shift_db(Point(9.0, 7.0), 45.0)
+        locations = points_array([Point(4.0, 2.0), Point(4.3, 2.0), Point(9.0, 7.0)])
+        a, b, far = drift.spatial_shift_field(locations, 45.0)
         assert abs(a - b) < 0.6
         assert abs(a - b) <= abs(a - far) + 0.6
 
     def test_link_drift_varies_by_link(self):
         drift = LongTermDrift(VariationConfig(), seed=3)
-        shifts = {drift.link_shift_db(i, 45.0) for i in range(6)}
+        shifts = set(drift.link_shift_field(range(6), 45.0).tolist())
         assert len(shifts) > 1
