@@ -286,13 +286,6 @@ class FleetReport:
             return float("nan")
         return float(np.mean(list(self.errors_db.values())))
 
-    @property
-    def worst_site(self) -> Optional[str]:
-        """Site with the largest reconstruction error (``None`` if unknown)."""
-        if not self.errors_db:
-            return None
-        return max(self.errors_db, key=self.errors_db.get)
-
     def aggregate(self) -> Dict[str, float]:
         """Flat scalar summary of the refresh (for reporting / CLI output)."""
         summary: Dict[str, float] = {

@@ -186,7 +186,6 @@ class TestFleetCampaign:
         aggregate = report.aggregate()
         assert aggregate["sites"] == 2.0
         assert aggregate["mean_error_db"] < aggregate["mean_stale_error_db"]
-        assert report.worst_site in small_fleet.sites
         assert report.report_for("alpha").site == "alpha"
         with pytest.raises(KeyError):
             report.report_for("gamma")
