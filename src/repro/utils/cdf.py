@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -39,10 +39,6 @@ class EmpiricalCDF:
     def probability_below(self, threshold: float) -> float:
         """Fraction of samples that are <= ``threshold``."""
         return float(np.mean(self.values <= threshold))
-
-    def as_series(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(values, probabilities)`` suitable for plotting."""
-        return self.values.copy(), self.probabilities.copy()
 
 
 def empirical_cdf(samples: Sequence[float]) -> EmpiricalCDF:

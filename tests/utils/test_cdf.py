@@ -34,13 +34,6 @@ class TestEmpiricalCDF:
         cdf = empirical_cdf([1.0, 2.0, 3.0, 4.0])
         assert cdf.probability_below(2.5) == pytest.approx(0.5)
 
-    def test_as_series_returns_copies(self):
-        cdf = empirical_cdf([1.0, 2.0])
-        values, probabilities = cdf.as_series()
-        values[0] = -99.0
-        assert cdf.values[0] == 1.0
-        assert probabilities.shape == cdf.probabilities.shape
-
 
 class TestModuleHelpers:
     def test_percentile_helper(self):
