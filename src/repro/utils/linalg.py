@@ -329,22 +329,3 @@ def root_mean_square_error(estimate: np.ndarray, target: np.ndarray) -> float:
     if estimate.shape != target.shape:
         raise ValueError("shapes do not match")
     return float(np.sqrt(np.mean((estimate - target) ** 2)))
-
-
-def reconstruction_error_per_element(
-    estimate: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """Absolute per-element reconstruction error (in dB for RSS matrices)."""
-    estimate = np.asarray(estimate, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if estimate.shape != target.shape:
-        raise ValueError("shapes do not match")
-    return np.abs(estimate - target)
-
-
-def pairwise_euclidean(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances between two sets of 2-D points."""
-    points_a = np.atleast_2d(np.asarray(points_a, dtype=float))
-    points_b = np.atleast_2d(np.asarray(points_b, dtype=float))
-    diff = points_a[:, None, :] - points_b[None, :, :]
-    return np.sqrt((diff**2).sum(axis=-1))

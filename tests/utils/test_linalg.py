@@ -141,12 +141,6 @@ class TestErrorMetrics:
         with pytest.raises(ValueError):
             linalg.mean_absolute_error(np.ones(3), np.ones(4))
 
-    def test_pairwise_euclidean(self):
-        a = np.array([[0.0, 0.0], [1.0, 0.0]])
-        b = np.array([[0.0, 1.0]])
-        distances = linalg.pairwise_euclidean(a, b)
-        np.testing.assert_allclose(distances, [[1.0], [np.sqrt(2.0)]])
-
 
 class TestStackedRankSolve:
     def make_stack(self, rng, batch, rank):
