@@ -110,13 +110,6 @@ class Deployment:
         """All grid locations as an ``(N, 2)`` array of coordinates."""
         return np.array([[p.x, p.y] for p in self.locations], dtype=float)
 
-    def stripe_indices(self, link_index: int) -> range:
-        """Column indices of the grid locations lying on ``link_index``'s path."""
-        if not 0 <= link_index < self.link_count:
-            raise ValueError(f"link_index must lie in [0, {self.link_count - 1}]")
-        width = self.locations_per_link
-        return range(link_index * width, (link_index + 1) * width)
-
     def link_of_location(self, location_index: int) -> int:
         """Index of the link whose stripe contains ``location_index``."""
         if not 0 <= location_index < self.location_count:
@@ -124,10 +117,6 @@ class Deployment:
                 f"location_index must lie in [0, {self.location_count - 1}]"
             )
         return location_index // self.locations_per_link
-
-    def stripe_offset(self, location_index: int) -> int:
-        """Offset of ``location_index`` within its link stripe (``u`` in the paper)."""
-        return location_index % self.locations_per_link
 
     def location_point(self, location_index: int) -> Point:
         """Coordinates of a grid location."""

@@ -97,12 +97,6 @@ class FingerprintMatrix:
             raise ValueError(f"column must lie in [0, {self.location_count - 1}]")
         return column // self.locations_per_link
 
-    def stripe_offset(self, column: int) -> int:
-        """Offset of ``column`` within its link stripe (``u`` in the paper)."""
-        if not 0 <= column < self.location_count:
-            raise ValueError(f"column must lie in [0, {self.location_count - 1}]")
-        return column % self.locations_per_link
-
     def _structural_no_decrease_mask(self) -> np.ndarray:
         """Default ``B``: links two or more stripes away see no decrease."""
         m, n = self.values.shape

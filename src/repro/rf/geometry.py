@@ -93,14 +93,6 @@ class Link:
             (self.transmitter.y + self.receiver.y) / 2.0,
         )
 
-    def along_fraction(self, location: Point) -> float:
-        """Normalised projection of ``location`` onto the link (clipped to [0, 1]).
-
-        0 corresponds to the transmitter, 1 to the receiver.  Used to place
-        the location-dependent obstruction profile along the link.
-        """
-        return projection_parameter(location, self.transmitter, self.receiver)
-
 
 def wavelength(frequency_hz: float) -> float:
     """Wavelength in metres for a given carrier frequency."""

@@ -1,5 +1,7 @@
 """Unit tests for :mod:`repro.environments` (specs, builder, deployments)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -102,26 +104,25 @@ class TestBuildDeployment:
 
 class TestDeploymentHelpers:
     def test_stripe_indices_partition_locations(self, small_deployment):
-        seen = []
-        for i in range(small_deployment.link_count):
-            seen.extend(small_deployment.stripe_indices(i))
-        assert sorted(seen) == list(range(small_deployment.location_count))
+        owners = Counter(
+            small_deployment.link_of_location(j)
+            for j in range(small_deployment.location_count)
+        )
+        width = small_deployment.locations_per_link
+        assert owners == {i: width for i in range(small_deployment.link_count)}
 
     def test_link_of_location_consistent_with_stripes(self, small_deployment):
-        for i in range(small_deployment.link_count):
-            for j in small_deployment.stripe_indices(i):
-                assert small_deployment.link_of_location(j) == i
-
-    def test_stripe_offset_in_range(self, small_deployment):
-        for j in range(small_deployment.location_count):
-            assert 0 <= small_deployment.stripe_offset(j) < small_deployment.locations_per_link
+        # Each link's stripe is one contiguous block of columns, in link order.
+        owners = [
+            small_deployment.link_of_location(j)
+            for j in range(small_deployment.location_count)
+        ]
+        assert owners == sorted(owners)
 
     def test_location_array_shape(self, small_deployment):
         array = small_deployment.location_array()
         assert array.shape == (small_deployment.location_count, 2)
 
     def test_invalid_indices_rejected(self, small_deployment):
-        with pytest.raises(ValueError):
-            small_deployment.stripe_indices(99)
         with pytest.raises(ValueError):
             small_deployment.link_of_location(-1)

@@ -32,7 +32,7 @@ class TestClassification:
     def test_far_links_have_no_decrease(self, small_deployment):
         classification = classify_elements(small_deployment)
         # A location on link 0's stripe should not affect link 3 (three stripes away).
-        j = next(iter(small_deployment.stripe_indices(0)))
+        j = 0  # the first location on link 0's stripe
         assert classification.categories[3, j] == ElementCategory.NONE.value
 
     def test_fraction_no_decrease_positive(self, small_deployment):
@@ -41,7 +41,7 @@ class TestClassification:
 
     def test_structural_mode_matches_figure4_sketch(self, small_deployment):
         classification = classify_elements(small_deployment, use_geometry=False)
-        j = next(iter(small_deployment.stripe_indices(1)))
+        j = small_deployment.locations_per_link  # the first location on link 1's stripe
         assert classification.categories[1, j] == ElementCategory.LARGE.value
         assert classification.categories[0, j] == ElementCategory.SMALL.value
         assert classification.categories[2, j] == ElementCategory.SMALL.value

@@ -66,10 +66,6 @@ class TestStripeMath:
         assert matrix.link_of_column(5) == 1
         assert matrix.link_of_column(14) == 2
 
-    def test_stripe_offset(self):
-        matrix = make_matrix(links=3, width=5)
-        assert matrix.stripe_offset(7) == 2
-
     def test_stripe_columns(self):
         matrix = make_matrix(links=3, width=5)
         stripe = [j for j in range(15) if matrix.link_of_column(j) == 1]

@@ -106,7 +106,8 @@ class TestLink:
 
     def test_along_fraction(self):
         link = self.make_link()
-        assert link.along_fraction(Point(2.5, 5.0)) == pytest.approx(0.25)
+        fraction = projection_parameter(Point(2.5, 5.0), link.transmitter, link.receiver)
+        assert fraction == pytest.approx(0.25)
 
     def test_distance_from(self):
         link = self.make_link()
