@@ -77,9 +77,6 @@ class DaemonConfig:
     poll_interval:
         Dispatcher sleep between claim attempts when the queue is empty
         or backing off, in seconds.
-    publish_on_refresh:
-        Whether a completed refresh auto-publishes its report into the
-        embedded query engine (the unified lifecycle; on by default).
     warm_refresh:
         Whether ``refresh_fleet`` jobs warm-start from the last completed
         report of the same fleet (matched by its site-name set; on by
@@ -94,18 +91,14 @@ class DaemonConfig:
         over a :class:`~repro.service.remote.RemoteExecutor` across these
         endpoints instead of the local process pool — bit-identical either
         way.  Jobs with ``workers <= 0`` still solve serially in-process.
-    remote_timeout:
-        Per-shard dispatch timeout for remote execution, in seconds.
     """
 
     job_workers: int = 2
     pool_workers: Optional[int] = None
     poll_interval: float = 0.05
-    publish_on_refresh: bool = True
     warm_refresh: bool = True
     query: QueryConfig = field(default_factory=QueryConfig)
     endpoints: Optional[Tuple[str, ...]] = None
-    remote_timeout: float = 30.0
 
     def __post_init__(self) -> None:
         if self.job_workers < 1:
@@ -126,10 +119,6 @@ class DaemonConfig:
                     f"got {self.endpoints!r}"
                 )
             object.__setattr__(self, "endpoints", endpoints)
-        if self.remote_timeout <= 0:
-            raise ValueError(
-                f"remote_timeout must be positive, got {self.remote_timeout}"
-            )
 
 
 class Coordinator:
@@ -304,7 +293,6 @@ class Coordinator:
 
             return RemoteExecutor(
                 endpoints=self.config.endpoints,
-                timeout=self.config.remote_timeout,
                 max_attempts=max(1, job.max_attempts),
                 backoff=job.backoff_seconds,
                 max_workers=job.workers,
@@ -360,11 +348,9 @@ class Coordinator:
                 self._warm_reports[fleet_key] = report
         result_rel = f"results/{job.id}.npz"
         save_report(self.queue.spool / result_rel, report)
-        generation = None
-        if self.config.publish_on_refresh:
-            generation = self.engine.publish_report(
-                report, label=job.label or f"job:{job.id}"
-            ).ordinal
+        generation = self.engine.publish_report(
+            report, label=job.label or f"job:{job.id}"
+        ).ordinal
         return result_rel, generation
 
     def _run_publish(self, job: JobRecord) -> Tuple[Optional[str], Optional[int]]:
