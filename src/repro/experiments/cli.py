@@ -43,6 +43,7 @@ from repro.experiments.reporting import (
     format_series_table,
 )
 from repro.experiments.runner import ExperimentRunner
+from repro.simulation.campaign import SITE_SEED_STRIDE
 
 __all__ = ["main", "build_parser", "render_result", "run_fleet"]
 
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=argparse.SUPPRESS,
-        help="base substrate seed (site k adds k*101; default 7)",
+        help=f"base substrate seed (site k adds k*{SITE_SEED_STRIDE}; default 7)",
     )
     export_parser.add_argument(
         "--link-count",

@@ -21,7 +21,7 @@ from repro.service.executor import ShardExecutor
 from repro.service.service import UpdateService
 from repro.service.shard import ShardConfig
 from repro.service.types import FleetReport, UpdateRequest
-from repro.simulation.campaign import CampaignConfig, SurveyCampaign
+from repro.simulation.campaign import SITE_SEED_STRIDE, CampaignConfig, SurveyCampaign
 
 __all__ = ["FleetConfig", "FleetCampaign", "PAPER_FLEET"]
 
@@ -41,24 +41,18 @@ class FleetConfig:
         campaign is built from explicit specs.
     campaign:
         The per-site campaign protocol (time stamps, collection depths,
-        updater configuration); shared by every site.
-    seed_stride:
-        Per-site offset added to the campaign seed so each deployment gets an
-        independent radio substrate (site ``k`` uses
-        ``campaign.seed + k * seed_stride``).
+        updater configuration); shared by every site.  Site ``k`` uses
+        seed ``campaign.seed + k * SITE_SEED_STRIDE``.
     """
 
     environments: Tuple[str, ...] = PAPER_FLEET
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
-    seed_stride: int = 101
 
     def __post_init__(self) -> None:
         if not self.environments:
             raise ValueError("environments must be non-empty")
         if len(set(self.environments)) != len(self.environments):
             raise ValueError(f"duplicate environments: {self.environments}")
-        if self.seed_stride <= 0:
-            raise ValueError("seed_stride must be positive")
 
 
 class FleetCampaign:
@@ -97,7 +91,7 @@ class FleetCampaign:
         for index, (site, spec) in enumerate(self.specs.items()):
             site_config = replace(
                 self.config.campaign,
-                seed=self.config.campaign.seed + index * self.config.seed_stride,
+                seed=self.config.campaign.seed + index * SITE_SEED_STRIDE,
             )
             self.campaigns[site] = SurveyCampaign(spec, site_config)
         self._updaters: Dict[str, IUpdater] = {}

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Union
 from repro.core.updater import UpdaterConfig
 from repro.environments import ENVIRONMENT_FACTORIES, environment_by_name
 from repro.service.types import UpdateRequest
-from repro.simulation.campaign import CampaignConfig, SurveyCampaign
+from repro.simulation.campaign import SITE_SEED_STRIDE, CampaignConfig, SurveyCampaign
 from repro.simulation.collector import CollectionConfig
 
 __all__ = ["synthesize_fleet"]
@@ -40,7 +40,6 @@ def synthesize_fleet(
     environments: Optional[Sequence[str]] = None,
     elapsed_days: float = 45.0,
     seed: int = 7,
-    seed_stride: int = 101,
     link_count: Union[int, Sequence[int], None] = None,
     locations_per_link: Union[int, Sequence[int], None] = None,
     collection: Optional[CollectionConfig] = None,
@@ -58,9 +57,9 @@ def synthesize_fleet(
         shapes and factorisation ranks.
     elapsed_days:
         The refresh stamp the fresh measurements are collected at.
-    seed, seed_stride:
-        Site ``k`` gets substrate seed ``seed + k * seed_stride`` so every
-        deployment has an independent radio substrate.
+    seed:
+        Site ``k`` gets substrate seed ``seed + k * SITE_SEED_STRIDE`` so
+        every deployment has an independent radio substrate.
     link_count, locations_per_link:
         Optional deployment-size overrides.  A scalar applies to every site;
         a sequence is cycled per site (handy for forcing a mixed-rank fleet
@@ -96,7 +95,7 @@ def synthesize_fleet(
         if width is not None:
             overrides["locations_per_link"] = width
         spec = environment_by_name(name, **overrides)
-        site_seed = seed + k * seed_stride
+        site_seed = seed + k * SITE_SEED_STRIDE
         campaign = SurveyCampaign(
             spec,
             CampaignConfig(

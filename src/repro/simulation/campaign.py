@@ -22,7 +22,12 @@ from repro.fingerprint.matrix import FingerprintMatrix
 from repro.simulation.collector import CollectionConfig, MeasurementCollector
 from repro.utils.random import make_rng
 
-__all__ = ["CampaignConfig", "SurveyCampaign"]
+__all__ = ["CampaignConfig", "SurveyCampaign", "SITE_SEED_STRIDE"]
+
+SITE_SEED_STRIDE = 101
+"""Seed offset between the sites of a fleet: site ``k`` surveys with
+``seed + k * SITE_SEED_STRIDE``, so every deployment gets an independent
+radio substrate."""
 
 
 @dataclass(frozen=True)

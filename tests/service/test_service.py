@@ -195,8 +195,6 @@ class TestFleetCampaign:
             FleetConfig(environments=())
         with pytest.raises(ValueError, match="duplicate"):
             FleetConfig(environments=("office", "office"))
-        with pytest.raises(ValueError, match="seed_stride"):
-            FleetConfig(seed_stride=0)
         with pytest.raises(ValueError, match="at least one site"):
             FleetCampaign(specs={})
 
