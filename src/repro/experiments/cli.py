@@ -913,6 +913,9 @@ def run_query_export(args) -> int:
     if args.noise_db < 0:
         print("--noise-db must be non-negative", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print(f"--seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         report = load_report(args.report)
     except ValueError as error:
@@ -1031,6 +1034,12 @@ def run_query_bench(args) -> int:
 
     if args.repeats <= 0:
         print("--repeats must be positive", file=sys.stderr)
+        return 2
+    if args.noise_db < 0:
+        print("--noise-db must be non-negative", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print(f"--seed must be non-negative, got {args.seed}", file=sys.stderr)
         return 2
     if args.report is not None:
         from repro.io import load_report

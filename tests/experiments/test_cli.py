@@ -490,7 +490,8 @@ class TestQueryCommands:
         )
         assert "cannot read wire payload" in capsys.readouterr().err
 
-    def test_export_rejects_bad_per_site(self, report_path, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value", [("--per-site", "0"), ("--seed", "-5")])
+    def test_export_rejects_bad_per_site(self, report_path, tmp_path, capsys, flag, value):
         assert (
             main(
                 [
@@ -500,13 +501,19 @@ class TestQueryCommands:
                     report_path,
                     "--out",
                     str(tmp_path / "q.npz"),
-                    "--per-site",
-                    "0",
+                    flag,
+                    value,
                 ]
             )
             == 2
         )
-        assert "--per-site" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--noise-db"])
+    def test_bench_rejects_negative_flag(self, report_path, capsys, flag):
+        args = ["query", "bench", "--report", report_path, flag, "-1"]
+        assert main(args) == 2
+        assert flag in capsys.readouterr().err
 
 
 def _flip_member_bytes(path):
