@@ -3,9 +3,11 @@
 The fleet service's in-memory request/response model
 (:class:`~repro.service.types.UpdateRequest` /
 :class:`~repro.service.types.FleetReport`) becomes portable here: a payload
-is a single compressed NPZ whose ``manifest`` entry holds a versioned JSON
-header (format tag, per-site metadata, configs, seeds, shard plan) and whose
-remaining entries hold the float64 matrices bit-exactly.  ``fleet export``
+is a single NPZ whose ``manifest`` entry holds a versioned JSON header
+(format tag, per-site metadata, configs, seeds, shard plan) and whose
+remaining entries hold the float64 matrices bit-exactly.  Files and saved
+payloads deflate their members; the in-memory payloads that cross process
+boundaries store them uncompressed; readers accept both.  ``fleet export``
 writes request payloads, ``fleet run --in/--out`` consumes and produces
 them, and any external producer that emits the same layout can feed the
 service without touching the simulator.
@@ -32,10 +34,13 @@ Guarantees:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import tokenize
 import zipfile
 import zlib
@@ -128,12 +133,16 @@ def check_legacy_value(value, allowed: Sequence, key: str) -> None:
 
 # ----------------------------------------------------------------- codec core
 #
-# A payload is one compressed NPZ: a JSON ``manifest`` entry whose header
-# names the family and its version(s), whose ``count`` matches its entry
-# list, and one ``<prefix>NNNN__<name>`` array group per entry.  Every
-# family writes its manifest through `_Family.manifest` and reads through
-# `_read_payload`; `_decoding` is the one place decode failures are caught
-# and turned into WirePayloadError.
+# A payload is one NPZ: a JSON ``manifest`` entry whose header names the
+# family and its version(s), whose ``count`` matches its entry list, and one
+# ``<prefix>NNNN__<name>`` array group per entry.  Writers that produce a
+# file or a saved payload deflate every member; the in-memory IPC payloads
+# (requests bytes, shard task, shard result) store them, since they are
+# decoded again at once.  Every family writes its manifest through
+# `_Family.manifest` and reads through `_read_payload`, which takes either
+# container mode; `_read_member` decodes each ``.npy`` member;
+# `_decoding` is the one place decode failures are caught and turned into
+# WirePayloadError.
 
 #: Exceptions decoding corrupt bytes can raise: zip structure and CRC
 #: errors, zlib and EOF errors from truncated members, an unsupported
@@ -218,36 +227,111 @@ def _payload_name(path) -> str:
     return "<in-memory payload>"
 
 
-def _write_payload(path, manifest: dict, arrays: Dict[str, np.ndarray]) -> None:
-    np.savez_compressed(
-        path, manifest=np.asarray(json.dumps(manifest)), **arrays
-    )
+def _write_payload(
+    path, manifest: dict, arrays: Dict[str, np.ndarray], compress: bool = True
+) -> None:
+    save = np.savez_compressed if compress else np.savez
+    save(path, manifest=np.asarray(json.dumps(manifest)), **arrays)
+
+
+#: How an NPZ starts: a zip's first local file header, or an empty zip's
+#: end record.  ``zipfile`` alone also accepts bytes put in front of the
+#: archive; ``np.load`` never did, and neither does the wire.
+_NPZ_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")
+
+#: The ``.npy`` v1 header exactly as numpy writes it for a plain C-order
+#: array: magic, version 1.0, header length, the literal dict, space padding
+#: and a newline (https://numpy.org/neps/nep-0001-npy-format.html).
+_NPY_V1 = re.compile(
+    rb"\x93NUMPY\x01\x00(..)\{'descr': '([<>|][biufcSU][0-9]+)', "
+    rb"'fortran_order': False, 'shape': (\([0-9, ]*\)), \} *\n",
+    re.DOTALL,
+)
+
+_npy_dtype = functools.lru_cache(maxsize=256)(np.dtype)
+
+
+def _read_member(data: bytes) -> np.ndarray:
+    """Decode one ``.npy`` member to what ``np.lib.format.read_array`` returns.
+
+    The fast path takes only :data:`_NPY_V1` headers whose shape reads as
+    Python writes a tuple and whose data length is exactly count × itemsize,
+    and copies the data out of ``data`` (so the array is writeable and owns
+    aligned memory).  Everything else — v2/v3 headers, Fortran order,
+    structured or object dtypes, a length mismatch, a garbled header — goes
+    to numpy's reader, which raises what it always did.
+    """
+    match = _NPY_V1.match(data)
+    if match is not None and match.end() == 10 + int.from_bytes(match[1], "little"):
+        shape = tuple(map(int, re.findall(rb"[0-9]+", match[3])))
+        try:
+            dtype = _npy_dtype(match[2])
+        except (TypeError, ValueError, OverflowError):
+            dtype = None
+        count = math.prod(shape)
+        if (
+            dtype is not None
+            and dtype.itemsize
+            and repr(shape).encode() == match[3]
+            and len(data) - match.end() == count * dtype.itemsize
+        ):
+            array = np.frombuffer(data, dtype, count, match.end())
+            return array.reshape(shape).copy()
+    return np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
+
+
+def _open_npz(path) -> Optional[zipfile.ZipFile]:
+    """``path`` (a file name or a binary file object) as an open zip, or
+    ``None`` when it does not start the way an NPZ does."""
+    if isinstance(path, (str, os.PathLike)):
+        with open(path, "rb") as handle:
+            magic = handle.read(4)
+    else:
+        start = path.tell()
+        magic = path.read(4)
+        path.seek(start)
+    return zipfile.ZipFile(path) if magic in _NPZ_MAGIC else None
 
 
 @contextmanager
 def _read_manifest(path):
-    """Open any wire payload; yield ``(name, manifest, npz)``, then close it.
+    """Open any wire payload; yield ``(name, manifest, read_arrays)``, then
+    close it.
 
-    Only the manifest entry is decoded here (no format check), which is all
-    :func:`payload_info` reads.
+    Only the manifest member is decoded here (no format check), which is all
+    :func:`payload_info` reads; ``read_arrays()`` decodes every other member
+    into a name → array dict.  Each member is read whole, so ``zipfile``
+    checks its CRC.
     """
     name = _payload_name(path)
     with _decoding(f"cannot read wire payload {name}"):
-        npz = np.load(path, allow_pickle=False)
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise WirePayloadError(f"{name} is not a fleet wire payload (not an NPZ)")
-    with npz:
-        if "manifest" not in npz.files:
+        archive = _open_npz(path)
+    if archive is None:
+        raise WirePayloadError(f"cannot read wire payload {name}: not an NPZ")
+    with archive:
+        members = {
+            member[:-4] if member.endswith(".npy") else member: member
+            for member in archive.namelist()
+        }
+        if "manifest" not in members:
             raise WirePayloadError(
                 f"{name} is not a fleet wire payload (no manifest entry)"
             )
         with _decoding(f"corrupt manifest in {name}"):
-            manifest = json.loads(str(npz["manifest"][()]))
+            manifest_member = _read_member(archive.read(members.pop("manifest")))
+            manifest = json.loads(str(manifest_member[()]))
         if not isinstance(manifest, dict):
             raise WirePayloadError(
                 f"corrupt manifest in {name}: expected a JSON object"
             )
-        yield name, manifest, npz
+
+        def read_arrays() -> Dict[str, np.ndarray]:
+            return {
+                key: _read_member(archive.read(member))
+                for key, member in members.items()
+            }
+
+        yield name, manifest, read_arrays
 
 
 def _get_array(arrays: Dict[str, np.ndarray], key: str) -> np.ndarray:
@@ -272,7 +356,7 @@ def _read_payload(
     arrays)`` when given.  Any decode failure raises
     :class:`WirePayloadError` naming the payload and the entry index.
     """
-    with _read_manifest(path) as (name, manifest, npz):
+    with _read_manifest(path) as (name, manifest, read_arrays):
         family.check_header(manifest, name)
         entries = []
         if family.entries is not None:
@@ -282,7 +366,7 @@ def _read_payload(
                     f"corrupt manifest in {name}: {family.entry} list/count mismatch"
                 )
         with _decoding(f"cannot read wire payload {name}"):
-            arrays = {key: npz[key] for key in npz.files if key != "manifest"}
+            arrays = read_arrays()
     decoded = []
     for index, entry in enumerate(entries):
         key = family.key(index)
@@ -304,7 +388,7 @@ def _prefixed(key: str, arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
 
 def payload_info(path) -> dict:
     """Header metadata of any wire payload: format, version, count, stamp."""
-    with _read_manifest(path) as (_, manifest, _npz):
+    with _read_manifest(path) as (_, manifest, _read_arrays):
         return {
             "format": manifest.get("format"),
             "version": manifest.get("version"),
@@ -390,6 +474,13 @@ def save_requests(
         Optional refresh stamp recorded in the header, so ``fleet run`` can
         label the resulting report.
     """
+    _write_payload(path, *_encode_requests(requests, elapsed_days))
+
+
+def _encode_requests(
+    requests: Sequence[UpdateRequest], elapsed_days: Optional[float]
+) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """A request payload's manifest and arrays, before either is written."""
     requests = list(requests)
     if not requests:
         raise ValueError("cannot serialize an empty fleet")
@@ -451,7 +542,7 @@ def save_requests(
         {"elapsed_days": None if elapsed_days is None else float(elapsed_days)},
         site_entries,
     )
-    _write_payload(path, manifest, arrays)
+    return manifest, arrays
 
 
 def _decode_request(entry: dict, get) -> UpdateRequest:
@@ -533,12 +624,14 @@ def requests_to_bytes(
     """Serialize requests to an in-memory wire payload (no file needed).
 
     The scatter half of distributed shard execution: the coordinator encodes
-    each shard's member requests with the exact same layout ``fleet export``
-    writes to disk, and ships the bytes to a worker process.  The same
-    seed discipline applies — live generators are rejected.
+    each shard's member requests with the same manifest and arrays
+    ``fleet export`` writes to disk, and ships the bytes to a worker process.
+    The members are stored, not deflated: the bytes are decoded again at
+    once, so compressing them costs more than it saves.  The same seed
+    discipline applies — live generators are rejected.
     """
     buffer = io.BytesIO()
-    save_requests(buffer, requests, elapsed_days=elapsed_days)
+    _write_payload(buffer, *_encode_requests(requests, elapsed_days), compress=False)
     return buffer.getvalue()
 
 
@@ -634,6 +727,7 @@ def shard_task_to_bytes(
         buffer,
         manifest,
         {"requests_payload": np.frombuffer(bytes(requests_payload), dtype=np.uint8)},
+        compress=False,
     )
     return buffer.getvalue()
 
@@ -705,7 +799,7 @@ def shard_result_to_bytes(result, fingerprint: str, shard_index: int) -> bytes:
         members,
     )
     buffer = io.BytesIO()
-    _write_payload(buffer, manifest, arrays)
+    _write_payload(buffer, manifest, arrays, compress=False)
     return buffer.getvalue()
 
 
