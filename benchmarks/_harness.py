@@ -8,6 +8,10 @@ directory was not a package.
 
 from __future__ import annotations
 
+import json
+import os
+import tempfile
+
 try:  # pragma: no cover - trivially environment dependent
     import pytest_benchmark  # noqa: F401
 
@@ -15,9 +19,35 @@ try:  # pragma: no cover - trivially environment dependent
 except ImportError:  # pragma: no cover
     HAVE_PYTEST_BENCHMARK = False
 
-__all__ = ["HAVE_PYTEST_BENCHMARK", "run_once"]
+__all__ = ["HAVE_PYTEST_BENCHMARK", "record", "run_once"]
 
 
 def run_once(benchmark, function, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def record(name: str, rows: dict) -> None:
+    """Store one benchmark's rows under ``name`` in ``$REPRO_BENCH_JSON``.
+
+    Does nothing when the variable is unset.  The file holds one JSON object
+    keyed by benchmark name: ``record`` reads the object already there (if
+    any), sets ``name`` and writes it back through a temporary file and
+    ``os.replace``, so a run of several benchmarks keeps every row set and a
+    reader never sees a half-written file.
+    """
+    path = os.environ.get("REPRO_BENCH_JSON")
+    if not path:
+        return
+    try:
+        with open(path) as handle:
+            recorded = json.load(handle)
+    except FileNotFoundError:
+        recorded = {}
+    recorded[name] = rows
+    fd, temporary = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp"
+    )
+    with os.fdopen(fd, "w") as handle:
+        json.dump(recorded, handle, indent=2)
+    os.replace(temporary, path)

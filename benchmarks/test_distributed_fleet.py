@@ -15,7 +15,6 @@ Runs without the ``benchmark`` fixture so the rows are recorded even when
 pytest-benchmark is unavailable.
 """
 
-import json
 import os
 import time
 
@@ -28,6 +27,8 @@ from repro.service.executor import ProcessExecutor
 from repro.service.service import UpdateService
 from repro.service.shard import ShardConfig
 from repro.service.synthetic import synthesize_fleet
+
+from benchmarks._harness import record
 
 FLEET_SITES = 128
 SHARD_BUDGET = 32 * 1024  # ~a dozen shards at this fleet size
@@ -92,10 +93,7 @@ def test_distributed_fleet_scaling(distributed_fleet_requests):
     for key, value in rows.items():
         print(f"BENCH_distributed_fleet_{key}: {value}")
 
-    json_path = os.environ.get("REPRO_BENCH_JSON")
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump({"distributed_fleet": rows}, handle, indent=2)
+    record("distributed_fleet", rows)
 
     # Hard invariants: scattering over worker processes must be invisible in
     # the results — bit-identical estimates, identical executed plans, no

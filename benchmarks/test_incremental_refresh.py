@@ -22,7 +22,6 @@ without the ``benchmark`` fixture so the rows are recorded even when
 pytest-benchmark is unavailable.
 """
 
-import json
 import os
 import time
 from dataclasses import replace
@@ -34,6 +33,8 @@ from repro.core.self_augmented import SelfAugmentedConfig
 from repro.service.service import UpdateService
 from repro.service.synthetic import synthesize_fleet
 from repro.service.types import FleetReport
+
+from benchmarks._harness import record
 
 FLEET_SITES = 10
 #: (label, additive measurement-noise scale in dB) refresh schedule.
@@ -137,10 +138,7 @@ def test_incremental_refresh_drift_schedule(previous_generation):
     for key, value in rows.items():
         print(f"BENCH_incremental_refresh_{key}: {value}")
 
-    json_path = os.environ.get("REPRO_BENCH_JSON")
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump({"incremental_refresh": rows}, handle, indent=2)
+    record("incremental_refresh", rows)
 
     # Hard invariants — deterministic, always on.
     # (1) Unchanged fleet: zero sweeps, previous generation reproduced bit

@@ -18,7 +18,6 @@ skipped on noisy runners via ``REPRO_SKIP_PERF_ASSERT``; the parity
 assertions always run.
 """
 
-import json
 import os
 import time
 
@@ -30,6 +29,8 @@ from repro.service.service import UpdateService
 from repro.service.synthetic import synthesize_fleet
 from repro.service.types import FleetReport
 from tests.oracles import localize_looped
+
+from benchmarks._harness import record
 
 BATCH_SIZES = (1, 64, 1024)
 REPEATS = 3
@@ -113,10 +114,7 @@ def test_query_qps_vectorized_vs_looped(served_site):
     for key, value in rows.items():
         print(f"BENCH_query_qps_{key}: {value}")
 
-    json_path = os.environ.get("REPRO_BENCH_JSON")
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump({"query_qps": rows}, handle, indent=2)
+    record("query_qps", rows)
 
     if os.environ.get("REPRO_SKIP_PERF_ASSERT"):
         pytest.skip("REPRO_SKIP_PERF_ASSERT set; BENCH_ rows recorded above")

@@ -19,8 +19,6 @@ Runs without the ``benchmark`` fixture so the rows are recorded even when
 pytest-benchmark is unavailable.
 """
 
-import json
-import os
 import time
 from dataclasses import replace
 
@@ -32,6 +30,8 @@ from repro.service.fleet import FleetCampaign, FleetConfig
 from repro.service.service import UpdateService
 from repro.simulation.campaign import CampaignConfig
 from repro.simulation.collector import CollectionConfig
+
+from benchmarks._harness import record
 
 SEEDS = tuple(range(1, 11))
 ENVIRONMENTS = ("office", "hall", "library")
@@ -122,10 +122,7 @@ def test_default_stop_within_gate_of_the_budget(outcomes):
     for key, value in rows.items():
         print(f"BENCH_sweep_budget_{key}: {value}")
 
-    json_path = os.environ.get("REPRO_BENCH_JSON")
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump({"sweep_budget": rows}, handle, indent=2)
+    record("sweep_budget", rows)
 
     assert all(budget.sweeps == 40 for _, _, budget, _ in sites)
     worse = {name: gap for name, gap in gaps.items() if gap > ACCURACY_GATE_DB}
