@@ -18,7 +18,7 @@ franken-fleet.  ``apply_delta(base, load_delta(path))`` is pinned
 bit-identical to loading a full report payload of the target
 (``tests/io/test_delta.py``).
 
-Layout follows the :mod:`repro.io.wire` conventions: one compressed NPZ, a
+Layout follows the :mod:`repro.io.wire` conventions: one deflated NPZ, a
 versioned JSON ``manifest`` entry, ``siteNNNN__<name>`` arrays (full sites)
 and ``siteNNNN__<name>__rows`` / ``__data`` array pairs (patched sites),
 ``allow_pickle=False`` throughout, read through the same codec core.

@@ -25,8 +25,8 @@ defines that seam:
 Why bit-identical?  Three properties compose:
 
 1. The wire payload preserves every float, mask, dtype, config and seed
-   exactly (no pickling of live state — workers rebuild from the same bytes
-   an on-disk payload would carry).
+   exactly (no pickling of live state — workers rebuild from the same
+   arrays and manifest an on-disk payload carries).
 2. Preparation is deterministic: MIC/LRR either travel precomputed on the
    request or are recomputed from the bit-identical baseline, and the
    solver's random init draws from the request's integer seed.
