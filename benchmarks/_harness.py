@@ -31,10 +31,13 @@ def record(name: str, rows: dict) -> None:
     """Store one benchmark's rows under ``name`` in ``$REPRO_BENCH_JSON``.
 
     Does nothing when the variable is unset.  The file holds one JSON object
-    keyed by benchmark name: ``record`` reads the object already there (if
-    any), sets ``name`` and writes it back through a temporary file and
-    ``os.replace``, so a run of several benchmarks keeps every row set and a
-    reader never sees a half-written file.
+    keyed by benchmark name: ``record`` reads the object already there, sets
+    ``name`` and writes it back, so a run of several benchmarks in sequence
+    keeps every row set.  A missing file, or one that does not hold a JSON
+    object, counts as empty, so a stale file never fails a benchmark after it
+    has measured.  Only the write is atomic (a temporary file and
+    ``os.replace``): a reader never sees a half-written file, but two
+    benchmarks recording at the same moment can still lose one's rows.
     """
     path = os.environ.get("REPRO_BENCH_JSON")
     if not path:
@@ -42,12 +45,19 @@ def record(name: str, rows: dict) -> None:
     try:
         with open(path) as handle:
             recorded = json.load(handle)
-    except FileNotFoundError:
+    except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError):
+        recorded = {}
+    if not isinstance(recorded, dict):
         recorded = {}
     recorded[name] = rows
     fd, temporary = tempfile.mkstemp(
         dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp"
     )
-    with os.fdopen(fd, "w") as handle:
-        json.dump(recorded, handle, indent=2)
-    os.replace(temporary, path)
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(recorded, handle, indent=2)
+        os.chmod(temporary, 0o644)
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.unlink(temporary)

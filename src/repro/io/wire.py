@@ -5,9 +5,10 @@ The fleet service's in-memory request/response model
 :class:`~repro.service.types.FleetReport`) becomes portable here: a payload
 is a single NPZ whose ``manifest`` entry holds a versioned JSON header
 (format tag, per-site metadata, configs, seeds, shard plan) and whose
-remaining entries hold the float64 matrices bit-exactly.  Files and saved
-payloads deflate their members; the in-memory payloads that cross process
-boundaries store them uncompressed; readers accept both.  ``fleet export``
+remaining entries hold the float64 matrices bit-exactly.  Files, saved
+payloads and the remote transport's shard messages deflate their members;
+the request bytes a process pool ships to its workers store them
+uncompressed; readers accept both.  ``fleet export``
 writes request payloads, ``fleet run --in/--out`` consumes and produces
 them, and any external producer that emits the same layout can feed the
 service without touching the simulator.
@@ -136,9 +137,9 @@ def check_legacy_value(value, allowed: Sequence, key: str) -> None:
 # A payload is one NPZ: a JSON ``manifest`` entry whose header names the
 # family and its version(s), whose ``count`` matches its entry list, and one
 # ``<prefix>NNNN__<name>`` array group per entry.  Writers that produce a
-# file or a saved payload deflate every member; the in-memory IPC payloads
-# (requests bytes, shard task, shard result) store them, since they are
-# decoded again at once.  Every family writes its manifest through
+# file, a saved payload or a network message (shard task, shard result)
+# deflate every member; the requests bytes a process pool ships to its
+# workers store them, since they are decoded again at once on this host.  Every family writes its manifest through
 # `_Family.manifest` and reads through `_read_payload`, which takes either
 # container mode; `_read_member` decodes each ``.npy`` member;
 # `_decoding` is the one place decode failures are caught and turned into
@@ -626,8 +627,10 @@ def requests_to_bytes(
     The scatter half of distributed shard execution: the coordinator encodes
     each shard's member requests with the same manifest and arrays
     ``fleet export`` writes to disk, and ships the bytes to a worker process.
-    The members are stored, not deflated: the bytes are decoded again at
-    once, so compressing them costs more than it saves.  The same seed
+    The members are stored, not deflated: on one host the bytes are
+    decoded again at once, so compressing them costs more than it saves.
+    A remote shard task (:func:`shard_task_to_bytes`) deflates them once
+    before they cross a network.  The same seed
     discipline applies — live generators are rejected.
     """
     buffer = io.BytesIO()
@@ -727,7 +730,6 @@ def shard_task_to_bytes(
         buffer,
         manifest,
         {"requests_payload": np.frombuffer(bytes(requests_payload), dtype=np.uint8)},
-        compress=False,
     )
     return buffer.getvalue()
 
@@ -799,7 +801,7 @@ def shard_result_to_bytes(result, fingerprint: str, shard_index: int) -> bytes:
         members,
     )
     buffer = io.BytesIO()
-    _write_payload(buffer, manifest, arrays, compress=False)
+    _write_payload(buffer, manifest, arrays)
     return buffer.getvalue()
 
 

@@ -4,8 +4,9 @@
 ``np.lib.format.read_array`` does — values, dtype, shape, memory order and
 writeability — taking its fast path only for the v1 header numpy writes for
 a plain C-order array and handing everything else to numpy.  Files and
-saved payloads stay deflated byte for byte; the in-memory IPC payloads
-store their members; every loader accepts both.
+saved payloads stay deflated byte for byte, and so do the remote shard
+messages; the request bytes a process pool ships store their members;
+every loader accepts both.
 """
 
 import dataclasses
@@ -235,8 +236,9 @@ LOADERS = {
     "queries": lambda data: load_queries(io.BytesIO(data)),
     "answers": lambda data: load_answers(io.BytesIO(data)),
 }
-IN_MEMORY = ("requests", "shard task", "shard result")
 ON_DISK = ("requests", "report", "delta", "queries", "answers")
+#: The remote transport's messages cross a network, so they stay deflated.
+NETWORK = ("shard task", "shard result")
 
 
 def _modes(data: bytes) -> set:
@@ -299,9 +301,12 @@ class TestContainerMode:
         writers[family](path)
         assert _modes(path.read_bytes()) == {zipfile.ZIP_DEFLATED}
 
-    @pytest.mark.parametrize("family", IN_MEMORY)
-    def test_in_memory_payloads_are_stored(self, family, payloads):
-        assert _modes(payloads[family]) == {zipfile.ZIP_STORED}
+    @pytest.mark.parametrize("family", NETWORK)
+    def test_network_messages_are_deflated(self, family, payloads):
+        assert _modes(payloads[family]) == {zipfile.ZIP_DEFLATED}
+
+    def test_process_pool_request_bytes_are_stored(self, payloads):
+        assert _modes(payloads["requests"]) == {zipfile.ZIP_STORED}
 
     def test_a_saved_request_file_holds_the_in_memory_members(
         self, payloads, writers, tmp_path
