@@ -10,16 +10,23 @@ SHA-256 of those bytes, the executed plan's per-shard sweeps and the
 per-site sweep counts are pinned, so any change to how sites advance (for
 example stacking same-shape sites into one tensor) must reproduce every
 float the per-site solver produced.
+
+The content is pinned apart from the container: the report's
+``report_fingerprint`` (before and after a save/load round trip) and the
+SHA-256 of the inflated manifest member.  A change to how members are
+compressed moves only the byte pin; these two must hold.
 """
 
 import hashlib
 import io
+import zipfile
 from dataclasses import replace
 
 import pytest
 
 from repro.environments import environment_by_name
-from repro.io import save_report
+from repro.io import load_report, save_report
+from repro.io.delta import report_fingerprint
 from repro.service.fleet import FleetCampaign, FleetConfig
 from repro.service.service import UpdateService
 from repro.service.shard import ShardConfig
@@ -30,6 +37,10 @@ from repro.simulation.collector import CollectionConfig
 DAY = 45.0
 REPLICAS = 4
 GOLDEN_REPORT_SHA256 = "8c1dd9df5734d96a4ff315a7791525cfa20bdc5956481e0c6f4f7d8b8efc91d8"
+GOLDEN_REPORT_FINGERPRINT = (
+    "2a5e11f58288f0b2a78f375de72414840de8a0c143a9436fef47291e13a7ca39"
+)
+GOLDEN_MANIFEST_SHA256 = "c993cc2f6c266625e3f498782533e627321f4bf140b6dbcf37bc1b35b01d56c0"
 GOLDEN_SHARD_SWEEPS = [19, 23]
 GOLDEN_SITE_SWEEPS = [6, 13, 23, 7, 8, 11, 4, 10, 13, 6, 19, 9]
 
@@ -77,11 +88,26 @@ def golden_report():
     )
 
 
+@pytest.fixture(scope="module")
+def golden_bytes(golden_report):
+    buffer = io.BytesIO()
+    save_report(buffer, golden_report)
+    return buffer.getvalue()
+
+
 class TestGoldenRefresh:
-    def test_report_bytes_are_pinned(self, golden_report):
-        buffer = io.BytesIO()
-        save_report(buffer, golden_report)
-        assert hashlib.sha256(buffer.getvalue()).hexdigest() == GOLDEN_REPORT_SHA256
+    def test_report_bytes_are_pinned(self, golden_bytes):
+        assert hashlib.sha256(golden_bytes).hexdigest() == GOLDEN_REPORT_SHA256
+
+    def test_report_content_is_pinned(self, golden_report, golden_bytes):
+        assert report_fingerprint(golden_report) == GOLDEN_REPORT_FINGERPRINT
+        loaded = load_report(io.BytesIO(golden_bytes))
+        assert report_fingerprint(loaded) == GOLDEN_REPORT_FINGERPRINT
+
+    def test_manifest_member_is_pinned(self, golden_bytes):
+        with zipfile.ZipFile(io.BytesIO(golden_bytes)) as archive:
+            manifest = archive.read("manifest.npy")
+        assert hashlib.sha256(manifest).hexdigest() == GOLDEN_MANIFEST_SHA256
 
     def test_plan_sweeps_are_pinned(self, golden_report):
         assert [shard.sweeps for shard in golden_report.plan.shards] == GOLDEN_SHARD_SWEEPS
