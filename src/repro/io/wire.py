@@ -229,10 +229,36 @@ def _payload_name(path) -> str:
 
 
 def _write_payload(
-    path, manifest: dict, arrays: Dict[str, np.ndarray], compress: bool = True
+    path,
+    manifest: dict,
+    arrays: Dict[str, np.ndarray],
+    compress: bool = True,
+    *,
+    stored: frozenset = frozenset(),
 ) -> None:
-    save = np.savez_compressed if compress else np.savez
-    save(path, manifest=np.asarray(json.dumps(manifest)), **arrays)
+    """Write ``manifest`` then ``arrays`` as the ``.npy`` members of one zip.
+
+    The members, their order and their headers are what ``np.savez`` writes
+    (and a path without ``.npz`` gets it appended, as there).  Members are
+    deflated when ``compress`` is set, except an array whose name ends in
+    ``__<name>`` for a name in ``stored``; with no such member the bytes
+    equal ``np.savez_compressed`` (or ``np.savez``) byte for byte.
+    """
+    if not hasattr(path, "write"):
+        path = os.fspath(path)
+        if not path.endswith(".npz"):
+            path += ".npz"
+    default = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
+    members = {"manifest": np.asarray(json.dumps(manifest)), **arrays}
+    with zipfile.ZipFile(path, "w", compression=default, allowZip64=True) as archive:
+        for key, value in members.items():
+            info = zipfile.ZipInfo(key + ".npy")
+            info.compress_type = (
+                zipfile.ZIP_STORED if key.rpartition("__")[2] in stored else default
+            )
+            # numpy always forces zip64 (gh-10776); so do we, for equal bytes.
+            with archive.open(info, "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asanyarray(value), allow_pickle=False)
 
 
 #: How an NPZ starts: a zip's first local file header, or an empty zip's

@@ -257,6 +257,15 @@ def _rewrite(data: bytes, compression: int) -> bytes:
     return out.getvalue()
 
 
+def _numpy_writes(data: bytes, save) -> bytes:
+    """The payload's members in their order, written again by numpy's ``save``."""
+    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+        members = {key: archive[key] for key in archive.files}
+    out = io.BytesIO()
+    save(out, **members)
+    return out.getvalue()
+
+
 def _same(a, b) -> bool:
     """Bit-exact structural equality of decoded payload content."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
@@ -327,3 +336,35 @@ class TestContainerMode:
             assert _modes(rewritten) == {compression}
             assert _same(LOADERS[family](rewritten), original)
             assert payload_info(io.BytesIO(rewritten)) == payload_info(io.BytesIO(data))
+
+
+class TestNumpyLayout:
+    """One zip writer serves every family; where it deflates or stores every
+    member, its bytes are numpy's for the same members."""
+
+    #: family -> the numpy writer whose bytes it must equal.
+    NUMPY = {
+        "requests": np.savez,
+        "shard task": np.savez_compressed,
+        "shard result": np.savez_compressed,
+        "delta": np.savez_compressed,
+        "queries": np.savez_compressed,
+        "answers": np.savez_compressed,
+    }
+
+    @pytest.mark.parametrize("family", sorted(NUMPY))
+    def test_payload_bytes_are_numpys(self, family, payloads):
+        data = payloads[family]
+        assert data == _numpy_writes(data, self.NUMPY[family])
+
+    @pytest.mark.parametrize("family", ["requests", "delta", "queries", "answers"])
+    def test_file_bytes_are_numpys(self, family, writers, tmp_path):
+        path = tmp_path / "payload.npz"
+        writers[family](path)
+        data = path.read_bytes()
+        assert data == _numpy_writes(data, np.savez_compressed)
+
+    def test_a_path_without_the_suffix_gets_npz(self, writers, payloads, tmp_path):
+        writers["report"](str(tmp_path / "x"))
+        assert [p.name for p in tmp_path.iterdir()] == ["x.npz"]
+        assert (tmp_path / "x.npz").read_bytes() == payloads["report"]
