@@ -6,12 +6,12 @@ The fleet service's in-memory request/response model
 is a single NPZ whose ``manifest`` entry holds a versioned JSON header
 (format tag, per-site metadata, configs, seeds, shard plan) and whose
 remaining entries hold the float64 matrices bit-exactly.  Files, saved
-payloads and the remote transport's shard messages deflate their members;
-the request bytes a process pool ships to its workers store them
-uncompressed; readers accept both.  ``fleet export``
-writes request payloads, ``fleet run --in/--out`` consumes and produces
-them, and any external producer that emits the same layout can feed the
-service without touching the simulator.
+payloads and the remote transport's shard messages deflate their members,
+except that a report stores its four float matrices per site; the request
+bytes a process pool ships to its workers store every member; readers
+accept any mix.  ``fleet export`` writes request payloads, ``fleet run
+--in/--out`` consumes and produces them, and any external producer that
+emits the same layout can feed the service without touching the simulator.
 
 Guarantees:
 
@@ -136,12 +136,14 @@ def check_legacy_value(value, allowed: Sequence, key: str) -> None:
 #
 # A payload is one NPZ: a JSON ``manifest`` entry whose header names the
 # family and its version(s), whose ``count`` matches its entry list, and one
-# ``<prefix>NNNN__<name>`` array group per entry.  Writers that produce a
-# file, a saved payload or a network message (shard task, shard result)
-# deflate every member; the requests bytes a process pool ships to its
-# workers store them, since they are decoded again at once on this host.  Every family writes its manifest through
-# `_Family.manifest` and reads through `_read_payload`, which takes either
-# container mode; `_read_member` decodes each ``.npy`` member;
+# ``<prefix>NNNN__<name>`` array group per entry.  `_write_payload` is the
+# one writer.  A file, a saved payload or a network message (shard task,
+# shard result) deflates its members, except the report's float matrices,
+# which deflate by under 10 % and are stored; the requests bytes a process
+# pool ships to its workers store every member, since they are decoded
+# again at once on this host.  Every family writes its manifest through
+# `_Family.manifest` and reads through `_read_payload`, which takes any mix
+# of container modes; `_read_member` decodes each ``.npy`` member;
 # `_decoding` is the one place decode failures are caught and turned into
 # WirePayloadError.
 
@@ -1032,8 +1034,19 @@ def _decode_fleet_report(manifest: dict, reports) -> FleetReport:
     )
 
 
+#: Report members written stored, not deflated: float64 matrices that
+#: deflate by under 10 % yet cost most of the writer's time.  The masks,
+#: ``mic_matrix``, ``lrr_error`` and the manifest shrink 2.6-58x and stay
+#: deflated.
+_REPORT_STORED = frozenset({"estimate", "left", "right", "lrr_correlation"})
+
+
 def save_report(path, report: FleetReport) -> None:
-    """Serialize one fleet refresh (per-site results + plan) to an NPZ payload."""
+    """Serialize one fleet refresh (per-site results + plan) to an NPZ payload.
+
+    The four float members of each site (:data:`_REPORT_STORED`) are stored
+    and every other member is deflated; readers accept any mix.
+    """
     arrays: Dict[str, np.ndarray] = {}
     site_entries: List[dict] = []
     for index, site_report in enumerate(report.reports):
@@ -1041,7 +1054,7 @@ def save_report(path, report: FleetReport) -> None:
         arrays.update(_prefixed(_REPORT.key(index), site_arrays))
         site_entries.append(entry)
     manifest = _REPORT.manifest(_encode_fleet_header(report), site_entries)
-    _write_payload(path, manifest, arrays)
+    _write_payload(path, manifest, arrays, stored=_REPORT_STORED)
 
 
 def load_report(path) -> FleetReport:

@@ -3,10 +3,12 @@
 ``_read_member`` must decode every ``.npy`` member exactly as numpy's own
 ``np.lib.format.read_array`` does — values, dtype, shape, memory order and
 writeability — taking its fast path only for the v1 header numpy writes for
-a plain C-order array and handing everything else to numpy.  Files and
-saved payloads stay deflated byte for byte, and so do the remote shard
-messages; the request bytes a process pool ships store their members;
-every loader accepts both.
+a plain C-order array and handing everything else to numpy.  One zip
+writer serves every family.  Files, saved payloads and the remote shard
+messages deflate their members, byte for byte as ``np.savez_compressed``
+does, except that a report stores its four float members per site; the
+request bytes a process pool ships store every member, as ``np.savez``
+does; every loader accepts any mix.
 """
 
 import dataclasses
@@ -237,6 +239,8 @@ LOADERS = {
     "answers": lambda data: load_answers(io.BytesIO(data)),
 }
 ON_DISK = ("requests", "report", "delta", "queries", "answers")
+#: The report members stored inside an otherwise deflated report.
+REPORT_STORED = ("estimate", "left", "right", "lrr_correlation")
 #: The remote transport's messages cross a network, so they stay deflated.
 NETWORK = ("shard task", "shard result")
 
@@ -304,11 +308,35 @@ def test_bytes_in_front_of_the_archive_are_not_an_npz(family, payloads):
 
 
 class TestContainerMode:
-    @pytest.mark.parametrize("family", ON_DISK)
+    @pytest.mark.parametrize("family", [f for f in ON_DISK if f != "report"])
     def test_files_are_deflated(self, family, writers, tmp_path):
         path = tmp_path / "payload.npz"
         writers[family](path)
         assert _modes(path.read_bytes()) == {zipfile.ZIP_DEFLATED}
+
+    @pytest.mark.parametrize("target", ["path", "buffer"])
+    def test_reports_store_exactly_their_float_members(
+        self, target, writers, payloads, tmp_path
+    ):
+        if target == "path":
+            path = tmp_path / "report.npz"
+            writers["report"](path)
+            data = path.read_bytes()
+        else:
+            data = payloads["report"]
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            modes = {info.filename: info.compress_type for info in archive.infolist()}
+        suffixes = {
+            name: name.removesuffix(".npy").rpartition("__")[2] for name in modes
+        }
+        assert set(suffixes.values()) >= set(REPORT_STORED)
+        for name, mode in modes.items():
+            expected = (
+                zipfile.ZIP_STORED
+                if suffixes[name] in REPORT_STORED
+                else zipfile.ZIP_DEFLATED
+            )
+            assert mode == expected, name
 
     @pytest.mark.parametrize("family", NETWORK)
     def test_network_messages_are_deflated(self, family, payloads):

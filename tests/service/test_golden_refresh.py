@@ -36,7 +36,7 @@ from repro.simulation.collector import CollectionConfig
 
 DAY = 45.0
 REPLICAS = 4
-GOLDEN_REPORT_SHA256 = "8c1dd9df5734d96a4ff315a7791525cfa20bdc5956481e0c6f4f7d8b8efc91d8"
+GOLDEN_REPORT_SHA256 = "f9e46e543b9fe1a8245b043ce53af26b15792443f8703af902e84dcde73f1715"
 GOLDEN_REPORT_FINGERPRINT = (
     "2a5e11f58288f0b2a78f375de72414840de8a0c143a9436fef47291e13a7ca39"
 )
