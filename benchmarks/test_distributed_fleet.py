@@ -1,12 +1,15 @@
 """Scatter-gather fleet execution: wall-clock scaling, zero deviation.
 
-A 128-site synthetic fleet is refreshed four ways — serially in-process and
+A 128-site synthetic fleet is refreshed five ways — serially in-process,
 through :class:`~repro.service.executor.ProcessExecutor` with 1, 2 and 4
-workers — and every variant must produce **bit-identical** per-site results
-and the same executed plan.  Timings are printed as ``BENCH_distributed_fleet_*``
-rows (and optionally written as JSON for CI artifacts via the
-``REPRO_BENCH_JSON`` environment variable), so performance sweeps can track
-the scatter-gather overhead and, on multi-core machines, the scaling.
+workers on a pool each call starts and shuts down, and with 2 workers on a
+caller-owned pool started and warmed before timing (``warm_workers2``, so
+pool start-up is outside that row) — and every variant must produce
+**bit-identical** per-site results and the same executed plan.  Timings are
+printed as ``BENCH_distributed_fleet_*`` rows (and optionally written as
+JSON for CI artifacts via the ``REPRO_BENCH_JSON`` environment variable),
+so performance sweeps can track the scatter-gather overhead and, on
+multi-core machines, the scaling.
 
 Wall-clock assertions are deliberately conservative: result parity is the
 hard invariant; speedup depends on the host's core count (a single-core CI
@@ -17,6 +20,7 @@ pytest-benchmark is unavailable.
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -52,14 +56,28 @@ def distributed_fleet_requests():
     )
 
 
-def test_distributed_fleet_scaling(distributed_fleet_requests):
-    """Scatter a 128-site refresh over {1, 2, 4} workers vs serial."""
+@pytest.fixture
+def warm_pool(distributed_fleet_requests):
+    """Two started worker processes, warmed by one untimed refresh."""
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        UpdateService().update_fleet(
+            distributed_fleet_requests,
+            shards=ShardConfig(max_stack_bytes=SHARD_BUDGET),
+            executor=ProcessExecutor(2, pool=pool),
+        )
+        yield pool
+
+
+def test_distributed_fleet_scaling(distributed_fleet_requests, warm_pool):
+    """Scatter a 128-site refresh over {1, 2, 4} fresh and 2 warm workers vs
+    serial."""
     shards = ShardConfig(max_stack_bytes=SHARD_BUDGET)
     service = UpdateService()
 
     variants = {"serial": None}
     for workers in WORKER_COUNTS:
         variants[f"workers{workers}"] = ProcessExecutor(workers)
+    variants["warm_workers2"] = ProcessExecutor(2, pool=warm_pool)
 
     timings = {}
     estimates = {}

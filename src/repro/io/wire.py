@@ -238,13 +238,12 @@ def _write_payload(
     *,
     stored: frozenset = frozenset(),
 ) -> None:
-    """Write ``manifest`` then ``arrays`` as the ``.npy`` members of one zip.
+    """Write ``manifest`` then ``arrays`` as ``.npy`` members, as ``np.savez`` does.
 
-    The members, their order and their headers are what ``np.savez`` writes
-    (and a path without ``.npz`` gets it appended, as there).  Members are
-    deflated when ``compress`` is set, except an array whose name ends in
-    ``__<name>`` for a name in ``stored``; with no such member the bytes
-    equal ``np.savez_compressed`` (or ``np.savez``) byte for byte.
+    Same members, order, headers and ``.npz`` suffix rule as numpy, so with
+    nothing in ``stored`` the bytes are ``np.savez_compressed``'s (without
+    ``compress``, ``np.savez``'s).  An array named ``<key>__<name>`` with
+    ``name`` in ``stored`` is stored even inside a deflated payload.
     """
     if not hasattr(path, "write"):
         path = os.fspath(path)
@@ -255,12 +254,11 @@ def _write_payload(
     with zipfile.ZipFile(path, "w", compression=default, allowZip64=True) as archive:
         for key, value in members.items():
             info = zipfile.ZipInfo(key + ".npy")
-            info.compress_type = (
-                zipfile.ZIP_STORED if key.rpartition("__")[2] in stored else default
-            )
-            # numpy always forces zip64 (gh-10776); so do we, for equal bytes.
-            with archive.open(info, "w", force_zip64=True) as member:
-                np.lib.format.write_array(member, np.asanyarray(value), allow_pickle=False)
+            keep = key.rpartition("__")[2] in stored
+            info.compress_type = zipfile.ZIP_STORED if keep else default
+            # numpy forces zip64 on every member (gh-10776); equal bytes need it.
+            with archive.open(info, "w", force_zip64=True) as out:
+                np.lib.format.write_array(out, np.asanyarray(value), allow_pickle=False)
 
 
 #: How an NPZ starts: a zip's first local file header, or an empty zip's
@@ -1042,11 +1040,8 @@ _REPORT_STORED = frozenset({"estimate", "left", "right", "lrr_correlation"})
 
 
 def save_report(path, report: FleetReport) -> None:
-    """Serialize one fleet refresh (per-site results + plan) to an NPZ payload.
-
-    The four float members of each site (:data:`_REPORT_STORED`) are stored
-    and every other member is deflated; readers accept any mix.
-    """
+    """Serialize one fleet refresh (per-site results + plan) to an NPZ payload
+    whose :data:`_REPORT_STORED` members are stored and the rest deflated."""
     arrays: Dict[str, np.ndarray] = {}
     site_entries: List[dict] = []
     for index, site_report in enumerate(report.reports):

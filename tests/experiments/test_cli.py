@@ -1,5 +1,7 @@
 """Unit tests for the experiment CLI."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -516,18 +518,23 @@ class TestQueryCommands:
         assert flag in capsys.readouterr().err
 
 
-def _flip_member_bytes(path):
-    """Flip bytes inside the deflated data of a payload's first array member.
+def _flip_member_bytes(path, suffix=""):
+    """Flip bytes inside the data of a payload's first array member whose
+    name ends in ``suffix`` (any array member by default).
 
     The manifest stays intact, so the failure surfaces only when the member
-    is inflated (a zlib error or a zip CRC mismatch).
+    is read: a zlib error or a zip CRC mismatch for a deflated member, the
+    CRC mismatch alone for a stored one.
     """
     import struct
-    import zipfile
 
     data = bytearray(path.read_bytes())
     with zipfile.ZipFile(path) as archive:
-        member = next(i for i in archive.infolist() if i.filename != "manifest.npy")
+        member = next(
+            i
+            for i in archive.infolist()
+            if i.filename != "manifest.npy" and i.filename.endswith(f"{suffix}.npy")
+        )
     name_length, extra_length = struct.unpack(
         "<HH", data[member.header_offset + 26 : member.header_offset + 30]
     )
@@ -536,11 +543,12 @@ def _flip_member_bytes(path):
     for offset in range(middle, middle + 4):
         data[offset] ^= 0xFF
     path.write_bytes(bytes(data))
+    return member.compress_type
 
 
 class TestCorruptPayloads:
-    """A payload corrupted inside a compressed array member ends in exit 2
-    and a one-line error naming the file, not a traceback."""
+    """A payload corrupted inside an array member, deflated or stored, ends
+    in exit 2 and a one-line error naming the file, not a traceback."""
 
     @pytest.fixture(scope="class")
     def payloads(self, tmp_path_factory):
@@ -561,22 +569,43 @@ class TestCorruptPayloads:
         return {"requests": requests, "report": report, "queries": queries}
 
     @pytest.mark.parametrize(
-        "command, corrupt",
+        "command, corrupt, suffix, mode",
         [
-            (["fleet", "run", "--in", "{requests}"], "requests"),
+            (
+                ["fleet", "run", "--in", "{requests}"],
+                "requests",
+                "",
+                zipfile.ZIP_DEFLATED,
+            ),
             (
                 ["query", "run", "--report", "{report}", "--queries", "{queries}"],
                 "queries",
+                "",
+                zipfile.ZIP_DEFLATED,
+            ),
+            # A report stores its float members: only the zip CRC guards them.
+            (
+                ["fleet", "diff", "--base", "{report}", "--target", "{good_report}"],
+                "report",
+                "__estimate",
+                zipfile.ZIP_STORED,
             ),
             (
                 ["fleet", "diff", "--base", "{report}", "--target", "{good_report}"],
                 "report",
+                "__matrix_mask",
+                zipfile.ZIP_DEFLATED,
             ),
         ],
-        ids=["fleet-run-in", "query-run-queries", "fleet-diff-base"],
+        ids=[
+            "fleet-run-in",
+            "query-run-queries",
+            "fleet-diff-base",
+            "fleet-diff-base-deflated-member",
+        ],
     )
     def test_corrupt_payload_exits_2_naming_the_file(
-        self, payloads, tmp_path, capsys, command, corrupt
+        self, payloads, tmp_path, capsys, command, corrupt, suffix, mode
     ):
         import shutil
 
@@ -585,7 +614,7 @@ class TestCorruptPayloads:
             paths[kind] = tmp_path / source.name
             shutil.copy(source, paths[kind])
         paths["good_report"] = payloads["report"]
-        _flip_member_bytes(paths[corrupt])
+        assert _flip_member_bytes(paths[corrupt], suffix) == mode
         capsys.readouterr()
         argv = [arg.format(**{k: str(v) for k, v in paths.items()}) for arg in command]
         assert main(argv) == 2

@@ -13,6 +13,7 @@ does; every loader accepts any mix.
 
 import dataclasses
 import io
+import struct
 import zipfile
 from unittest import mock
 
@@ -337,6 +338,23 @@ class TestContainerMode:
                 else zipfile.ZIP_DEFLATED
             )
             assert mode == expected, name
+
+    @pytest.mark.parametrize("name", REPORT_STORED)
+    def test_a_flip_inside_a_stored_member_is_caught(self, name, payloads):
+        """No zlib layer guards a stored member; the zip CRC still does."""
+        data = bytearray(payloads["report"])
+        with zipfile.ZipFile(io.BytesIO(payloads["report"])) as archive:
+            info = archive.getinfo(f"site0000__{name}.npy")
+        assert info.compress_type == zipfile.ZIP_STORED
+        # A local file header is 30 fixed bytes, the name and the extra field;
+        # the member's data follows, and its last byte is array data.
+        name_length, extra_length = struct.unpack(
+            "<HH", data[info.header_offset + 26 : info.header_offset + 30]
+        )
+        start = info.header_offset + 30 + name_length + extra_length
+        data[start + info.compress_size - 1] ^= 0x01
+        with pytest.raises(WirePayloadError, match="CRC"):
+            load_report(io.BytesIO(bytes(data)))
 
     @pytest.mark.parametrize("family", NETWORK)
     def test_network_messages_are_deflated(self, family, payloads):
