@@ -12,7 +12,7 @@ The package is organised around the paper's pipeline:
   fingerprint databases: the :class:`~repro.service.service.UpdateService`
   request/response API runs whole fleets of sites through rank-grouped,
   cache-budgeted shards of stacked batched solves — in-process or scattered
-  over worker processes via the pluggable
+  over remote HTTP workers via the pluggable
   :mod:`~repro.service.executor` backends — and
   :class:`~repro.service.fleet.FleetCampaign` drives the paper's three
   environments per survey stamp.  ``IUpdater`` remains as a single-site
@@ -30,8 +30,8 @@ The package is organised around the paper's pipeline:
 * :mod:`repro.daemon` runs both halves as one always-on system: a
   long-running :class:`~repro.daemon.coordinator.Coordinator` with a
   persistent job queue (priorities, retry with backoff, crash recovery)
-  executes fleet refreshes over a shared process pool and auto-publishes
-  every completed report into its embedded query engine; the
+  executes fleet refreshes (in-process, or over remote workers) and
+  auto-publishes every completed report into its embedded query engine; the
   submit / status / result / cancel / localize API is served over HTTP
   (``daemon start`` CLI, :class:`~repro.daemon.client.DaemonClient`).
 * :mod:`repro.simulation` drives multi-timestamp survey campaigns and the
@@ -58,7 +58,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "ShardPlan": "repro.service.shard",
         "ShardExecutor": "repro.service.executor",
         "SerialExecutor": "repro.service.executor",
-        "ProcessExecutor": "repro.service.executor",
         "RemoteExecutor": "repro.service.remote",
         "WorkerServer": "repro.service.remote",
         "Fault": "repro.service.remote",

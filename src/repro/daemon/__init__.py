@@ -6,8 +6,8 @@ owns a **persistent job queue** (:class:`~repro.daemon.queue.JobQueue`:
 JSON journal + NPZ payload spool, priorities, FIFO within priority,
 bounded retry with exponential backoff, crash recovery on restart), a
 scheduler that runs concurrent fleet refreshes through the existing
-:class:`~repro.service.executor.ShardExecutor` backends over **one shared
-process pool**, and an embedded
+:class:`~repro.service.executor.ShardExecutor` backends (in-process, or over
+remote workers when the daemon has endpoints), and an embedded
 :class:`~repro.query.engine.QueryEngine` that every completed refresh
 auto-publishes into — so ``/api/localize`` always answers from the
 freshest fleet.  :class:`~repro.daemon.http.DaemonServer` puts the

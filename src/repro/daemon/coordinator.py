@@ -12,10 +12,11 @@ system that serves traffic:
   pool of **job threads** (``DaemonConfig.job_workers`` concurrent jobs).
   Refresh jobs solve through the existing
   :class:`~repro.service.executor.ShardExecutor` seam — serially in the
-  job thread, or scattered over the coordinator's **one shared process
-  pool** via :class:`~repro.service.executor.ProcessExecutor` (``pool=``),
-  each job honoring its own ``workers`` budget and ``max_stack_bytes`` shard
-  config.  Results stay bit-identical to an offline serial refresh.
+  job thread, or, when the daemon has ``endpoints``, scattered over remote
+  ``fleet workers serve`` machines via
+  :class:`~repro.service.remote.RemoteExecutor`, each job honoring its own
+  ``workers`` budget and ``max_stack_bytes`` shard config.  Results stay
+  bit-identical to an offline serial refresh.
 * **Lifecycle unification**: a completed ``refresh_fleet`` job writes its
   :class:`~repro.service.types.FleetReport` to the spool *and*
   auto-publishes it as the next generation of the embedded
@@ -69,11 +70,6 @@ class DaemonConfig:
     job_workers:
         Jobs executed concurrently (each on its own thread).  1 gives
         strictly serial, priority-ordered execution.
-    pool_workers:
-        Size of the shared process pool refresh jobs scatter shards onto;
-        ``None`` uses the CPU count, 0 disables the pool entirely (every
-        job solves serially regardless of its ``workers`` budget).  The
-        pool is created lazily, on the first job that asks for workers.
     poll_interval:
         Dispatcher sleep between claim attempts when the queue is empty
         or backing off, in seconds.
@@ -89,12 +85,12 @@ class DaemonConfig:
         Optional remote worker URLs (``fleet workers serve`` machines).
         When set, refresh jobs that ask for workers scatter their shards
         over a :class:`~repro.service.remote.RemoteExecutor` across these
-        endpoints instead of the local process pool — bit-identical either
-        way.  Jobs with ``workers <= 0`` still solve serially in-process.
+        endpoints, the job's ``workers`` capping its concurrent dispatches
+        — bit-identical to a serial solve.  Without endpoints, and for jobs
+        with ``workers <= 0``, every job solves serially in-process.
     """
 
     job_workers: int = 2
-    pool_workers: Optional[int] = None
     poll_interval: float = 0.05
     warm_refresh: bool = True
     query: QueryConfig = field(default_factory=QueryConfig)
@@ -104,10 +100,6 @@ class DaemonConfig:
         if self.job_workers < 1:
             raise ValueError(
                 f"job_workers must be at least 1, got {self.job_workers}"
-            )
-        if self.pool_workers is not None and self.pool_workers < 0:
-            raise ValueError(
-                f"pool_workers must be non-negative or None, got {self.pool_workers}"
             )
         if self.poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
@@ -159,8 +151,6 @@ class Coordinator:
         if runners:
             self._runners.update(runners)
         self._clock = clock
-        self._pool = None
-        self._pool_lock = threading.Lock()
         # Last completed report per fleet (keyed by sorted site names), the
         # warm-start source for the next refresh of the same fleet.
         self._warm_reports: Dict[Tuple[str, ...], object] = {}
@@ -216,10 +206,6 @@ class Coordinator:
             )
         for thread in list(self._job_threads):
             thread.join(timeout=0 if not drained else timeout)
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=drained)
-                self._pool = None
         self._started = False
         return drained
 
@@ -268,39 +254,19 @@ class Coordinator:
                 self._inflight_cond.notify_all()
 
     # ------------------------------------------------------------------ runners
-    def _ensure_pool(self):
-        """The lazily-created shared process pool (``None`` when disabled)."""
-        import os
-
-        if self.config.pool_workers == 0:
-            return None
-        with self._pool_lock:
-            if self._pool is None and not self._draining.is_set():
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.config.pool_workers or os.cpu_count() or 1
-                )
-            return self._pool
-
     def _executor_for(self, job: JobRecord):
-        from repro.service.executor import ProcessExecutor, SerialExecutor
+        if job.workers <= 0 or not self.config.endpoints:
+            from repro.service.executor import SerialExecutor
 
-        if job.workers <= 0:
             return SerialExecutor()
-        if self.config.endpoints:
-            from repro.service.remote import RemoteExecutor
+        from repro.service.remote import RemoteExecutor
 
-            return RemoteExecutor(
-                endpoints=self.config.endpoints,
-                max_attempts=max(1, job.max_attempts),
-                backoff=job.backoff_seconds,
-                max_workers=job.workers,
-            )
-        pool = self._ensure_pool()
-        if pool is None:
-            return SerialExecutor()
-        return ProcessExecutor(job.workers, pool=pool)
+        return RemoteExecutor(
+            endpoints=self.config.endpoints,
+            max_attempts=max(1, job.max_attempts),
+            backoff=job.backoff_seconds,
+            max_workers=job.workers,
+        )
 
     @staticmethod
     def _shards_for(job: JobRecord):

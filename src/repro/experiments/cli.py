@@ -18,9 +18,9 @@ batched solves) and reports per-site and aggregate refresh quality.  Its
 environment registry into an NPZ wire payload; ``run`` refreshes such a
 payload from disk — no simulator required on the serving side — and
 optionally writes the full report payload back out.  ``fleet run
---workers N`` scatters the planned shards over N worker processes
-(bit-identical to serial execution); ``run --jobs N`` fans independent
-experiments out across worker processes.
+--endpoints url1,url2`` scatters the planned shards over remote ``fleet
+workers serve`` machines (bit-identical to serial execution); ``run --jobs
+N`` fans independent experiments out across worker processes.
 
 The output uses the same text formatters as the benchmark harness, so the
 rows can be compared directly against the paper's figures.
@@ -179,16 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     fleet_run_parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "scatter shards over N worker processes (ProcessExecutor); "
-            "0 (default) executes serially in-process — results are "
-            "bit-identical either way"
-        ),
-    )
-    fleet_run_parser.add_argument(
         "--warm-from",
         dest="warm_from",
         default=None,
@@ -202,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "comma-separated worker URLs ('fleet workers serve' machines); "
-            "scatters shards remotely (RemoteExecutor) instead of "
-            "--workers — results stay bit-identical to serial"
+            "scatters shards remotely (RemoteExecutor) instead of solving "
+            "them in-process — results stay bit-identical to serial"
         ),
     )
     fleet_run_parser.add_argument(
@@ -429,22 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="jobs executed concurrently (default 2)",
     )
     daemon_start_parser.add_argument(
-        "--pool-workers",
-        type=int,
-        default=None,
-        help=(
-            "size of the shared process pool refresh jobs scatter shards "
-            "onto (default: CPU count; 0 disables the pool — all jobs "
-            "solve serially)"
-        ),
-    )
-    daemon_start_parser.add_argument(
         "--endpoints",
         default=None,
         help=(
             "comma-separated remote worker URLs ('fleet workers serve'); "
             "refresh jobs with a worker budget scatter shards over these "
-            "machines instead of the local process pool"
+            "machines; without it every job solves in-process"
         ),
     )
     daemon_start_parser.add_argument(
@@ -491,8 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="per-job shard budget on the daemon's shared process pool "
-        "(0 = solve serially)",
+        help="per-job cap on concurrent remote shard dispatches when the "
+        "daemon has --endpoints (0 = solve serially); a daemon without "
+        "endpoints solves every job in-process and records executor "
+        "'serial' with 0 workers",
     )
     daemon_submit_parser.add_argument(
         "--max-stack-bytes",
@@ -669,7 +651,7 @@ def run_fleet_export(args) -> int:
 def run_fleet_run(args) -> int:
     """Run ``fleet run``: refresh a from-disk payload through the sharded service."""
     from repro.io import load_report, load_requests, payload_info, save_report
-    from repro.service.executor import ProcessExecutor, SerialExecutor
+    from repro.service.executor import SerialExecutor
     from repro.service.remote import RemoteExecutor, RemoteShardError
     from repro.service.service import UpdateService
     from repro.service.shard import ShardConfig
@@ -684,18 +666,8 @@ def run_fleet_run(args) -> int:
     else:
         print("--max-stack-bytes must be non-negative", file=sys.stderr)
         return 2
-    if args.workers < 0:
-        print("--workers must be non-negative", file=sys.stderr)
-        return 2
     endpoints = getattr(args, "endpoints", None)
     if endpoints:
-        if args.workers:
-            print(
-                "--endpoints and --workers are mutually exclusive: shards "
-                "scatter either remotely or onto local processes",
-                file=sys.stderr,
-            )
-            return 2
         try:
             executor = RemoteExecutor(
                 endpoints=[e for e in endpoints.split(",") if e.strip()],
@@ -707,10 +679,8 @@ def run_fleet_run(args) -> int:
         except ValueError as error:
             print(error, file=sys.stderr)
             return 2
-    elif args.workers == 0:
-        executor = SerialExecutor()
     else:
-        executor = ProcessExecutor(args.workers)
+        executor = SerialExecutor()
 
     try:
         info = payload_info(args.input)
@@ -773,10 +743,7 @@ def run_fleet_run(args) -> int:
                 f"{executor.last_duplicates_dropped} duplicate(s) dropped)"
             )
         else:
-            print(
-                f"executor: {executor.name}"
-                + (f" ({executor.workers} workers)" if executor.workers else "")
-            )
+            print(f"executor: {executor.name}")
     print()
     print(format_fleet_report(report))
     if args.out:
@@ -1158,7 +1125,6 @@ def run_daemon_start(args) -> int:
             )
         config = DaemonConfig(
             job_workers=args.job_workers,
-            pool_workers=args.pool_workers,
             query=QueryConfig(matcher=args.matcher, cache_size=args.cache),
             endpoints=endpoints,
         )

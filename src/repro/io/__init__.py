@@ -5,7 +5,7 @@ answers leave (and re-enter) a process: versioned NPZ+JSON payloads that
 preserve matrices bit-exactly along with masks, dtypes, seeds, pipeline
 configs and the executed shard plan.  The same layout works in memory
 (``requests_to_bytes`` / ``requests_from_bytes``) — that is how the
-distributed executor scatters shards to worker processes.  The read-path
+remote executor scatters shards to its workers.  The read-path
 payloads (:mod:`repro.io.query`) carry batched localization queries and the
 engine's answers behind ``query export`` / ``query run``.  The always-on
 daemon's job queue persists through :mod:`repro.io.jobs`: validated

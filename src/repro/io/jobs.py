@@ -117,8 +117,9 @@ class JobRecord:
         Per-job shard budget: ``None`` uses the service default, 0
         disables sharding, positive values bound each shard's stack.
     workers:
-        Per-job worker budget on the coordinator's shared process pool;
-        0 solves serially in the job's scheduler thread.
+        Per-job cap on concurrent remote shard dispatches when the
+        coordinator has worker endpoints; 0, or a coordinator without
+        endpoints, solves serially in the job's scheduler thread.
     generation:
         Ordinal of the serving-engine generation this job published,
         once it has.

@@ -7,9 +7,9 @@ is a single NPZ whose ``manifest`` entry holds a versioned JSON header
 (format tag, per-site metadata, configs, seeds, shard plan) and whose
 remaining entries hold the float64 matrices bit-exactly.  Files, saved
 payloads and the remote transport's shard messages deflate their members,
-except that a report stores its four float matrices per site; the request
-bytes a process pool ships to its workers store every member; readers
-accept any mix.  ``fleet export`` writes request payloads, ``fleet run
+except that a report stores its four float matrices per site; in-memory
+request bytes (:func:`requests_to_bytes`, which a remote shard task wraps
+and deflates once) store every member; readers accept any mix.  ``fleet export`` writes request payloads, ``fleet run
 --in/--out`` consumes and produces them, and any external producer that
 emits the same layout can feed the service without touching the simulator.
 
@@ -652,12 +652,12 @@ def requests_to_bytes(
 
     The scatter half of distributed shard execution: the coordinator encodes
     each shard's member requests with the same manifest and arrays
-    ``fleet export`` writes to disk, and ships the bytes to a worker process.
-    The members are stored, not deflated: on one host the bytes are
-    decoded again at once, so compressing them costs more than it saves.
-    A remote shard task (:func:`shard_task_to_bytes`) deflates them once
-    before they cross a network.  The same seed
-    discipline applies — live generators are rejected.
+    ``fleet export`` writes to disk, and ships the bytes to a worker.
+    The members are stored, not deflated: the remote shard task
+    (:func:`shard_task_to_bytes`) deflates the whole blob once before it
+    crosses a network, so deflating each member first would compress the
+    same bytes twice.  The same seed discipline applies — live generators
+    are rejected.
     """
     buffer = io.BytesIO()
     _write_payload(buffer, *_encode_requests(requests, elapsed_days), compress=False)
@@ -681,8 +681,8 @@ def requests_from_bytes(data: bytes) -> List[UpdateRequest]:
 # workers on other machines, so both directions get their own framed payload:
 #
 # * a **shard task** wraps one shard's `repro-fleet-requests` payload bytes
-#   verbatim (workers rehydrate with the exact `requests_from_bytes` path the
-#   process-pool executor uses) plus the shard's plan index, the dispatch
+#   verbatim (workers rehydrate with the exact `requests_from_bytes` path
+#   `load_requests` runs on a file) plus the shard's plan index, the dispatch
 #   attempt number, and a SHA-256 fingerprint of (shard index, request bytes);
 # * a **shard result** carries the solved `ShardResult` — per-member factors
 #   and estimates bit-exactly as NPZ arrays — echoing the task fingerprint so

@@ -14,10 +14,9 @@ database at a time, this package makes the multi-site workload primary:
   :class:`~repro.service.shard.ShardPlan`), and executes every shard as
   stacked batched solves — bit-identical per site for any shard split.
 * :class:`~repro.service.executor.SerialExecutor` /
-  :class:`~repro.service.executor.ProcessExecutor` /
   :class:`~repro.service.remote.RemoteExecutor` — pluggable execution
   backends behind ``update_fleet(requests, executor=...)``: in-process by
-  default, scatter-gather over worker processes, or scatter-gather over
+  default, or scatter-gather over
   HTTP :class:`~repro.service.remote.WorkerServer` machines with retry,
   straggler re-dispatch, failover and fingerprint-deduplicated results —
   all rehydrating shards from :mod:`repro.io` wire payloads and all
@@ -54,7 +53,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "ShardPlan": "repro.service.shard",
         "ShardExecutor": "repro.service.executor",
         "SerialExecutor": "repro.service.executor",
-        "ProcessExecutor": "repro.service.executor",
         "RemoteExecutor": "repro.service.remote",
         "WorkerServer": "repro.service.remote",
         "Fault": "repro.service.remote",

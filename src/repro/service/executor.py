@@ -1,57 +1,38 @@
-"""Pluggable shard-execution backends: serial in-process or scatter-gather.
+"""Pluggable shard-execution backends: serial in-process or remote scatter.
 
 The service pipeline (ingest → plan → **execute**) keeps planning and
 execution separate on purpose: a :class:`~repro.service.shard.ShardPlan` is
 pure data, so *where* its shards run is a backend choice.  This module
-defines that seam:
+defines that seam and its reference backend:
 
 * :class:`SerialExecutor` — the default and the reference semantics: every
   shard advances in this process, one lockstep run after another, exactly
   as ``UpdateService.update_fleet`` has always behaved.
-* :class:`ProcessExecutor` — scatter-gather over a
-  ``concurrent.futures.ProcessPoolExecutor`` (one it creates per call, or
-  a caller-owned one it never shuts down): each shard's member requests
-  are serialized with :func:`repro.io.wire.requests_to_bytes` (the same
-  versioned NPZ+JSON layout ``fleet export`` writes to disk), a worker
-  process rehydrates them with :func:`repro.io.wire.requests_from_bytes`,
-  re-runs the deterministic preparation path
-  (:func:`~repro.service.prepare.prepare_request`) and the stacked solve
-  (:func:`~repro.core.stacked.solve_shard`), and ships a
-  :class:`~repro.core.stacked.ShardResult` back.  The coordinator gathers
-  outcomes in plan order and the service reassembles reports in request
-  order, so results are **bit-identical to serial execution for any worker
-  count** — pinned by ``tests/service/test_executor.py``.
+* :class:`~repro.service.remote.RemoteExecutor` (in
+  :mod:`repro.service.remote`) — the one scatter-gather backend: each
+  shard's member requests travel as :func:`repro.io.wire.requests_to_bytes`
+  blobs to HTTP :class:`~repro.service.remote.WorkerServer` machines, which
+  rehydrate them, re-run the deterministic preparation path
+  (:func:`~repro.service.prepare.prepare_request`) and solve them through
+  :func:`solve_prepared_shard`, the same call :class:`SerialExecutor` makes.
+  Results are **bit-identical to serial execution for any endpoint or
+  worker count** — pinned by ``tests/service/test_executor.py`` and
+  ``tests/service/test_remote_faults.py``.
 
-Why bit-identical?  Three properties compose:
+An in-host process pool was a third backend until measurement showed it
+never beat the serial path on the 2-core reference host, even with its
+workers started and warm; ``docs/ARCHITECTURE.md`` records the rows.
 
-1. The wire payload preserves every float, mask, dtype, config and seed
-   exactly (no pickling of live state — workers rebuild from the same
-   arrays and manifest an on-disk payload carries).
-2. Preparation is deterministic: MIC/LRR either travel precomputed on the
-   request or are recomputed from the bit-identical baseline, and the
-   solver's random init draws from the request's integer seed.
-3. Batched LU factorises each ``(r, r)`` slice independently, so a shard
-   solved alone produces the same floats it would inside any larger stack.
-
-Because property 2 leans on the seed, :class:`ProcessExecutor` refuses
-requests whose ``rng`` is ``None`` or a live generator — a worker could not
-reproduce the coordinator's random init, silently breaking parity.  Give
-every request an integer seed (``fleet export`` payloads always carry one).
-
-Per-shard singularity isolation carries over unchanged: a shard whose
+Per-shard singularity isolation is shared by both backends: a shard whose
 stacked run dies on a numerical error is re-solved site by site from clean
-states (in the worker, for :class:`ProcessExecutor`) and flagged
-``fallback``; a site that fails even in isolation raises a ``RuntimeError``
-naming every offender.
+states and flagged ``fallback``; a site that fails even in isolation raises
+a ``RuntimeError`` naming every offender.
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
-from contextlib import nullcontext
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,8 +46,8 @@ __all__ = [
     "InvalidWorkerCountError",
     "ShardExecutor",
     "SerialExecutor",
-    "ProcessExecutor",
     "resolve_executor",
+    "solve_prepared_shard",
     "validate_worker_count",
 ]
 
@@ -118,7 +99,7 @@ class ShardExecutor(ABC):
 
     @property
     def workers(self) -> int:
-        """Worker processes this backend fans out to (0 = in-process)."""
+        """Workers this backend fans out to (0 = in-process)."""
         return 0
 
     @abstractmethod
@@ -170,6 +151,25 @@ def _solve_requests_individually(
     )
 
 
+def solve_prepared_shard(
+    sites: Sequence[PreparedSite], shard_index: int
+) -> Tuple[List[PreparedSite], ShardResult]:
+    """Solve one shard's prepared sites as one stacked run.
+
+    Returns the sites that actually solved with the shard's outcome.  A
+    stacked run that dies on a numerical error leaves its states partially
+    advanced, so the fallback re-prepares every member and returns those
+    fresh sites instead.  Both backends call this: :class:`SerialExecutor`
+    in this process, and a remote worker on the shard it rehydrated.
+    """
+    try:
+        return list(sites), solve_shard([site.state for site in sites])
+    except _NUMERICAL_ERRORS:
+        return _solve_requests_individually(
+            [site.request for site in sites], shard_index
+        )
+
+
 class SerialExecutor(ShardExecutor):
     """Execute every shard in this process, in plan order (the default)."""
 
@@ -180,152 +180,13 @@ class SerialExecutor(ShardExecutor):
     ) -> Tuple[ShardPlan, Dict[int, SelfAugmentedResult]]:
         results: Dict[int, SelfAugmentedResult] = {}
         for shard in plan.shards:
-            states = [prepared[index].state for index in shard.members]
-            try:
-                outcome = solve_shard(states)
-            except _NUMERICAL_ERRORS:
-                fresh_sites, outcome = _solve_requests_individually(
-                    [prepared[index].request for index in shard.members],
-                    shard.index,
-                )
-                for index, fresh in zip(shard.members, fresh_sites):
-                    prepared[index] = fresh
+            sites, outcome = solve_prepared_shard(
+                [prepared[index] for index in shard.members], shard.index
+            )
+            for index, site in zip(shard.members, sites):
+                prepared[index] = site
             plan, shard_results = _gather(plan, shard, outcome)
             results.update(shard_results)
-        return plan, results
-
-
-def scatter_request(site: PreparedSite) -> UpdateRequest:
-    """The request as scattered: the coordinator's MIC/LRR always attached.
-
-    Shared by every scatter-gather backend (process pool and remote HTTP),
-    so workers skip Inherent Correlation Acquisition instead of recomputing
-    what the coordinator's prepare stage already paid for.
-    """
-    if site.request.correlation is not None:
-        return site.request
-    return replace(site.request, correlation=(site.mic, site.lrr))
-
-
-def check_reproducible(
-    prepared: Sequence[PreparedSite], plan: ShardPlan, owner: str
-) -> None:
-    """Reject request seeds a scattered worker could not reproduce from."""
-    for shard in plan.shards:
-        for index in shard.members:
-            rng = prepared[index].request.rng
-            if not isinstance(rng, (int, np.integer)) or isinstance(rng, bool):
-                raise ValueError(
-                    f"site {prepared[index].request.site!r} carries rng="
-                    f"{rng!r}; {owner} needs a reproducible "
-                    "integer seed per request so worker processes "
-                    "re-derive the coordinator's random init exactly"
-                )
-
-
-def _solve_shard_payload(payload: bytes, shard_index: int) -> ShardResult:
-    """Worker entry point: rehydrate one shard's requests and solve them.
-
-    Runs in a pool process, so it must be a top-level (picklable) function.
-    The payload travels as :mod:`repro.io.wire` bytes and re-enters through
-    the same validation as an on-disk payload; preparation and the stacked
-    solve are the exact code the serial path runs.
-    """
-    from repro.io.wire import requests_from_bytes
-
-    requests = requests_from_bytes(payload)
-    prepared = [prepare_request(request) for request in requests]
-    try:
-        return solve_shard([site.state for site in prepared])
-    except _NUMERICAL_ERRORS:
-        _, outcome = _solve_requests_individually(requests, shard_index)
-        return outcome
-
-
-class ProcessExecutor(ShardExecutor):
-    """Scatter shards over a process pool, gather bit-identical results.
-
-    Parameters
-    ----------
-    max_workers:
-        Shards in flight at a time; defaults to the machine's CPU count.
-        Without ``pool`` it is also the size of the pool each ``execute``
-        call creates.  One worker is a legal (if pointless) configuration —
-        results never depend on the count, only wall-clock does.
-    pool:
-        Optional caller-owned ``concurrent.futures.ProcessPoolExecutor``,
-        used as-is and never shut down.  The always-on daemon shares one
-        pool across concurrent refresh jobs so worker processes start once,
-        not per job; ``max_workers`` then caps each job's in-flight shards
-        so one huge job cannot starve the others.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None, pool=None) -> None:
-        if max_workers is None:
-            max_workers = os.cpu_count() or 1
-        self.max_workers = validate_worker_count(max_workers, type(self).__name__)
-        self._pool = pool
-
-    @property
-    def workers(self) -> int:
-        return self.max_workers
-
-    def execute(
-        self, prepared: List[PreparedSite], plan: ShardPlan
-    ) -> Tuple[ShardPlan, Dict[int, SelfAugmentedResult]]:
-        """Scatter the plan's shards and gather them in plan order.
-
-        Gathering in plan order (not completion order) keeps bookkeeping —
-        like the per-site reports — deterministic for any worker count or
-        scheduling interleaving.
-        """
-        if not plan.shards:
-            return plan, {}
-        check_reproducible(prepared, plan, type(self).__name__)
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.io.wire import requests_to_bytes
-
-        shards = plan.shards
-        payloads = [
-            requests_to_bytes([scatter_request(prepared[i]) for i in shard.members])
-            for shard in shards
-        ]
-        results: Dict[int, SelfAugmentedResult] = {}
-        if self._pool is not None:
-            owned = nullcontext(self._pool)
-        else:
-            owned = ProcessPoolExecutor(max_workers=min(self.max_workers, len(shards)))
-        with owned as pool:
-            # At most max_workers of this executor's shards are in flight.
-            window = self.max_workers
-            futures: Dict[int, "object"] = {}
-            submitted = 0
-            for position, shard in enumerate(shards):
-                while submitted < len(shards) and submitted - position < window:
-                    futures[submitted] = pool.submit(
-                        _solve_shard_payload,
-                        payloads[submitted],
-                        shards[submitted].index,
-                    )
-                    submitted += 1
-                try:
-                    outcome = futures.pop(position).result()
-                except Exception as exc:
-                    # A worker traceback alone loses *which* sites were being
-                    # solved; name the shard's members so the caller can
-                    # exclude or resubmit them.
-                    for pending in futures.values():
-                        pending.cancel()
-                    sites = ", ".join(repr(site) for site in shard.sites)
-                    raise RuntimeError(
-                        f"worker failed solving shard {shard.index} "
-                        f"(sites {sites}): {exc}"
-                    ) from exc
-                plan, shard_results = _gather(plan, shard, outcome)
-                results.update(shard_results)
         return plan, results
 
 
@@ -334,8 +195,9 @@ def resolve_executor(
 ) -> ShardExecutor:
     """Normalise the ``executor=`` argument of ``UpdateService.update_fleet``.
 
-    ``None`` and ``"serial"`` keep the in-process behaviour; ``"process"``
-    builds a CPU-count :class:`ProcessExecutor`; an instance passes through.
+    ``None`` and ``"serial"`` keep the in-process behaviour; an instance
+    (such as a configured :class:`~repro.service.remote.RemoteExecutor`)
+    passes through.
     """
     if executor is None:
         return SerialExecutor()
@@ -344,12 +206,11 @@ def resolve_executor(
     if isinstance(executor, str):
         if executor == "serial":
             return SerialExecutor()
-        if executor == "process":
-            return ProcessExecutor()
         raise ValueError(
-            f"unknown executor {executor!r}; expected 'serial' or 'process'"
+            f"unknown executor {executor!r}; expected 'serial', None or a "
+            "ShardExecutor instance such as RemoteExecutor"
         )
     raise TypeError(
-        "executor must be a ShardExecutor, 'serial', 'process', or None, "
+        "executor must be a ShardExecutor, 'serial', or None, "
         f"got {type(executor).__name__}"
     )

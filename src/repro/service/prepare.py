@@ -3,7 +3,7 @@
 This is the **ingest** stage of the service pipeline, factored out of
 :class:`~repro.service.service.UpdateService` so that any execution backend
 — the in-process :class:`~repro.service.executor.SerialExecutor` or a
-:class:`~repro.service.executor.ProcessExecutor` worker that just rehydrated
+remote :class:`~repro.service.remote.WorkerServer` that just rehydrated
 its shard from a :mod:`repro.io` payload — runs the exact same code path:
 Inherent Correlation Acquisition (MIC + LRR, skipped when the request
 carries a precomputed ``correlation``), the Constraint-1 prediction
@@ -12,7 +12,7 @@ mask, and the staged :class:`~repro.core.self_augmented.SweepState`.
 
 Preparation is deterministic for a given request (MIC and LRR are
 deterministic in the baseline; the solver init draws from the request's
-seed), which is what lets a worker process rebuild a shard's states
+seed), which is what lets a worker rebuild a shard's states
 bit-identically to the coordinator that planned them.
 """
 

@@ -1,16 +1,17 @@
 """Remote scatter-gather: HTTP shard workers + a fault-tolerant executor.
 
-This module takes shard execution past one machine.  The wire payloads were
-already transport-agnostic — :class:`~repro.service.executor.ProcessExecutor`
-ships :func:`repro.io.wire.requests_to_bytes` blobs to pool processes — so
-the remote transport reuses exactly that path over plain HTTP:
+This module takes shard execution past one process: it is the one
+scatter-gather backend beside the in-process
+:class:`~repro.service.executor.SerialExecutor`.  Each shard's member
+requests travel as :func:`repro.io.wire.requests_to_bytes` blobs (the same
+versioned NPZ+JSON layout ``fleet export`` writes to disk) over plain HTTP:
 
 * :class:`WorkerServer` — a stdlib ``ThreadingHTTPServer`` that accepts
   ``repro-shard-task`` payloads on ``POST /api/shard``, rehydrates the
-  member requests with the *same* worker entry point the process pool uses
-  (:func:`~repro.service.executor._solve_shard_payload`: validate → prepare
-  → :func:`~repro.core.stacked.solve_shard`, with the per-shard singularity
-  fallback), and returns a ``repro-shard-result`` payload.
+  member requests (:func:`_solve_shard_payload`: validate → prepare →
+  :func:`~repro.service.executor.solve_prepared_shard`, the call the serial
+  backend makes, with its per-shard singularity fallback), and returns a
+  ``repro-shard-result`` payload.
 * :class:`RemoteExecutor` — a :class:`~repro.service.executor.ShardExecutor`
   that scatters planned shards across worker endpoints on a thread pool
   (serialization and dispatch overlap remote solves), gathers in plan
@@ -31,9 +32,20 @@ the remote transport reuses exactly that path over plain HTTP:
     dropped, so duplicated completions (stragglers, deliberate duplicates)
     are deduplicated deterministically.
 
-The invariant is unchanged from every previous backend: gathered results
-are **bit-identical to SerialExecutor** for any endpoint count — and, the
-chaos suite pins, under every injected fault.
+The invariant: gathered results are **bit-identical to SerialExecutor**
+for any endpoint or worker count — and, the chaos suite pins, under every
+injected fault.  Three properties compose:
+
+1. The wire payload preserves every float, mask, dtype, config and seed
+   exactly (no pickling of live state — workers rebuild from the same
+   arrays and manifest an on-disk payload carries).
+2. Preparation is deterministic: MIC/LRR travel precomputed on the
+   scattered request (:func:`scatter_request`), and the solver's random
+   init draws from the request's integer seed.  Because this leans on the
+   seed, :func:`check_reproducible` refuses requests whose ``rng`` is
+   ``None`` or a live generator.
+3. Batched LU factorises each ``(r, r)`` slice independently, so a shard
+   solved alone produces the same floats it would inside any larger stack.
 
 Fault injection is part of the production surface, not test monkey-
 patching: a :class:`FaultPlan` of :class:`Fault` entries arms deliberate
@@ -50,13 +62,16 @@ import http.client
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.self_augmented import SelfAugmentedResult
 from repro.core.stacked import ShardResult
 from repro.io.wire import (
     WirePayloadError,
+    requests_from_bytes,
     requests_to_bytes,
     shard_fingerprint,
     shard_result_from_bytes,
@@ -66,14 +81,12 @@ from repro.io.wire import (
 )
 from repro.service.executor import (
     ShardExecutor,
-    _gather,
-    _solve_shard_payload,
-    check_reproducible,
-    scatter_request,
+    solve_prepared_shard,
     validate_worker_count,
 )
-from repro.service.prepare import PreparedSite
-from repro.service.shard import Shard, ShardPlan
+from repro.service.prepare import PreparedSite, prepare_request
+from repro.service.shard import Shard, ShardPlan, mark_executed
+from repro.service.types import UpdateRequest
 from repro.utils.http import HttpServer, HttpStatusError, JsonRequestHandler, http_call
 
 __all__ = [
@@ -93,6 +106,46 @@ _SERVER_FAULTS = ("drop", "delay", "corrupt", "kill")
 
 #: Faults the executor injects while dispatching a task.
 _CLIENT_FAULTS = ("duplicate",)
+
+
+# ------------------------------------------------------------ scatter helpers
+def scatter_request(site: PreparedSite) -> UpdateRequest:
+    """The request as scattered: the coordinator's MIC/LRR always attached.
+
+    Workers then skip Inherent Correlation Acquisition instead of
+    recomputing what the coordinator's prepare stage already paid for.
+    """
+    if site.request.correlation is not None:
+        return site.request
+    return replace(site.request, correlation=(site.mic, site.lrr))
+
+
+def check_reproducible(prepared: Sequence[PreparedSite], plan: ShardPlan) -> None:
+    """Reject request seeds a scattered worker could not reproduce from."""
+    for shard in plan.shards:
+        for index in shard.members:
+            rng = prepared[index].request.rng
+            if not isinstance(rng, (int, np.integer)) or isinstance(rng, bool):
+                raise ValueError(
+                    f"site {prepared[index].request.site!r} carries rng="
+                    f"{rng!r}; RemoteExecutor needs a reproducible "
+                    "integer seed per request so workers "
+                    "re-derive the coordinator's random init exactly"
+                )
+
+
+def _solve_shard_payload(payload: bytes, shard_index: int) -> ShardResult:
+    """Worker entry point: rehydrate one shard's requests and solve them.
+
+    The payload travels as :mod:`repro.io.wire` bytes and re-enters through
+    the same validation as an on-disk payload; preparation and the stacked
+    solve are the exact code the serial path runs.
+    """
+    requests = requests_from_bytes(payload)
+    _, outcome = solve_prepared_shard(
+        [prepare_request(request) for request in requests], shard_index
+    )
+    return outcome
 
 
 # ------------------------------------------------------------------ fault plan
@@ -291,8 +344,8 @@ class WorkerServer(HttpServer):
 
     The serving-side half of :class:`RemoteExecutor`.  Each ``POST
     /api/shard`` body is decoded through the standard wire validation,
-    solved with the exact worker entry point the process-pool backend uses,
-    and answered as a ``repro-shard-result`` payload — so a remote solve is
+    solved through the same per-shard call the serial backend makes, and
+    answered as a ``repro-shard-result`` payload — so a remote solve is
     bit-identical to a local one by construction.  ``GET /api/health``
     reports liveness and counters.
 
@@ -509,7 +562,7 @@ class RemoteExecutor(ShardExecutor):
     ) -> Tuple[ShardPlan, Dict[int, SelfAugmentedResult]]:
         if not plan.shards:
             return plan, {}
-        check_reproducible(prepared, plan, type(self).__name__)
+        check_reproducible(prepared, plan)
         with self._stats_lock:
             self._stats = {}
 
@@ -539,12 +592,11 @@ class RemoteExecutor(ShardExecutor):
                 # Gather-level idempotency guard: a fingerprint that already
                 # landed (shouldn't happen across distinct shards — every
                 # shard hashes differently) is never applied twice.
-                if outcome.fingerprint not in gathered:
-                    gathered[outcome.fingerprint] = outcome.result
-                plan, shard_results = _gather(
-                    plan, shard, gathered[outcome.fingerprint]
+                result = gathered.setdefault(outcome.fingerprint, outcome.result)
+                plan = mark_executed(
+                    plan, shard.index, result.sweeps, fallback=result.fallback
                 )
-                results.update(shard_results)
+                results.update(zip(shard.members, result.results))
                 with self._stats_lock:
                     self._stats[shard.index] = outcome.stats
         return plan, results

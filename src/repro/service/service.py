@@ -23,9 +23,9 @@ and runs the whole fleet through a three-stage pipeline:
    backend runs the plan: the default
    :class:`~repro.service.executor.SerialExecutor` advances every shard in
    this process through :func:`~repro.core.stacked.solve_shard`, while
-   :class:`~repro.service.executor.ProcessExecutor` scatters shards over a
-   process pool (workers rehydrate their shard from a :mod:`repro.io` wire
-   payload) and gathers the results — bit-identical either way.  Per-shard
+   :class:`~repro.service.remote.RemoteExecutor` scatters shards over HTTP
+   workers (each rehydrates its shard from a :mod:`repro.io` wire payload)
+   and gathers the results — bit-identical either way.  Per-shard
    singularity isolation applies in both: a shard whose stacked run dies on
    a numerical error falls back to re-preparing and solving its member
    sites individually, so co-tenants are never left with the abandoned
@@ -38,8 +38,9 @@ and runs the whole fleet through a three-stage pipeline:
 
 Per-site results are bit-identical to independent
 :meth:`~repro.core.updater.IUpdater.update` runs for every shard split and
-every executor backend — pinned by ``tests/service/test_fleet_parity.py``
-and ``tests/service/test_executor.py``: batched LU factorises each slice
+every executor backend — pinned by ``tests/service/test_fleet_parity.py``,
+``tests/service/test_executor.py`` and
+``tests/service/test_remote_faults.py``: batched LU factorises each slice
 independently, and heterogeneous ranks are solved per rank group rather
 than padded, so no site's floating-point result is perturbed.
 """
@@ -134,10 +135,11 @@ class UpdateService:
             per-sweep system stack fits the budget.
         executor:
             Execution backend: ``None`` / ``"serial"`` (default) solves every
-            shard in this process; ``"process"`` or a configured
-            :class:`~repro.service.executor.ProcessExecutor` scatters shards
-            over worker processes.  Results are bit-identical either way
-            (``ProcessExecutor`` requires integer request seeds).
+            shard in this process; a configured
+            :class:`~repro.service.remote.RemoteExecutor` scatters shards
+            over HTTP workers.  Results are bit-identical either way
+            (``RemoteExecutor`` requires integer request seeds).  Any other
+            string raises a ``ValueError``.
         warm_from:
             Previous generation's :class:`~repro.service.types.FleetReport`.
             Sites present in it (with matching shapes and rank) resume from

@@ -245,11 +245,12 @@ class FleetReport:
         record one.
     executor:
         Name of the :class:`~repro.service.executor.ShardExecutor` backend
-        that ran the plan (``"serial"`` or ``"process"``); ``None`` when the
-        producer did not record one.
+        that ran the plan (``"serial"`` or ``"remote"``; reports written
+        before the in-host process pool was deleted may say ``"process"``);
+        ``None`` when the producer did not record one.
     workers:
-        Worker processes the executor fanned shards out to (0 for
-        in-process execution).  Purely bookkeeping: results are
+        Workers the executor fanned shards out to (0 for in-process
+        execution).  Purely bookkeeping: results are
         bit-identical for any worker count.
     sweeps_saved:
         Per-site sweeps the warm start saved versus the previous

@@ -29,7 +29,6 @@ class TestParser:
         assert args.host == "127.0.0.1"
         assert args.port == 8753
         assert args.job_workers == 2
-        assert args.pool_workers is None
         assert args.matcher == "knn"
         assert args.cache == 0
 
@@ -110,7 +109,7 @@ class TestSigtermDrain:
             [
                 sys.executable, "-m", "repro.experiments.cli",
                 "daemon", "start", "--spool", str(spool),
-                "--port", "0", "--pool-workers", "0", "--job-workers", "1",
+                "--port", "0", "--job-workers", "1",
             ],
             env=env,
             stdout=subprocess.PIPE,

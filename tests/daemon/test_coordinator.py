@@ -19,6 +19,8 @@ from repro.service.service import UpdateService
 from repro.service.shard import ShardConfig
 from repro.service.types import FleetReport
 
+from tests.workers import running_workers
+
 
 @pytest.fixture(scope="module")
 def offline_report(daemon_fleet_requests):
@@ -43,8 +45,8 @@ def offline_engine(offline_report):
 
 
 def serial_config(**overrides):
-    """In-process config: one job at a time, no process pool, fast polls."""
-    defaults = dict(job_workers=1, pool_workers=0, poll_interval=0.01)
+    """In-process config: one job at a time, fast polls."""
+    defaults = dict(job_workers=1, poll_interval=0.01)
     defaults.update(overrides)
     return DaemonConfig(**defaults)
 
@@ -119,6 +121,46 @@ class TestRefreshLifecycle:
         job = coordinator.submit(REFRESH_FLEET, fleet_payload)
         with pytest.raises(ValueError, match="no result payload"):
             coordinator.result_path(job.id)
+
+
+class TestScatterRoute:
+    """A job's ``workers`` budget scatters only over remote endpoints."""
+
+    def _refresh(self, spool, config, fleet_payload):
+        coordinator = Coordinator(spool, config=config)
+        coordinator.start()
+        try:
+            job = coordinator.submit(REFRESH_FLEET, fleet_payload, workers=2)
+            done = coordinator.wait(job.id, timeout=120.0)
+            assert done.state == "done", done.error
+            return load_report(coordinator.result_path(job.id))
+        finally:
+            coordinator.drain(timeout=30.0)
+
+    def test_workers_without_endpoints_solve_in_process(
+        self, tmp_path, fleet_payload, offline_report
+    ):
+        report = self._refresh(tmp_path / "spool", serial_config(), fleet_payload)
+        assert report.executor == "serial"
+        assert report.workers == 0
+        for ours, theirs in zip(report.reports, offline_report.reports):
+            np.testing.assert_array_equal(ours.estimate, theirs.estimate)
+
+    def test_workers_with_endpoints_scatter_remotely(
+        self, tmp_path, fleet_payload, offline_report
+    ):
+        with running_workers(1) as (worker,):
+            report = self._refresh(
+                tmp_path / "spool",
+                serial_config(endpoints=(worker.url,)),
+                fleet_payload,
+            )
+            assert worker.solved == report.plan.shard_count
+        assert report.executor == "remote"
+        assert report.workers == 1
+        assert report.sites == offline_report.sites
+        for ours, theirs in zip(report.reports, offline_report.reports):
+            np.testing.assert_array_equal(ours.estimate, theirs.estimate)
 
 
 class TestRunnersSeam:

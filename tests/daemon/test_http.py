@@ -28,7 +28,7 @@ from repro.service.types import FleetReport
 def server(tmp_path_factory):
     coordinator = Coordinator(
         tmp_path_factory.mktemp("daemon") / "spool",
-        config=DaemonConfig(job_workers=1, pool_workers=0, poll_interval=0.01),
+        config=DaemonConfig(job_workers=1, poll_interval=0.01),
     )
     server = DaemonServer(coordinator)
     server.start()
@@ -238,7 +238,7 @@ class TestDrainOverHttp:
         coordinator = Coordinator(
             tmp_path / "spool",
             config=DaemonConfig(
-                job_workers=1, pool_workers=0, poll_interval=0.01
+                job_workers=1, poll_interval=0.01
             ),
         )
         server = DaemonServer(coordinator)

@@ -26,7 +26,7 @@ def _daemon(spool_parent, port=0):
     server = DaemonServer(
         Coordinator(
             spool_parent / "spool",
-            config=DaemonConfig(job_workers=1, pool_workers=0, poll_interval=0.01),
+            config=DaemonConfig(job_workers=1, poll_interval=0.01),
         ),
         port=port,
     )

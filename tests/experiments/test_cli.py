@@ -7,6 +7,8 @@ import pytest
 
 from repro.experiments.cli import build_parser, main, render_result
 
+from tests.workers import running_workers
+
 
 class TestParser:
     def test_list_command(self):
@@ -180,7 +182,8 @@ class TestFleetWireCommands:
         assert "sites            : 100.000" in output
 
     def test_run_with_workers_matches_serial(self, tmp_path, capsys):
-        """fleet run --workers N end to end: same payload, same report."""
+        """fleet run --endpoints over a shard worker, end to end: same
+        payload, same report."""
         from repro.io import load_report
 
         requests_path = str(tmp_path / "requests.npz")
@@ -205,27 +208,29 @@ class TestFleetWireCommands:
         )
         base = ["fleet", "run", "--in", requests_path, "--max-stack-bytes", "4096"]
         assert main(base + ["--out", serial_path]) == 0
-        capsys.readouterr()
-        assert main(base + ["--out", scattered_path, "--workers", "2"]) == 0
+        assert "executor: serial" in capsys.readouterr().out
+        with running_workers(1) as (worker,):
+            assert (
+                main(base + ["--out", scattered_path, "--endpoints", worker.url])
+                == 0
+            )
         output = capsys.readouterr().out
-        assert "executor: process (2 workers)" in output
+        assert "executor: remote" in output
 
         serial = load_report(serial_path)
         scattered = load_report(scattered_path)
         assert serial.executor == "serial" and serial.workers == 0
-        assert scattered.executor == "process" and scattered.workers == 2
+        assert scattered.executor == "remote" and scattered.workers == 1
         assert scattered.sites == serial.sites
         for ours, theirs in zip(scattered.reports, serial.reports):
             np.testing.assert_array_equal(ours.estimate, theirs.estimate)
         assert scattered.plan == serial.plan
 
-    def test_run_rejects_negative_workers(self, tmp_path, capsys):
-        assert (
-            main(
-                ["fleet", "run", "--in", str(tmp_path / "x.npz"), "--workers", "-1"]
-            )
-            == 2
-        )
+    def test_run_has_no_workers_flag(self, tmp_path, capsys):
+        """The in-host process pool is gone: --workers is an unknown flag."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "run", "--in", str(tmp_path / "x.npz"), "--workers", "2"])
+        assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
     def test_run_rejects_missing_payload(self, tmp_path, capsys):

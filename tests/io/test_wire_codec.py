@@ -44,7 +44,7 @@ from repro.io.wire import (
     shard_task_to_bytes,
 )
 from repro.query import QueryAnswer, QueryBatch, grid_locations
-from repro.service.executor import _solve_shard_payload
+from repro.service.remote import _solve_shard_payload
 from repro.service.service import UpdateService
 from repro.service.synthetic import synthesize_fleet
 from repro.service.types import FleetReport

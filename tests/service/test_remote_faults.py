@@ -14,7 +14,6 @@ the executor's dispatch statistics as the accounting oracle.
 import json
 import urllib.error
 import urllib.request
-from contextlib import contextmanager
 
 import pytest
 
@@ -28,12 +27,13 @@ from repro.service.remote import (
     FaultPlan,
     RemoteExecutor,
     RemoteShardError,
-    WorkerServer,
 )
 from repro.service.service import UpdateService
 from repro.service.shard import ShardConfig
 from repro.service.synthetic import synthesize_fleet
 from repro.service.types import FleetReport
+
+from tests.workers import running_workers
 
 FLEET_SITES = 12
 SHARD_BUDGET = 8 * 1024  # small enough to split the fleet into several shards
@@ -81,24 +81,6 @@ def serial_report(fleet_requests):
 @pytest.fixture(scope="module")
 def serial_fingerprint(serial_report):
     return report_fingerprint(serial_report)
-
-
-@contextmanager
-def running_workers(count, fault_plans=None):
-    """``count`` live WorkerServers, each optionally armed with faults."""
-    servers = []
-    try:
-        for index in range(count):
-            faults = None
-            if fault_plans is not None and index < len(fault_plans):
-                faults = fault_plans[index]
-            server = WorkerServer(faults=faults)
-            server.start()
-            servers.append(server)
-        yield servers
-    finally:
-        for server in servers:
-            server.stop()
 
 
 class TestRemoteParity:
@@ -325,7 +307,7 @@ class TestWorkerServerEndpoints:
     def test_wrong_fingerprint_response_is_rejected(self, fleet_requests):
         """A completion answering a different dispatch must not be gathered."""
         from repro.io.wire import requests_to_bytes
-        from repro.service.executor import scatter_request
+        from repro.service.remote import scatter_request
         from repro.service.prepare import prepare_request
 
         prepared = [prepare_request(request) for request in fleet_requests[:2]]

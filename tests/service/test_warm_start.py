@@ -3,7 +3,7 @@
 Covers the service-level warm-start seam end to end: unchanged fleets
 converging without sweeps bit for bit, the per-site ``sweeps_saved``
 accounting, cold fallbacks when the previous report cannot seed a site,
-parity between the serial and process executors, the wire round-trip
+parity between serial and remote scatter, the wire round-trip
 of warm factors on requests and ``warm_started`` / ``sweeps_saved`` on
 reports, the derived ``stop_reason``, and a guard at the default solver
 config: a drifted warm start still sweeps and stays within +0.05 dB of a
@@ -18,13 +18,15 @@ import pytest
 from repro.core.self_augmented import SelfAugmentedConfig
 from repro.core.updater import UpdaterConfig
 from repro.io.wire import load_report, load_requests, save_report, save_requests
-from repro.service.executor import ProcessExecutor
 from repro.service.fleet import FleetCampaign, FleetConfig
+from repro.service.remote import RemoteExecutor
 from repro.service.service import UpdateService
 from repro.service.synthetic import synthesize_fleet
 from repro.service.types import FleetReport, WarmFactors
 from repro.simulation.campaign import CampaignConfig
 from repro.simulation.collector import CollectionConfig
+
+from tests.workers import running_workers
 
 #: Warm-start accuracy gate: a warm refresh may be this much worse than a
 #: cold solve of the same requests.
@@ -114,15 +116,16 @@ class TestWarmFrom:
         assert reports[0].warm_started
         assert reports[0].sweeps == 0
 
-    def test_warm_parity_serial_vs_process(self, base_generation):
+    def test_warm_parity_serial_vs_remote(self, base_generation):
         requests, base = base_generation
         serial = UpdateService().update_fleet(requests, warm_from=base)
-        scattered = UpdateService().update_fleet(
-            requests,
-            shards=2,
-            executor=ProcessExecutor(max_workers=2),
-            warm_from=base,
-        )
+        with running_workers(2) as servers:
+            scattered = UpdateService().update_fleet(
+                requests,
+                shards=2,
+                executor=RemoteExecutor([server.url for server in servers]),
+                warm_from=base,
+            )
         for a, b in zip(serial, scattered):
             assert a.warm_started == b.warm_started
             assert a.sweeps == b.sweeps == 0

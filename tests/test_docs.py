@@ -112,7 +112,7 @@ class TestDaemonDocsSync:
             "daemon stop",
         ):
             assert sub in api, f"docs/API.md does not document `{sub}`"
-        for flag in ("--spool", "--job-workers", "--pool-workers", "--wait"):
+        for flag in ("--spool", "--job-workers", "--wait"):
             assert flag in api, f"docs/API.md does not document `{flag}`"
         from repro.experiments.cli import build_parser
 
@@ -137,7 +137,7 @@ class TestDaemonDocsSync:
             "Coordinator",
             "JobQueue",
             "DaemonServer",
-            "ProcessExecutor",
+            "RemoteExecutor",
         ):
             assert name in text, f"docs/ARCHITECTURE.md is missing {name}"
         for phrase in ("job queue", "publish", "drain"):
