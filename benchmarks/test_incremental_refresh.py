@@ -5,7 +5,9 @@ then re-refreshed at three drift magnitudes — unchanged data, a small
 additive measurement drift, and a large one — both cold and warm-started
 from the previous generation's factors (``update_fleet(..., warm_from=...)``).
 Sweeps-to-converge and wall time are printed as
-``BENCH_incremental_refresh_*`` rows (JSON via ``REPRO_BENCH_JSON``).
+``BENCH_incremental_refresh_*`` rows (JSON via ``REPRO_BENCH_JSON``); the
+small-drift pair, which carries the wall-clock check, is timed as the
+median of ``SMALL_DRIFT_REPEATS`` alternating cold/warm runs each.
 
 Hard invariants (always asserted, deterministic on any host):
 
@@ -40,6 +42,8 @@ FLEET_SITES = 10
 #: (label, additive measurement-noise scale in dB) refresh schedule.
 DRIFT_SCHEDULE = (("zero", 0.0), ("small", 0.003), ("large", 1.0))
 ACCURACY_TOLERANCE_DB = 0.5
+#: Alternating cold/warm runs per path behind the small-drift timing.
+SMALL_DRIFT_REPEATS = 5
 
 
 @pytest.fixture(scope="module")
@@ -101,13 +105,17 @@ def test_incremental_refresh_drift_schedule(previous_generation):
     for label, scale in DRIFT_SCHEDULE:
         requests = drifted_requests(base_requests, scale)
 
-        start = time.perf_counter()
-        cold = service.update_fleet(requests)
-        cold_seconds = time.perf_counter() - start
+        cold_times, warm_times = [], []
+        for _ in range(SMALL_DRIFT_REPEATS if label == "small" else 1):
+            start = time.perf_counter()
+            cold = service.update_fleet(requests)
+            cold_times.append(time.perf_counter() - start)
 
-        start = time.perf_counter()
-        warm = service.update_fleet(requests, warm_from=base_report)
-        warm_seconds = time.perf_counter() - start
+            start = time.perf_counter()
+            warm = service.update_fleet(requests, warm_from=base_report)
+            warm_times.append(time.perf_counter() - start)
+        cold_seconds = float(np.median(cold_times))
+        warm_seconds = float(np.median(warm_times))
 
         cold_sweeps = sum(r.sweeps for r in cold)
         warm_sweeps = sum(r.sweeps for r in warm)
@@ -175,7 +183,8 @@ def test_incremental_refresh_drift_schedule(previous_generation):
     if os.environ.get("REPRO_SKIP_PERF_ASSERT"):
         pytest.skip("REPRO_SKIP_PERF_ASSERT set; BENCH_ rows recorded above")
     # Fewer sweeps must show up as wall time at small drift; generous slack
-    # because prepare (MIC + LRR) is a fixed cost both paths pay.
+    # because prepare (MIC + LRR) is a fixed cost both paths pay.  Medians
+    # of alternating runs, so one stall under host load cannot flip it.
     assert rows["small_warm_seconds"] < rows["small_cold_seconds"] * 1.05, (
         f"warm refresh not faster: {rows['small_warm_seconds']}s vs "
         f"{rows['small_cold_seconds']}s cold"

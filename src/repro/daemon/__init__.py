@@ -4,8 +4,8 @@ Everything else in this repo is a batch you run; this package is the
 system that stays up.  A :class:`~repro.daemon.coordinator.Coordinator`
 owns a **persistent job queue** (:class:`~repro.daemon.queue.JobQueue`:
 JSON journal + NPZ payload spool, priorities, FIFO within priority,
-bounded retry with exponential backoff, crash recovery on restart), a
-scheduler that runs concurrent fleet refreshes through the existing
+bounded retry with exponential backoff, crash recovery on restart), job
+threads that block on that queue and run fleet refreshes through the existing
 :class:`~repro.service.executor.ShardExecutor` backends (in-process, or over
 remote workers when the daemon has endpoints), and an embedded
 :class:`~repro.query.engine.QueryEngine` that every completed refresh

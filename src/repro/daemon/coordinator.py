@@ -8,9 +8,10 @@ system that serves traffic:
 * Work arrives as durable jobs on a :class:`~repro.daemon.queue.JobQueue`
   (priorities, FIFO within priority, bounded retry with exponential
   backoff, crash recovery from the JSON journal).
-* A dispatcher thread claims runnable jobs and fans them out to a small
-  pool of **job threads** (``DaemonConfig.job_workers`` concurrent jobs).
-  Refresh jobs solve through the existing
+* ``DaemonConfig.job_workers`` long-lived **job threads** each block in
+  :meth:`~repro.daemon.queue.JobQueue.take` and run the job it hands out;
+  the queue wakes them on every submit and when a backoff window opens, so
+  nothing polls.  Refresh jobs solve through the existing
   :class:`~repro.service.executor.ShardExecutor` seam — serially in the
   job thread, or, when the daemon has ``endpoints``, scattered over remote
   ``fleet workers serve`` machines via
@@ -23,10 +24,10 @@ system that serves traffic:
   :class:`~repro.query.engine.QueryEngine`, so localization queries are
   always answered from the freshest fleet.  ``serve_publish`` jobs
   publish a pre-built report payload without solving anything.
-* **Graceful draining**: :meth:`drain` stops accepting submissions and
-  claiming new jobs, lets running jobs finish, and leaves everything
-  still queued in the journal for the next start — the SIGTERM path of
-  the ``daemon start`` CLI.
+* **Graceful draining**: :meth:`drain` closes the queue — new submissions
+  are rejected and every idle job thread wakes and exits — lets running
+  jobs finish, and leaves everything still queued in the journal for the
+  next start: the SIGTERM path of the ``daemon start`` CLI.
 
 The coordinator itself is the same-process API (submit / status / result
 / cancel / localize); :mod:`repro.daemon.http` exposes the identical
@@ -68,16 +69,8 @@ class DaemonConfig:
     Attributes
     ----------
     job_workers:
-        Jobs executed concurrently (each on its own thread).  1 gives
+        Job threads, each running one job at a time off the queue.  1 gives
         strictly serial, priority-ordered execution.
-    poll_interval:
-        Dispatcher sleep between claim attempts when the queue is empty
-        or backing off, in seconds.
-    warm_refresh:
-        Whether ``refresh_fleet`` jobs warm-start from the last completed
-        report of the same fleet (matched by its site-name set; on by
-        default).  Sites the remembered report does not cover — or whose
-        geometry changed — fall back to a cold solve per site.
     query:
         Configuration of the embedded :class:`~repro.query.engine.QueryEngine`
         (matcher, result cache).
@@ -91,8 +84,6 @@ class DaemonConfig:
     """
 
     job_workers: int = 2
-    poll_interval: float = 0.05
-    warm_refresh: bool = True
     query: QueryConfig = field(default_factory=QueryConfig)
     endpoints: Optional[Tuple[str, ...]] = None
 
@@ -101,8 +92,6 @@ class DaemonConfig:
             raise ValueError(
                 f"job_workers must be at least 1, got {self.job_workers}"
             )
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
         if self.endpoints is not None:
             endpoints = tuple(str(e) for e in self.endpoints)
             if not endpoints or not all(e.strip() for e in endpoints):
@@ -128,8 +117,6 @@ class Coordinator:
         Optional job-kind → runner overrides, merged over the built-in
         ``refresh_fleet`` / ``serve_publish`` runners.  The seam tests
         use to inject worker failures; production code never needs it.
-    clock:
-        Wall-clock source shared with the queue (injectable for tests).
     """
 
     def __init__(
@@ -137,10 +124,9 @@ class Coordinator:
         spool: Union[str, Path],
         config: Optional[DaemonConfig] = None,
         runners: Optional[Dict[str, JobRunner]] = None,
-        clock: Callable[[], float] = time.time,
     ) -> None:
         self.config = config or DaemonConfig()
-        self.queue = JobQueue(spool, clock=clock)
+        self.queue = JobQueue(spool)
         self.engine = QueryEngine(self.config.query)
         self.engine.add_publish_listener(self._record_generation)
         self._generations: List[Tuple[int, str]] = []
@@ -150,108 +136,74 @@ class Coordinator:
         }
         if runners:
             self._runners.update(runners)
-        self._clock = clock
         # Last completed report per fleet (keyed by sorted site names), the
-        # warm-start source for the next refresh of the same fleet.
+        # warm-start source for the next refresh of the same fleet; sites it
+        # does not cover, or whose geometry changed, solve cold.
         self._warm_reports: Dict[Tuple[str, ...], object] = {}
         self._warm_lock = threading.Lock()
-        self._draining = threading.Event()
-        self._stop_dispatch = threading.Event()
-        self._dispatcher: Optional[threading.Thread] = None
         self._job_threads: List[threading.Thread] = []
-        self._inflight = 0
-        self._inflight_cond = threading.Condition()
-        self._started = False
 
     # ---------------------------------------------------------------- lifecycle
     def start(self) -> None:
-        """Start the dispatcher; idempotent while running."""
-        if self._started:
-            return
-        if self._draining.is_set():
+        """Start the job threads; idempotent while running."""
+        if self.queue.closed:
             raise RuntimeError("coordinator has drained; build a fresh one")
-        self._stop_dispatch.clear()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-daemon-dispatch", daemon=True
-        )
-        self._started = True
-        self._dispatcher.start()
+        if self._job_threads:
+            return
+        self._job_threads = [
+            threading.Thread(
+                target=self._take_jobs, name=f"repro-daemon-job-{i}", daemon=True
+            )
+            for i in range(self.config.job_workers)
+        ]
+        for thread in self._job_threads:
+            thread.start()
 
     @property
     def is_draining(self) -> bool:
         """Whether the coordinator has stopped accepting submissions."""
-        return self._draining.is_set()
+        return self.queue.closed
 
     def stop_accepting(self) -> None:
-        """Reject new submissions from now on (first half of a drain)."""
-        self._draining.set()
+        """Reject new submissions and stop taking jobs (first half of a drain)."""
+        self.queue.close()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Gracefully shut down: stop accepting, finish running jobs.
 
-        New submissions are rejected immediately; the dispatcher stops
-        claiming, so everything still ``queued`` stays journaled for the
-        next start.  Returns ``True`` once every in-flight job finished
+        Closing the queue rejects new submissions and wakes every idle job
+        thread, so everything still ``queued`` stays journaled for the
+        next start.  Returns ``True`` once every job thread finished
         (``False`` on timeout — the jobs keep running on their daemon
         threads, but the journal marks them ``running`` so a restart
         would resume them).
         """
-        self._draining.set()
-        self._stop_dispatch.set()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=timeout)
-        with self._inflight_cond:
-            drained = self._inflight_cond.wait_for(
-                lambda: self._inflight == 0, timeout=timeout
+        self.queue.close()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for thread in self._job_threads:
+            thread.join(
+                None if deadline is None else max(0.0, deadline - time.monotonic())
             )
-        for thread in list(self._job_threads):
-            thread.join(timeout=0 if not drained else timeout)
-        self._started = False
-        return drained
+        return not any(thread.is_alive() for thread in self._job_threads)
 
-    # --------------------------------------------------------------- dispatcher
-    def _dispatch_loop(self) -> None:
-        while not self._stop_dispatch.is_set():
-            job = None
-            with self._inflight_cond:
-                has_slot = self._inflight < self.config.job_workers
-            if has_slot:
-                job = self.queue.claim()
-            if job is None:
-                self._stop_dispatch.wait(self.config.poll_interval)
-                continue
-            with self._inflight_cond:
-                self._inflight += 1
-            thread = threading.Thread(
-                target=self._run_job,
-                args=(job,),
-                name=f"repro-daemon-job-{job.id}",
-                daemon=True,
-            )
-            self._job_threads.append(thread)
-            thread.start()
+    # -------------------------------------------------------------- job threads
+    def _take_jobs(self) -> None:
+        while (job := self.queue.take()) is not None:
+            self._run_job(job)
 
     def _run_job(self, job: JobRecord) -> None:
+        runner = self._runners.get(job.kind)
         try:
-            runner = self._runners.get(job.kind)
-            try:
-                if runner is None:
-                    raise ValueError(
-                        f"no runner registered for job kind {job.kind!r}; "
-                        f"known kinds: {sorted(self._runners)}"
-                    )
-                result, generation = runner(job)
-            except Exception as exc:  # noqa: BLE001 — every failure re-queues
-                self.queue.fail(job.id, f"{type(exc).__name__}: {exc}")
-            else:
-                self.queue.complete(job.id, result=result, generation=generation)
-        finally:
-            self._job_threads = [
-                t for t in self._job_threads if t is not threading.current_thread()
-            ]
-            with self._inflight_cond:
-                self._inflight -= 1
-                self._inflight_cond.notify_all()
+            if runner is None:
+                raise ValueError(
+                    f"no runner registered for job kind {job.kind!r}; "
+                    f"known kinds: {sorted(self._runners)}"
+                )
+            result, generation = runner(job)
+        except Exception as exc:  # noqa: BLE001 — every failure re-queues
+            self.queue.fail(job.id, f"{type(exc).__name__}: {exc}")
+        else:
+            self.queue.complete(job.id, result=result, generation=generation)
 
     # ------------------------------------------------------------------ runners
     def _executor_for(self, job: JobRecord):
@@ -290,10 +242,8 @@ class Coordinator:
         executor = self._executor_for(job)
         service = UpdateService()
         fleet_key = tuple(sorted(request.site for request in requests))
-        warm_from = None
-        if self.config.warm_refresh:
-            with self._warm_lock:
-                warm_from = self._warm_reports.get(fleet_key)
+        with self._warm_lock:
+            warm_from = self._warm_reports.get(fleet_key)
         reports = service.update_fleet(
             requests,
             shards=self._shards_for(job),
@@ -309,9 +259,8 @@ class Coordinator:
             workers=executor.workers,
             sweeps_saved=service.last_sweeps_saved,
         )
-        if self.config.warm_refresh:
-            with self._warm_lock:
-                self._warm_reports[fleet_key] = report
+        with self._warm_lock:
+            self._warm_reports[fleet_key] = report
         result_rel = f"results/{job.id}.npz"
         save_report(self.queue.spool / result_rel, report)
         generation = self.engine.publish_report(
@@ -350,7 +299,7 @@ class Coordinator:
             raise ValueError(
                 f"unknown job kind {kind!r}; known kinds: {sorted(self._runners)}"
             )
-        if self._draining.is_set():
+        if self.queue.closed:
             raise RuntimeError(
                 "coordinator is draining; not accepting new jobs"
             )
@@ -391,20 +340,9 @@ class Coordinator:
         """A completed job's result payload as NPZ wire bytes."""
         return self.result_path(job_id).read_bytes()
 
-    def wait(
-        self, job_id: str, timeout: float = 60.0, poll: float = 0.02
-    ) -> JobRecord:
+    def wait(self, job_id: str, timeout: float = 60.0) -> JobRecord:
         """Block until a job reaches a terminal state (or raise ``TimeoutError``)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            job = self.queue.get(job_id)
-            if job.is_terminal:
-                return job
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id!r} still {job.state!r} after {timeout:g}s"
-                )
-            time.sleep(poll)
+        return self.queue.wait(job_id, timeout)
 
     def localize(self, site: str, measurements):
         """Answer a query batch from the current generation (read path)."""

@@ -192,7 +192,7 @@ class DaemonRequestHandler(JsonRequestHandler):
 class DaemonServer(HttpServer):
     """The daemon's HTTP front end, owning one coordinator.
 
-    ``start`` boots the coordinator's scheduler and serves requests on a
+    ``start`` starts the coordinator's job threads and serves requests on a
     background thread; ``initiate_drain`` (also triggered by the
     ``POST /api/drain`` route and the CLI's SIGTERM handler) runs the
     graceful shutdown sequence — coordinator drains first, the socket

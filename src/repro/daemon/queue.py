@@ -6,7 +6,10 @@ disk is always a consistent snapshot of the queue in memory.  That is the
 whole crash-recovery story: a coordinator killed at any instant restarts
 by loading the journal, moving interrupted ``running`` jobs back to
 ``queued`` (their payloads are still in the spool, their attempt counts
-survive), and letting the scheduler claim them again.
+survive), so the job threads take them again once the daemon starts.
+
+Every journal write also wakes the job threads blocked in ``take``, so a
+job starts the moment it is submitted or its backoff window opens.
 
 Ordering is **priority first, FIFO within priority**: ``claim`` picks the
 queued job with the highest ``priority``, breaking ties on the monotonic
@@ -47,6 +50,10 @@ from repro.io.jobs import (
 
 __all__ = ["JobQueue"]
 
+RECHECK_SECONDS = 1.0
+"""Longest a blocked :meth:`JobQueue.take` sleeps before it looks again,
+so a backoff window still opens on time if the (injected) clock jumps."""
+
 
 class JobQueue:
     """Durable, thread-safe priority queue of :class:`~repro.io.jobs.JobRecord`.
@@ -72,6 +79,8 @@ class JobQueue:
             directory.mkdir(parents=True, exist_ok=True)
         self._clock = clock
         self._lock = threading.RLock()
+        self._changed = threading.Condition(self._lock)
+        self._closed = False
         self._jobs: Dict[str, JobRecord] = {}
         self._sequence = 0
         self._recovered: List[str] = []
@@ -79,7 +88,8 @@ class JobQueue:
             for job in load_journal(self.journal_path):
                 self._jobs[job.id] = job
                 self._sequence = max(self._sequence, job.sequence + 1)
-            self._recover()
+            with self._lock:
+                self._recover()
 
     @property
     def journal_path(self) -> Path:
@@ -91,9 +101,16 @@ class JobQueue:
         """Ids of ``running`` jobs this instance re-queued at load time."""
         return list(self._recovered)
 
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` was called (``take`` hands out nothing)."""
+        return self._closed
+
     # ------------------------------------------------------------- persistence
     def _persist(self) -> None:
+        """Journal every record and wake the threads blocked on a change."""
         save_journal(self.journal_path, list(self._jobs.values()))
+        self._changed.notify_all()
 
     def _recover(self) -> None:
         """Re-queue jobs a dead coordinator left ``running``.
@@ -187,11 +204,53 @@ class JobQueue:
             self._persist()
             return copy_record(job)
 
+    def take(self) -> Optional[JobRecord]:
+        """Block until a job is claimable, then :meth:`claim` it.
+
+        Returns ``None`` once the queue is closed.  Each wait ends at the
+        earliest queued ``not_before`` (capped at :data:`RECHECK_SECONDS`);
+        every journal write and :meth:`close` end it sooner.
+        """
+        with self._lock:
+            while not self._closed:
+                job = self.claim()
+                if job is not None:
+                    return job
+                opens = [
+                    queued.not_before
+                    for queued in self._jobs.values()
+                    if queued.state == JOB_QUEUED
+                ]
+                delay = min(opens, default=float("inf")) - self._clock()
+                self._changed.wait(min(max(delay, 0.0), RECHECK_SECONDS))
+            return None
+
+    def close(self) -> None:
+        """Stop :meth:`take` handing out jobs and wake every taker; running
+        jobs can still ``complete`` or ``fail``, queued ones stay journaled."""
+        with self._lock:
+            self._closed = True
+            self._changed.notify_all()
+
+    def wait(self, job_id: str, timeout: float = 60.0) -> JobRecord:
+        """Block until a job is terminal (or raise ``TimeoutError``)."""
+        with self._lock:
+            job = self._job(job_id)
+            if not self._changed.wait_for(lambda: job.is_terminal, timeout):
+                raise TimeoutError(
+                    f"job {job_id!r} still {job.state!r} after {timeout:g}s"
+                )
+            return copy_record(job)
+
     # ------------------------------------------------------------- transitions
-    def _running(self, job_id: str) -> JobRecord:
+    def _job(self, job_id: str) -> JobRecord:
         job = self._jobs.get(job_id)
         if job is None:
             raise KeyError(f"unknown job {job_id!r}")
+        return job
+
+    def _running(self, job_id: str) -> JobRecord:
+        job = self._job(job_id)
         if job.state != JOB_RUNNING:
             raise ValueError(
                 f"job {job_id!r} is {job.state!r}, not running; only claimed "
@@ -237,9 +296,7 @@ class JobQueue:
     def cancel(self, job_id: str) -> JobRecord:
         """Cancel a queued job (running and terminal jobs cannot be)."""
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
+            job = self._job(job_id)
             if job.state != JOB_QUEUED:
                 raise ValueError(
                     f"job {job_id!r} is {job.state!r}; only queued jobs can "
@@ -254,10 +311,7 @@ class JobQueue:
     def get(self, job_id: str) -> JobRecord:
         """A copy of one record; raises ``KeyError`` when unknown."""
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
-            return copy_record(job)
+            return copy_record(self._job(job_id))
 
     def jobs(self) -> List[JobRecord]:
         """Copies of every record, in submission order."""

@@ -7,6 +7,7 @@ bit for bit, and a drain leaves nothing pending in the journal.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -45,8 +46,8 @@ def offline_engine(offline_report):
 
 
 def serial_config(**overrides):
-    """In-process config: one job at a time, fast polls."""
-    defaults = dict(job_workers=1, poll_interval=0.01)
+    """In-process config: one job at a time."""
+    defaults = dict(job_workers=1)
     defaults.update(overrides)
     return DaemonConfig(**defaults)
 
@@ -228,7 +229,7 @@ class TestRunnersSeam:
 
         def recording(job):
             # The first-claimed job blocks until both are enqueued, so the
-            # dispatcher must pick the second by priority, not arrival.
+            # job thread must take the second by priority, not arrival.
             order.append(job.label)
             release.wait(timeout=10.0)
             return None, None
@@ -281,22 +282,6 @@ class TestWarmRefresh:
             # for bit.
             for ours, theirs in zip(warm.reports, cold.reports):
                 np.testing.assert_array_equal(ours.estimate, theirs.estimate)
-        finally:
-            coordinator.drain(timeout=30.0)
-
-    def test_warm_refresh_disabled_stays_cold(self, tmp_path, fleet_payload):
-        coordinator = Coordinator(
-            tmp_path / "spool", config=serial_config(warm_refresh=False)
-        )
-        coordinator.start()
-        try:
-            first = coordinator.submit(REFRESH_FLEET, fleet_payload)
-            assert coordinator.wait(first.id, timeout=120.0).state == "done"
-            second = coordinator.submit(REFRESH_FLEET, fleet_payload)
-            assert coordinator.wait(second.id, timeout=120.0).state == "done"
-            warm = load_report(coordinator.result_path(second.id))
-            assert not any(r.warm_started for r in warm.reports)
-            assert warm.sweeps_saved == {}
         finally:
             coordinator.drain(timeout=30.0)
 
@@ -420,6 +405,15 @@ class TestDrain:
         restarted = JobQueue(tmp_path / "spool")
         assert restarted.recovered_jobs == []
         assert restarted.get(queued.id).state == "queued"
+
+    def test_idle_drain_wakes_job_threads_at_once(self, tmp_path):
+        coordinator = Coordinator(
+            tmp_path / "spool", config=serial_config(job_workers=2)
+        )
+        coordinator.start()
+        began = time.monotonic()
+        assert coordinator.drain(timeout=5)
+        assert time.monotonic() - began < 1.0
 
     def test_drained_coordinator_cannot_restart(self, tmp_path):
         coordinator = Coordinator(tmp_path / "spool", config=serial_config())

@@ -28,7 +28,7 @@ from repro.service.types import FleetReport
 def server(tmp_path_factory):
     coordinator = Coordinator(
         tmp_path_factory.mktemp("daemon") / "spool",
-        config=DaemonConfig(job_workers=1, poll_interval=0.01),
+        config=DaemonConfig(job_workers=1),
     )
     server = DaemonServer(coordinator)
     server.start()
@@ -237,9 +237,7 @@ class TestDrainOverHttp:
     ):
         coordinator = Coordinator(
             tmp_path / "spool",
-            config=DaemonConfig(
-                job_workers=1, poll_interval=0.01
-            ),
+            config=DaemonConfig(job_workers=1),
         )
         server = DaemonServer(coordinator)
         server.start()

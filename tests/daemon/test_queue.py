@@ -1,13 +1,20 @@
 """The persistent queue's scheduling and durability contracts.
 
-These tests drive :class:`repro.daemon.queue.JobQueue` directly with an
-injected clock, so priority ordering, backoff windows and crash recovery
-are all exercised without sleeping or spawning threads.
+Most of these tests drive :class:`repro.daemon.queue.JobQueue` directly
+with an injected clock, so priority ordering, backoff windows and crash
+recovery are all exercised without sleeping or spawning threads.
+``TestBlockingTake`` uses real threads and the real clock: a taker must
+wake on the event itself, well before a ``RECHECK_SECONDS`` re-check.
 """
+
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.daemon import JobQueue
+from repro.daemon.queue import RECHECK_SECONDS
 from repro.io.jobs import load_journal
 
 
@@ -220,3 +227,124 @@ class TestInspection:
             "queued": 2, "running": 1, "done": 0, "failed": 0, "cancelled": 1,
         }
         assert {j.id for j in queue.jobs()} >= {running.id, done_id}
+
+
+class Taker:
+    """One thread blocked in ``queue.take()``, recording when it returned."""
+
+    def __init__(self, queue):
+        self.job = self.taken_at = None
+        self.thread = threading.Thread(target=self._take, args=(queue,))
+        self.thread.start()
+
+    def _take(self, queue):
+        self.job = queue.take()
+        self.taken_at = time.time()
+
+    def join(self, timeout=10.0):
+        self.thread.join(timeout)
+        assert not self.thread.is_alive(), "take() never returned"
+        return self.job
+
+
+class TestBlockingTake:
+    """A taker wakes on the journal write or on ``close``, not on a poll."""
+
+    PROMPT = RECHECK_SECONDS / 2
+
+    @pytest.fixture
+    def live(self, tmp_path):
+        queue = JobQueue(tmp_path / "spool")
+        yield queue
+        queue.close()
+
+    def test_take_wakes_on_submit(self, live, fleet_payload):
+        taker = Taker(live)
+        time.sleep(0.1)
+        submitted_at = time.time()
+        job = live.submit("refresh_fleet", fleet_payload)
+        assert taker.join().id == job.id
+        assert taker.taken_at - submitted_at < self.PROMPT
+        assert live.get(job.id).state == "running"
+
+    def test_close_releases_every_taker(self, live):
+        takers = [Taker(live) for _ in range(3)]
+        time.sleep(0.1)
+        closed_at = time.time()
+        live.close()
+        assert [taker.join(timeout=self.PROMPT) for taker in takers] == [None] * 3
+        assert max(t.taken_at for t in takers) - closed_at < self.PROMPT
+        assert live.take() is None
+
+    def test_backoff_window_opens_on_time(self, live, fleet_payload):
+        live.submit("refresh_fleet", fleet_payload, backoff_seconds=0.2)
+        failed = live.fail(live.claim().id, "boom")
+        taker = Taker(live)
+        job = taker.join()
+        assert job.id == failed.id and job.attempts == 2
+        assert taker.taken_at >= failed.not_before
+        assert taker.taken_at - failed.not_before < self.PROMPT
+
+    def test_two_takers_get_distinct_jobs(self, live, fleet_payload):
+        takers = [Taker(live) for _ in range(2)]
+        time.sleep(0.1)
+        ids = {live.submit("refresh_fleet", fleet_payload).id for _ in range(2)}
+        taken = {taker.join(timeout=self.PROMPT).id for taker in takers}
+        assert taken == ids
+
+    def test_running_jobs_complete_after_close(self, live, fleet_payload):
+        job = live.submit("refresh_fleet", fleet_payload)
+        assert live.take().id == job.id
+        idle = Taker(live)
+        time.sleep(0.1)
+        live.close()
+        assert idle.join(timeout=self.PROMPT) is None
+        assert live.complete(job.id).state == "done"
+        queued = live.submit("refresh_fleet", fleet_payload)
+        assert live.take() is None
+        assert live.get(queued.id).state == "queued"
+
+    def test_wait_returns_on_completion(self, live, fleet_payload):
+        job = live.submit("refresh_fleet", fleet_payload)
+        live.claim()
+        timer = threading.Timer(0.1, live.complete, args=(job.id,))
+        timer.start()
+        began = time.time()
+        try:
+            assert live.wait(job.id, timeout=10.0).state == "done"
+        finally:
+            timer.join()
+        assert time.time() - began < 0.1 + self.PROMPT
+
+    def test_wait_times_out_on_queued_job(self, live, fleet_payload):
+        job = live.submit("refresh_fleet", fleet_payload)
+        began = time.time()
+        with pytest.raises(TimeoutError, match="still 'queued' after 0.2s"):
+            live.wait(job.id, timeout=0.2)
+        assert time.time() - began < 0.2 + self.PROMPT
+
+    def test_many_takers_run_each_job_exactly_once(self, live, fleet_payload):
+        ids = [live.submit("refresh_fleet", fleet_payload).id for _ in range(40)]
+        taken = []
+
+        def work():
+            while (job := live.take()) is not None:
+                taken.append(job.id)
+                live.complete(job.id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            # FIFO: once the last job is done, every job has been taken.
+            live.wait(ids[-1], timeout=30.0)
+            live.close()
+            for worker in workers:
+                worker.join(timeout=30.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == ids
+        assert live.counts()["done"] == len(ids)

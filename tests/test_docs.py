@@ -213,12 +213,10 @@ class TestIncrementalDocsSync:
             assert name in text, f"docs/ARCHITECTURE.md is missing {name}"
 
     def test_daemon_warm_cache_documented(self):
-        """DaemonConfig.warm_refresh must be documented and must exist."""
+        """API.md must describe the coordinator's per-fleet warm cache."""
         api = (REPO_ROOT / "docs" / "API.md").read_text()
-        assert "warm_refresh" in api
-        from repro.daemon import DaemonConfig
-
-        assert DaemonConfig().warm_refresh is True
+        assert "last completed report per fleet" in api
+        assert "warm-starts every subsequent `refresh_fleet`" in api
 
 
 class TestRemoteDocsSync:

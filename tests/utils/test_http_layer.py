@@ -38,7 +38,7 @@ def _start(kind, spool_parent):
     if kind == "daemon":
         coordinator = Coordinator(
             spool_parent / "spool",
-            config=DaemonConfig(job_workers=1, poll_interval=0.01),
+            config=DaemonConfig(job_workers=1),
         )
         server = DaemonServer(coordinator)
     else:
