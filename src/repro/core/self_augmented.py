@@ -263,12 +263,13 @@ class SweepState:
     :meth:`stack` turns states sharing a :attr:`bucket_key` into one state
     whose factors are ``(S, m, r)`` / ``(S, n, r)``, whose inputs are
     ``(S, m, n)`` and whose per-site scalars (``lam``, ``w1``, ``w2``,
-    ``tolerance``, ``max_iterations``, the objective and the convergence
-    flag) are ``(S,)`` arrays, as is the estimate ``L R^T`` the stop test
-    compares against; :meth:`unstack` writes it back.  Stacked
-    matmuls run one gemm per site slice, element-wise terms keep the
-    single-site association order and every objective sum reduces per site,
-    so each member moves exactly as it would alone.
+    ``tolerance``, ``max_iterations`` and the convergence flag) are ``(S,)``
+    arrays, as is the estimate ``L R^T`` the stop test compares against;
+    :meth:`shrink` writes each member back when it stops.  Stacked matmuls
+    run one gemm per site slice, element-wise terms keep the single-site
+    association order and every stop-test sum reduces per site, so each
+    member moves exactly as it would alone.  The Eq. 18 objective is only
+    reported, so :meth:`finalize` evaluates it once, per member.
     """
 
     #: Per-site arrays a stacked state carries along a new leading axis.
@@ -289,7 +290,6 @@ class SweepState:
         "w2",
         "tolerance",
         "max_iterations",
-        "previous_objective",
         "converged",
     )
     #: What the members of a bucket share: the bucket key and its constants.
@@ -415,7 +415,6 @@ class SweepState:
                 self.g_column_sq[None, :] + self.h_column_sq[:, None]
             )
 
-        self.previous_objective = np.inf
         self.converged = False
         self.iterations = 0
         self.warm_started = False
@@ -439,8 +438,8 @@ class SweepState:
     @classmethod
     def stack(cls, states) -> "SweepState":
         """One state advancing ``states`` (which share a :attr:`bucket_key`)
-        together along a leading site axis.  Write it back with
-        :meth:`unstack`; :meth:`finalize` stays per member."""
+        together along a leading site axis.  :meth:`shrink` writes the
+        members back; :meth:`finalize` stays per member."""
         states = tuple(states)
         if not states:
             raise ValueError("stack needs at least one state")
@@ -470,21 +469,33 @@ class SweepState:
         stacked._estimate_stripe = None
         return stacked
 
-    def unstack(self) -> tuple:
-        """Write a stacked state's progress back into its members and return
-        them (in stacking order)."""
+    def shrink(self) -> Optional["SweepState"]:
+        """Write back every member that stopped and return what sweeps on:
+        this state cut down to its survivors, a lone survivor itself, or
+        ``None`` once all have stopped.  A lone state returns itself while
+        it is active."""
+        active = self.active
+        if not self.members:
+            return self if active else None
+        if active.all():
+            return self
+        survivors = np.flatnonzero(active)
         for k, state in enumerate(self.members):
-            state.left = self.left[k].copy()
-            state.right = self.right[k].copy()
-            state.estimate = self.estimate[k]
-            state.previous_objective = float(self.previous_objective[k])
-            state.converged = bool(self.converged[k])
-            state.iterations = self.iterations
-            state._structure_active = self._structure_active
-            state._estimate_stripe = (
-                None if self._estimate_stripe is None else self._estimate_stripe[k]
-            )
-        return self.members
+            if not active[k] or len(survivors) == 1:
+                state.left = self.left[k].copy()
+                state.right = self.right[k].copy()
+                state.estimate = self.estimate[k]
+                state.converged = bool(self.converged[k])
+                state.iterations = self.iterations
+                state._structure_active = self._structure_active
+        if len(survivors) < 2:
+            return self.members[survivors[0]] if len(survivors) else None
+        for name in self._SITE_ARRAYS + self._SITE_SCALARS:
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[survivors])
+        self.members = tuple(self.members[k] for k in survivors)
+        return self
 
     # ------------------------------------------------------------ warm start
     def warm_start(
@@ -524,20 +535,14 @@ class SweepState:
         self.iterations = 0
         self.warm_started = True
         self.estimate = self.left @ _transpose(self.right)
-        current = self._evaluate(self.estimate)
         converged = False
         if objective is not None:
+            current = self._evaluate(self.estimate)
             with np.errstate(invalid="ignore"):
                 change = np.abs(objective - current) / np.maximum(objective, 1e-12)
                 converged = np.isfinite(objective) & (change < self.tolerance)
         self.converged = _unbox(converged)
-        self.previous_objective = current
         return self.converged
-
-    def export_factors(self) -> tuple:
-        """Current factors + objective, the warm-start seam for the next
-        generation: ``(left copy, right copy, previous_objective)``."""
-        return self.left.copy(), self.right.copy(), float(self.previous_objective)
 
     # ----------------------------------------------------------- sweep driver
     @property
@@ -636,14 +641,12 @@ class SweepState:
         )
 
     def finish_sweep(self):
-        """Form the estimate ``X_k = L R^T`` once, evaluate the objective on
-        it and stop each site whose ``||X_k - X_{k-1}||_F`` fell below
-        ``tolerance * ||X_{k-1}||_F``.
+        """Form the estimate ``X_k = L R^T`` once and stop each site whose
+        ``||X_k - X_{k-1}||_F`` fell below ``tolerance * ||X_{k-1}||_F``.
 
         Returns whether the state converged (per site, for a stacked state).
         """
         estimate = self.left @ _transpose(self.right)
-        self.previous_objective = self._evaluate(estimate)
         change = np.sqrt(_site_sum((estimate - self.estimate) ** 2))
         scale = np.sqrt(_site_sum(self.estimate**2))
         # A zero previous estimate (a cold first sweep) bounds the change
@@ -653,17 +656,19 @@ class SweepState:
         return self.converged
 
     def finalize(self) -> SelfAugmentedResult:
-        """Package the converged factors as a :class:`SelfAugmentedResult`."""
+        """Package the converged factors as a :class:`SelfAugmentedResult`,
+        with the objective evaluated once on the last estimate ``L R^T``."""
         if self.members:
-            raise ValueError("finalize the members of a stacked state (unstack)")
-        estimate = self.left @ self.right.T
+            raise ValueError("finalize the members of a stacked state (shrink)")
+        estimate = self.estimate
+        objective = self._evaluate(estimate)
         if self.use_structure:
             estimate = _smooth_stripes(estimate, self.locations_per_link, weight=0.6)
         return SelfAugmentedResult(
             estimate=estimate,
             left=self.left,
             right=self.right,
-            objective=float(self.previous_objective),
+            objective=float(objective),
             iterations=self.iterations,
             converged=self.converged,
             reference_weight=float(self.w1),

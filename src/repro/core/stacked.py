@@ -5,7 +5,7 @@ This is the computational heart of the fleet update service
 objects — one per fingerprint matrix, with heterogeneous shapes and ranks —
 is advanced sweep by sweep *together*.  Sites of the same shape form a
 bucket that advances as one stacked state (``SweepState.stack``), so each
-sweep builds the systems and the objective once per bucket; the R-column
+sweep builds the systems and the stop test once per bucket; the R-column
 and L-row normal-equation stacks of every bucket are then concatenated per
 factorisation rank and solved with one batched LAPACK call per distinct
 rank through :func:`~repro.utils.linalg.stacked_rank_solve`, instead of
@@ -15,8 +15,8 @@ Because batched LU factorises each ``(r, r)`` slice independently and a
 stacked state computes every site's terms exactly as that site alone would,
 every site's iterates are bit-identical to what a standalone
 :func:`~repro.core.self_augmented.self_augmented_rsvd` run would produce —
-sites that converge early simply drop out of their bucket while the rest
-keep sweeping.
+sites that converge early are written back and cut out of their bucket
+(``SweepState.shrink``) while the rest keep sweeping.
 
 The same independence is what makes the fleet *shardable*: a shard (any
 subset of the states) advanced through :func:`run_stacked_sweeps` produces,
@@ -85,11 +85,12 @@ def run_stacked_sweeps(states: Sequence[SweepState]) -> int:
 
     States that share a shape bucket (``(m, n, rank, locations_per_link,
     use_reference, use_structure, iterations)``) advance as one stacked
-    state: one system build, one structural-target extraction and one
-    objective per bucket per sweep.  The R (then L) systems of every bucket
-    go through one :func:`~repro.utils.linalg.stacked_rank_solve` call per
-    half-sweep.  When a member converges or exhausts its own budget, its
-    bucket is written back and the survivors are re-stacked.
+    state: one system build, one structural-target extraction and one stop
+    test per bucket per sweep.  The R (then L) systems of every bucket go
+    through one :func:`~repro.utils.linalg.stacked_rank_solve` call per
+    half-sweep.  When a member converges or exhausts its own budget, it is
+    written back and its bucket shrinks in place to the survivors
+    (:meth:`~repro.core.self_augmented.SweepState.shrink`).
 
     Returns the number of stacked sweeps executed — the fleet-level iteration
     count, ``max`` over the per-site sweep counts.  Only the given states are
@@ -107,17 +108,9 @@ def run_stacked_sweeps(states: Sequence[SweepState]) -> int:
         lefts = stacked_rank_solve([bucket.left_systems() for bucket in buckets])
         for bucket, solution in zip(buckets, lefts):
             bucket.set_left(solution)
-        kept = []
         for bucket in buckets:
             bucket.finish_sweep()
-            if not bucket.members:  # a lone state
-                if bucket.active:
-                    kept.append(bucket)
-            elif bucket.active.all():
-                kept.append(bucket)
-            else:  # a member stopped: write back, re-stack the survivors
-                kept.extend(_buckets([s for s in bucket.unstack() if s.active]))
-        buckets = kept
+        buckets = [kept for kept in (b.shrink() for b in buckets) if kept is not None]
     return sweeps
 
 

@@ -258,7 +258,37 @@ def _write_payload(
             info.compress_type = zipfile.ZIP_STORED if keep else default
             # numpy forces zip64 on every member (gh-10776); equal bytes need it.
             with archive.open(info, "w", force_zip64=True) as out:
-                np.lib.format.write_array(out, np.asanyarray(value), allow_pickle=False)
+                _write_member(out, np.asanyarray(value))
+
+
+@functools.lru_cache(maxsize=256)
+def _npy_header(descr: str, shape: tuple) -> bytes:
+    """numpy's own v1 ``.npy`` header for a C-order array."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buffer, {"descr": descr, "fortran_order": False, "shape": shape}
+    )
+    return buffer.getvalue()
+
+
+def _write_member(out, array: np.ndarray) -> None:
+    """Write one ``.npy`` member, byte for byte as ``np.lib.format.write_array``.
+
+    A non-empty C-contiguous bool or numeric ndarray is its cached header
+    and then its own memory.  Everything else — the 0-d unicode manifest,
+    empty, Fortran-order or strided arrays, object dtypes — goes to numpy's
+    writer, which raises what it always did.
+    """
+    if (
+        type(array) is np.ndarray
+        and array.dtype.kind in "biufc"
+        and array.size
+        and array.flags.c_contiguous
+    ):
+        out.write(_npy_header(array.dtype.str, array.shape))
+        out.write(memoryview(array).cast("B"))
+    else:
+        np.lib.format.write_array(out, array, allow_pickle=False)
 
 
 #: How an NPZ starts: a zip's first local file header, or an empty zip's

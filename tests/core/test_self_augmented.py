@@ -6,9 +6,11 @@ import pytest
 from repro.core.self_augmented import (
     SelfAugmentedConfig,
     SweepState,
+    _objective,
     self_augmented_rsvd,
     solve_state,
 )
+from repro.core.stacked import run_stacked_sweeps
 
 
 def make_problem(rng, links=4, width=6, drift=2.0):
@@ -158,14 +160,13 @@ class TestSolver:
 
 class TestWarmStart:
     def solve(self, observed, mask, prediction, **kwargs):
-        state = SweepState(observed, mask, 6, prediction=prediction, **kwargs)
-        return state, solve_state(state)
+        return solve_state(SweepState(observed, mask, 6, prediction=prediction, **kwargs))
 
     def test_unchanged_data_converges_in_zero_sweeps_bit_identical(self, rng):
         truth, observed, mask = make_problem(rng)
         prediction = truth + rng.normal(0.0, 0.3, size=truth.shape)
-        cold_state, cold = self.solve(observed, mask, prediction, rng=7)
-        left, right, objective = cold_state.export_factors()
+        cold = self.solve(observed, mask, prediction, rng=7)
+        left, right, objective = cold.left, cold.right, cold.objective
 
         warm_state = SweepState(observed, mask, 6, prediction=prediction, rng=7)
         converged = warm_state.warm_start(left, right, objective)
@@ -181,10 +182,8 @@ class TestWarmStart:
         truth, observed, mask = make_problem(rng)
         prediction = truth + rng.normal(0.0, 0.3, size=truth.shape)
         config = SelfAugmentedConfig(tolerance=1e-4)
-        cold_state, cold = self.solve(
-            observed, mask, prediction, config=config, rng=7
-        )
-        left, right, objective = cold_state.export_factors()
+        cold = self.solve(observed, mask, prediction, config=config, rng=7)
+        left, right, objective = cold.left, cold.right, cold.objective
 
         drifted = observed + 1e-4 * mask * rng.normal(size=observed.shape)
         recold = self_augmented_rsvd(
@@ -202,30 +201,29 @@ class TestWarmStart:
         truth, observed, mask = make_problem(rng)
         prediction = truth + rng.normal(0.0, 0.3, size=truth.shape)
         config = SelfAugmentedConfig(tolerance=1e-3, max_iterations=200)
-        state, result = self.solve(
-            observed, mask, prediction, config=config, rng=7
-        )
+        result = self.solve(observed, mask, prediction, config=config, rng=7)
         assert result.converged
-        left, right, _ = state.export_factors()
         warm_state = SweepState(
             observed, mask, 6, prediction=prediction, config=config, rng=7
         )
-        converged = warm_state.warm_start(left, right)
+        converged = warm_state.warm_start(result.left, result.right)
         assert not converged
         warm = solve_state(warm_state)
-        # The warm objective seeds previous_objective, so the first sweep's
-        # relative change is already below tolerance.
+        # The warm estimate is the first sweep's previous iterate, so the
+        # first sweep's relative estimate change is already below tolerance.
         assert warm.iterations == 1
 
     def test_factors_are_copied_in_and_out(self, rng):
         truth, observed, mask = make_problem(rng)
-        state, _ = self.solve(observed, mask, None, rng=7)
-        left, right, objective = state.export_factors()
-        assert left is not state.left and right is not state.right
+        cold = self.solve(observed, mask, None, rng=7)
+        left, right = cold.left.copy(), cold.right.copy()
         other = SweepState(observed, mask, 6, rng=7)
-        other.warm_start(left, right, objective)
+        other.warm_start(left, right, cold.objective)
+        assert other.left is not left and other.right is not right
+        warm = solve_state(other)
+        assert warm.left is not left and warm.right is not right
         left[:] = 0.0
-        assert np.any(other.left)
+        assert np.any(other.left) and np.any(warm.left)
 
     def test_shape_mismatch_rejected(self, rng):
         truth, observed, mask = make_problem(rng)
@@ -239,12 +237,85 @@ class TestWarmStart:
 
     def test_mismatched_objective_does_not_converge(self, rng):
         truth, observed, mask = make_problem(rng)
-        state, _ = self.solve(observed, mask, None, rng=7)
-        left, right, objective = state.export_factors()
+        cold = self.solve(observed, mask, None, rng=7)
+        left, right, objective = cold.left, cold.right, cold.objective
         drifted = observed + mask * rng.normal(size=observed.shape)
         warm_state = SweepState(drifted, mask, 6, rng=7)
         assert not warm_state.warm_start(left, right, objective)
         assert not warm_state.converged
+
+
+def eq18(state, left, right):
+    """Eq. 18 written out term by term from the module docstring."""
+    estimate = left @ right.T
+    value = state.lam * (np.sum(left**2) + np.sum(right**2))
+    value += np.sum((state.mask * estimate - state.observed) ** 2)
+    if state.prediction_array is not None:
+        value += state.w1 * np.sum((estimate - state.prediction_array) ** 2)
+    if state.use_structure:
+        width = state.locations_per_link
+        stripes = np.stack(
+            [estimate[i, i * width : (i + 1) * width] for i in range(state.m)]
+        )
+        value += state.w2 * (
+            np.sum((stripes @ state.g) ** 2) + np.sum((state.h @ stripes) ** 2)
+        )
+    return value
+
+
+class TestReportedObjective:
+    """``finalize`` evaluates Eq. 18 once, on the final factors: the value
+    equals ``_objective`` at ``L R^T`` of the returned factors bit for bit,
+    and the equation written out to 1e-12."""
+
+    def assert_objective_of_final_factors(self, state, result):
+        left, right = result.left, result.right
+        expect = _objective(
+            left @ right.T,
+            left,
+            right,
+            state.observed,
+            state.mask,
+            state.prediction_array,
+            state.g,
+            state.h,
+            state.locations_per_link,
+            state.lam,
+            state.w1,
+            state.w2,
+        )
+        assert result.objective == expect
+        assert result.objective == pytest.approx(eq18(state, left, right), rel=1e-12)
+
+    @pytest.mark.parametrize("reference", [True, False])
+    @pytest.mark.parametrize("structure", [True, False])
+    def test_cold_solve(self, rng, reference, structure):
+        truth, observed, mask = make_problem(rng)
+        prediction = truth + rng.normal(0.0, 0.3, size=truth.shape) if reference else None
+        config = SelfAugmentedConfig(use_structure_constraint=structure)
+        state = SweepState(observed, mask, 6, prediction=prediction, config=config, rng=7)
+        result = solve_state(state)
+        assert result.iterations > 0
+        self.assert_objective_of_final_factors(state, result)
+
+    def test_warm_refresh(self, rng):
+        truth, observed, mask = make_problem(rng)
+        prediction = truth + rng.normal(0.0, 0.3, size=truth.shape)
+        cold = solve_state(SweepState(observed, mask, 6, prediction=prediction, rng=7))
+        drifted = observed + 0.5 * mask * rng.normal(size=observed.shape)
+        states = [
+            SweepState(data, mask, 6, prediction=prediction, rng=7)
+            for data in (observed, drifted, drifted)
+        ]
+        states[0].warm_start(cold.left, cold.right, cold.objective)
+        states[1].warm_start(cold.left, cold.right, cold.objective)
+        states[2].warm_start(cold.left, cold.right)
+        run_stacked_sweeps(states)
+        results = [state.finalize() for state in states]
+        assert results[0].iterations == 0 and results[0].objective == cold.objective
+        assert results[1].iterations > 0 and results[2].iterations > 0
+        for state, result in zip(states, results):
+            self.assert_objective_of_final_factors(state, result)
 
 
 class TestSvdInit:

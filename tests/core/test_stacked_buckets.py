@@ -37,13 +37,15 @@ def make_state(
     drift=0.0,
     warm=None,
     unobserved_column=False,
+    density=0.7,
 ):
-    """A seeded low-rank problem; ``warm="unchanged"`` / ``"drifted"``
-    warm-starts it from a solo solve of the undrifted problem."""
+    """A seeded low-rank problem observed on about ``density`` of its
+    entries; ``warm="unchanged"`` / ``"drifted"`` warm-starts it from a solo
+    solve of the undrifted problem."""
     rng = np.random.default_rng(seed)
     n = m * width
     truth = -60.0 + rng.normal(size=(m, 2)) @ rng.normal(size=(2, n))
-    mask = (rng.random((m, n)) < 0.7).astype(float)
+    mask = (rng.random((m, n)) < density).astype(float)
     mask[0, 1] = 1.0
     if unobserved_column:
         mask[:, 0] = 0.0
@@ -63,9 +65,9 @@ def make_state(
     state = build(truth + drift)
     if warm is not None:
         previous = build(truth)
-        solve_state(previous)
-        left, right, objective = previous.export_factors()
-        state.warm_start(left, right, objective if warm == "unchanged" else None)
+        result = solve_state(previous)
+        objective = result.objective if warm == "unchanged" else None
+        state.warm_start(result.left, result.right, objective)
     return state
 
 
@@ -177,7 +179,7 @@ class TestStackRoundTrip:
         stacked = SweepState.stack(states)
         with pytest.raises(ValueError, match="members"):
             stacked.finalize()
-        assert stacked.unstack() == tuple(states)
+        assert stacked.shrink() is stacked  # every member still active
 
     def test_per_site_scalars_become_arrays(self):
         states = [
@@ -191,6 +193,26 @@ class TestStackRoundTrip:
         np.testing.assert_array_equal(stacked.tolerance, [1e-3, 1e-7])
         np.testing.assert_array_equal(stacked.max_iterations, [12, 4])
         np.testing.assert_array_equal(stacked.active, [True, True])
+
+    def test_shrink_writes_back_stopped_members_only(self):
+        states = [make_state(m=4, width=5, rank=2, seed=k) for k in (1, 2, 3)]
+        stacked = SweepState.stack(states)
+        stacked.begin_sweep()
+        stacked.set_right(linalg.stacked_rank_solve([stacked.right_systems()])[0])
+        stacked.set_left(linalg.stacked_rank_solve([stacked.left_systems()])[0])
+        stacked.finish_sweep()
+        stacked.converged[1] = True
+        assert stacked.shrink() is stacked
+        assert stacked.members == (states[0], states[2])
+        assert stacked.left.shape == (2, 4, 2) and stacked.tolerance.shape == (2,)
+        assert states[1].iterations == 1 and states[1].converged
+        assert states[0].iterations == 0  # a survivor is written back later
+        stacked.converged[0] = True
+        assert stacked.shrink() is states[2]  # a lone survivor sweeps as itself
+        assert states[2].iterations == 1 and not states[2].converged
+        assert not states[2].members
+        states[2].converged = True
+        assert states[2].shrink() is None
 
 
 class TestSingularSlice:
@@ -222,38 +244,44 @@ class TestSingularSlice:
 
 @st.composite
 def bucket_specs(draw):
-    """One to six members sharing a shape and rank, plus an odd one out.
+    """One to three buckets of one to five members each.
 
-    Tolerances and budgets vary per member, so members leave the bucket on
-    their estimate-change stop or their budget at different sweeps."""
-    m = draw(st.integers(2, 6))
-    width = draw(st.integers(2, 5))
-    rank = draw(st.integers(1, m))
-    regularization = draw(st.sampled_from((0.01, 0.5)))
-    size = draw(st.integers(1, 6))
-    members = [
-        dict(
+    Every member draws its own seed, mask density, tolerance, budget and
+    start (cold, unchanged warm or drifted warm), so members leave their
+    bucket at different sweeps and buckets shrink to several survivors, to
+    a lone survivor and to none."""
+    fleet = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(2, 5))
+        shape = dict(
             m=m,
-            width=width,
-            rank=rank,
-            seed=draw(st.integers(0, 10_000)),
-            regularization=regularization,
-            tolerance=draw(st.sampled_from((1e-4, 3e-4, 1e-3, 1e-2))),
-            max_iterations=draw(st.integers(1, 20)),
+            width=draw(st.integers(2, 4)),
+            rank=draw(st.integers(1, m)),
+            regularization=draw(st.sampled_from((0.01, 0.5))),
+            reference=draw(st.booleans()),
+            structure=draw(st.booleans()),
         )
-        for _ in range(size)
-    ]
-    other_m = draw(st.integers(2, 5))
-    members.append(
-        dict(m=other_m, width=3, rank=min(2, other_m), seed=draw(st.integers(0, 10_000)))
-    )
-    return members
+        for _ in range(draw(st.integers(1, 5))):
+            warm = draw(st.sampled_from((None, None, "unchanged", "drifted")))
+            fleet.append(
+                dict(
+                    shape,
+                    seed=draw(st.integers(0, 10_000)),
+                    density=draw(st.sampled_from((0.4, 0.7, 0.95))),
+                    tolerance=draw(st.sampled_from((1e-6, 1e-4, 3e-4, 1e-2))),
+                    max_iterations=draw(st.integers(1, 15)),
+                    warm=warm,
+                    drift=0.3 if warm == "drifted" else 0.0,
+                )
+            )
+    return fleet
 
 
 class TestBucketProperty:
     @given(bucket_specs())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_bucketed_equals_solo(self, specs):
-        _, results = bucketed(specs)
+        sweeps, results = bucketed(specs)
         for spec, result in zip(specs, results):
             assert_bit_identical(result, solve_state(make_state(**spec)))
+        assert sweeps == max(result.iterations for result in results)

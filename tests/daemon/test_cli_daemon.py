@@ -127,10 +127,10 @@ class TestSigtermDrain:
         spool = tmp_path / "spool"
         process, url = self._spawn_daemon(spool)
         try:
-            client = DaemonClient(url, timeout=30.0)
-            client.wait_until_ready(timeout=30.0)
-            record = client.submit(fleet_payload, label="under-sigterm")
-            done = client.wait(record["id"], timeout=120.0)
+            with DaemonClient(url, timeout=30.0) as client:
+                client.wait_until_ready(timeout=30.0)
+                record = client.submit(fleet_payload, label="under-sigterm")
+                done = client.wait(record["id"], timeout=120.0)
             assert done["state"] == "done"
 
             process.send_signal(signal.SIGTERM)
@@ -153,15 +153,15 @@ class TestSigtermDrain:
         spool = tmp_path / "spool"
         process, url = self._spawn_daemon(spool)
         try:
-            client = DaemonClient(url, timeout=30.0)
-            client.wait_until_ready(timeout=30.0)
-            record = client.submit(fleet_payload, label="race-the-signal")
-            # Fire the signal immediately — usually mid-claim or mid-solve.
-            deadline = time.monotonic() + 30.0
-            while client.status(record["id"])["state"] == "queued":
-                if time.monotonic() >= deadline:
-                    break
-                time.sleep(0.01)
+            with DaemonClient(url, timeout=30.0) as client:
+                client.wait_until_ready(timeout=30.0)
+                record = client.submit(fleet_payload, label="race-the-signal")
+                # Fire the signal immediately — usually mid-claim or mid-solve.
+                deadline = time.monotonic() + 30.0
+                while client.status(record["id"])["state"] == "queued":
+                    if time.monotonic() >= deadline:
+                        break
+                    time.sleep(0.01)
             process.send_signal(signal.SIGTERM)
             output, _ = process.communicate(timeout=120.0)
         except BaseException:

@@ -241,24 +241,24 @@ class TestDrainOverHttp:
         )
         server = DaemonServer(coordinator)
         server.start()
-        client = DaemonClient(server.url, timeout=30.0)
-        client.wait_until_ready(timeout=30.0)
+        with DaemonClient(server.url, timeout=30.0) as client:
+            client.wait_until_ready(timeout=30.0)
 
-        record = client.submit(fleet_payload, label="before-drain")
-        assert client.wait(record["id"], timeout=120.0)["state"] == "done"
+            record = client.submit(fleet_payload, label="before-drain")
+            assert client.wait(record["id"], timeout=120.0)["state"] == "done"
 
-        assert client.drain() == {"draining": True}
-        # While the socket is still up, submissions are rejected with 503
-        # (the daemon may close it at any moment, which is also a refusal).
-        try:
-            client.submit(fleet_payload, label="too-late")
-        except DaemonError as exc:
-            assert exc.status in (None, 503)
-        else:
-            pytest.fail("submit after drain must be rejected")
+            assert client.drain() == {"draining": True}
+            # While the socket is still up, submissions are rejected with 503
+            # (the daemon may close it at any moment, which is also a refusal).
+            try:
+                client.submit(fleet_payload, label="too-late")
+            except DaemonError as exc:
+                assert exc.status in (None, 503)
+            else:
+                pytest.fail("submit after drain must be rejected")
 
-        assert server.wait(timeout=30.0)
-        counts = coordinator.queue.counts()
-        assert counts["queued"] == counts["running"] == 0
-        with pytest.raises(DaemonError):
-            client.health()
+            assert server.wait(timeout=30.0)
+            counts = coordinator.queue.counts()
+            assert counts["queued"] == counts["running"] == 0
+            with pytest.raises(DaemonError):
+                client.health()

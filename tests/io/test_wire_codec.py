@@ -1,9 +1,13 @@
-"""The wire codec core: the fast ``.npy`` member reader and the container mode.
+"""The wire codec core: the fast ``.npy`` member reader and writer, and the
+container mode.
 
 ``_read_member`` must decode every ``.npy`` member exactly as numpy's own
 ``np.lib.format.read_array`` does — values, dtype, shape, memory order and
 writeability — taking its fast path only for the v1 header numpy writes for
-a plain C-order array and handing everything else to numpy.  One zip
+a plain C-order array and handing everything else to numpy.
+``_write_member`` must write every member's bytes exactly as
+``np.lib.format.write_array`` does, from a cached header only for a
+non-empty C-order bool or numeric array.  One zip
 writer serves every family.  Files, saved payloads and the remote shard
 messages deflate their members, byte for byte as ``np.savez_compressed``
 does, except that a report stores its four float members per site; the
@@ -30,6 +34,8 @@ from repro.io.query import load_answers, load_queries, save_answers, save_querie
 from repro.io.wire import (
     WirePayloadError,
     _read_member,
+    _write_member,
+    _write_payload,
     load_report,
     load_requests,
     payload_info,
@@ -153,6 +159,64 @@ class TestReadMemberMatchesNumpy:
         data = _npy_bytes(np.arange(3.0)).replace(written, garbled)
         with pytest.raises(ValueError, match=error):
             _read_member(data)
+
+
+@st.composite
+def _arrays_to_write(draw):
+    """Bool, integer, float and complex arrays of either byte order, and
+    unicode ones; 0-d, empty and n-d; C order, Fortran order or sliced."""
+    dtype = draw(
+        st.sampled_from(
+            ["|b1", "<i8", ">i4", "<u2", "|i1", "<f8", ">f8", "<f4", "<c16", "<U3"]
+        )
+    )
+    shape = draw(
+        st.sampled_from([(), (0,), (0, 3), (1,), (5,), (2, 3), (3, 1, 4), (2, 0, 2)])
+    )
+    array = draw(hnp.arrays(np.dtype(dtype), shape))
+    layout = draw(st.sampled_from(["C", "F", "sliced", "transposed"]))
+    if layout == "F":
+        array = np.asfortranarray(array)
+    elif layout == "sliced" and array.ndim:
+        array = array[..., ::2]
+    elif layout == "transposed":
+        array = array.T
+    return array
+
+
+class TestWriteMemberMatchesNumpy:
+    @staticmethod
+    def write_both(array):
+        """``(fast bytes, numpy bytes, whether the fast writer fell back)``."""
+        out = io.BytesIO()
+        write_array = np.lib.format.write_array
+        with mock.patch.object(np.lib.format, "write_array", wraps=write_array) as spy:
+            _write_member(out, array)
+        return out.getvalue(), _npy_bytes(array), spy.called
+
+    @settings(max_examples=200, deadline=None)
+    @given(array=_arrays_to_write())
+    def test_writes_like_write_array(self, array):
+        fast, reference, fell_back = self.write_both(array)
+        assert fast == reference
+        plain = array.dtype.kind != "U" and array.size and array.flags.c_contiguous
+        assert fell_back == (not plain)
+
+    def test_the_unicode_manifest_takes_the_fallback(self):
+        fast, reference, fell_back = self.write_both(np.asarray('{"format": "x"}'))
+        assert fast == reference and fell_back
+
+    def test_an_object_array_is_refused(self):
+        with pytest.raises(ValueError, match="allow_pickle"):
+            _write_member(io.BytesIO(), np.array([None, 1], dtype=object))
+
+    def test_a_member_past_numpys_write_chunk_deflates_alike(self):
+        # numpy writes in 16 MiB chunks; one write of the whole buffer must
+        # deflate to the same bytes.
+        array = (np.arange(2_200_000) % 251).astype(np.float64)
+        out = io.BytesIO()
+        _write_payload(out, {"format": "x"}, {"big": array})
+        assert out.getvalue() == _numpy_writes(out.getvalue(), np.savez_compressed)
 
 
 # ----------------------------------------------------------- family fixtures

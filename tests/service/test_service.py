@@ -248,7 +248,6 @@ class TestStackedDriver:
         result = solve_state_looped(state)
         assert state.iterations == result.iterations >= 1
         assert state.converged == result.converged
-        assert float(state.previous_objective) == result.objective
-        np.testing.assert_allclose(
-            state.finalize().estimate, result.estimate, atol=0.0, rtol=0.0
-        )
+        final = state.finalize()
+        assert final.objective == result.objective
+        np.testing.assert_allclose(final.estimate, result.estimate, atol=0.0, rtol=0.0)

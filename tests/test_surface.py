@@ -23,7 +23,6 @@ CALLER_TREES = ("src", "benchmarks", "perfbench", "examples")
 CALLER_FILES = ("tests/oracles.py",)
 
 ALLOWED = {
-    "export_factors": "docs/API.md names it as the warm-start seam of SweepState",
     "cache_stats": "goes with QueryEngine's result cache, whose future is open",
 }
 
