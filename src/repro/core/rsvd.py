@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.utils.linalg import batched_safe_solve, masked_gram_stack
 from repro.utils.random import RngLike, make_rng
-from repro.utils.validation import check_2d, check_matching_shapes
+from repro.utils.validation import check_2d, check_binary_mask, check_matching_shapes
 
 __all__ = [
     "RSVDConfig",
@@ -135,8 +135,7 @@ def rsvd_complete(
     observed = check_2d(observed, "observed")
     mask = check_2d(mask, "mask")
     check_matching_shapes(observed, mask, "observed", "mask")
-    if not np.all(np.isin(mask, (0.0, 1.0))):
-        raise ValueError("mask must contain only 0 and 1")
+    check_binary_mask(mask)
     cfg = config or RSVDConfig()
     rng = make_rng(rng)
 

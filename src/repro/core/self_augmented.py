@@ -38,7 +38,12 @@ import numpy as np
 from repro.core.constraints import continuity_matrix, similarity_matrix
 from repro.utils.linalg import batched_safe_solve, masked_gram_stack
 from repro.utils.random import RngLike, make_rng
-from repro.utils.validation import as_float_array, check_2d, check_matching_shapes
+from repro.utils.validation import (
+    as_float_array,
+    check_2d,
+    check_binary_mask,
+    check_matching_shapes,
+)
 
 __all__ = [
     "SelfAugmentedConfig",
@@ -323,8 +328,7 @@ class SweepState:
         observed = np.ascontiguousarray(check_2d(observed, "observed"))
         mask = np.ascontiguousarray(check_2d(mask, "mask"))
         check_matching_shapes(observed, mask, "observed", "mask")
-        if not np.all(np.isin(mask, (0.0, 1.0))):
-            raise ValueError("mask must contain only 0 and 1")
+        check_binary_mask(mask)
         m, n = observed.shape
         if locations_per_link <= 0 or n != m * locations_per_link:
             raise ValueError(

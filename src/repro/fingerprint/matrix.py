@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.utils.validation import check_2d, check_indices
+from repro.utils.validation import check_2d, check_binary_mask, check_indices
 
 __all__ = ["FingerprintMatrix"]
 
@@ -61,8 +61,7 @@ class FingerprintMatrix:
             self.no_decrease_mask = check_2d(self.no_decrease_mask, "no_decrease_mask")
             if self.no_decrease_mask.shape != self.values.shape:
                 raise ValueError("no_decrease_mask shape must match values shape")
-            if not np.all(np.isin(self.no_decrease_mask, (0.0, 1.0))):
-                raise ValueError("no_decrease_mask must be a 0/1 matrix")
+            check_binary_mask(self.no_decrease_mask, "no_decrease_mask")
 
     # ------------------------------------------------------------------ shape
     @property

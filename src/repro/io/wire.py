@@ -9,9 +9,13 @@ remaining entries hold the float64 matrices bit-exactly.  Files, saved
 payloads and the remote transport's shard messages deflate their members,
 except that a report stores its four float matrices per site; in-memory
 request bytes (:func:`requests_to_bytes`, which a remote shard task wraps
-and deflates once) store every member; readers accept any mix.  ``fleet export`` writes request payloads, ``fleet run
---in/--out`` consumes and produces them, and any external producer that
-emits the same layout can feed the service without touching the simulator.
+and deflates once) store every member; readers accept any mix.  The zip
+container is written and read here with ``struct``, byte for byte as
+``zipfile`` lays it out for ``np.savez``; an archive in any other layout
+is read by ``zipfile``.  ``fleet export`` writes request payloads, ``fleet
+run --in/--out`` consumes and produces them, and any external producer
+that emits the same layout can feed the service without touching the
+simulator.
 
 Guarantees:
 
@@ -42,6 +46,7 @@ import json
 import math
 import os
 import re
+import struct
 import tokenize
 import zipfile
 import zlib
@@ -143,22 +148,27 @@ def check_legacy_value(value, allowed: Sequence, key: str) -> None:
 # pool ships to its workers store every member, since they are decoded
 # again at once on this host.  Every family writes its manifest through
 # `_Family.manifest` and reads through `_read_payload`, which takes any mix
-# of container modes; `_read_member` decodes each ``.npy`` member;
-# `_decoding` is the one place decode failures are caught and turned into
-# WirePayloadError.
+# of container modes; `_open_npz` maps the zip container, `_read_member`
+# decodes each ``.npy`` member; `_decoding` is the one place decode failures
+# are caught and turned into WirePayloadError.
 
-#: Exceptions decoding corrupt bytes can raise: zip structure and CRC
-#: errors, zlib and EOF errors from truncated members, an unsupported
-#: compression method or a set encryption flag (zipfile's RuntimeError)
-#: from a flipped header bit, numpy's tokenizer failing on a garbled
-#: ``.npy`` header, and the KeyError / TypeError / ValueError / IndexError
-#: of a malformed manifest or of arrays that do not fit it.
-#: :func:`_decoding` maps them to WirePayloadError.
+#: Exceptions decoding corrupt bytes can raise: a bad CRC (``BadZipFile``
+#: from either zip reader) and zlib errors from a damaged member; from the
+#: ``zipfile`` fallback, which reads every layout the direct reader does not
+#: map, zip structure and EOF errors, an unsupported compression method or
+#: a set encryption flag (its NotImplementedError and RuntimeError), and
+#: the OverflowError of a zip64 offset past any seek; numpy's
+#: tokenizer failing on a garbled ``.npy`` header; and the KeyError /
+#: TypeError / ValueError / IndexError of a malformed manifest or of arrays
+#: that do not fit it.  The direct reader's own ``struct.error`` never
+#: leaves it: it means "not this layout".  :func:`_decoding` maps them to
+#: WirePayloadError.
 _DECODE_ERRORS = (
     ValueError,
     KeyError,
     TypeError,
     IndexError,
+    OverflowError,
     OSError,
     EOFError,
     NotImplementedError,
@@ -230,6 +240,29 @@ def _payload_name(path) -> str:
     return "<in-memory payload>"
 
 
+# The zip container (https://pkware.cachefly.net/webdocs/casestudies/APPNOTE.TXT)
+# as ``zipfile`` lays it out for ``np.savez``: each member is dated
+# 1980-01-01, mode 0600, and carries a zip64 extra with its sizes in its
+# local header (numpy forces zip64, gh-10776); no data descriptor, no
+# comment.  `_write_payload` writes it and `_zip_members` reads it, both in
+# one ``struct`` pass; `_open_npz` hands any other layout to ``zipfile``.
+_LOCAL = struct.Struct("<4s2B4HL2L2H")
+_LOCAL_ZIP64 = struct.Struct("<HHQQ")
+_CENTRAL = struct.Struct("<4s4B4HL2L5H2L")
+_END = struct.Struct("<4s4H2LH")
+_END64 = struct.Struct("<4sQ2H2L4Q")
+_LOCATOR = struct.Struct("<4sLQL")
+_CREATE_SYSTEM = zipfile.ZipInfo().create_system
+_DOS_DATE = 1 << 5 | 1  # 1980-01-01; the time is 00:00:00
+_FULL = 0xFFFFFFFF  # a 32-bit size or offset field whose value is in the zip64 extra
+
+
+class _Chunks(list):
+    """What ``np.lib.format.write_array`` writes, one chunk per call."""
+
+    write = list.append
+
+
 def _write_payload(
     path,
     manifest: dict,
@@ -240,25 +273,91 @@ def _write_payload(
 ) -> None:
     """Write ``manifest`` then ``arrays`` as ``.npy`` members, as ``np.savez`` does.
 
-    Same members, order, headers and ``.npz`` suffix rule as numpy, so with
-    nothing in ``stored`` the bytes are ``np.savez_compressed``'s (without
-    ``compress``, ``np.savez``'s).  An array named ``<key>__<name>`` with
-    ``name`` in ``stored`` is stored even inside a deflated payload.
+    Same members, order, headers, zip records and ``.npz`` suffix rule as
+    numpy, so with nothing in ``stored`` the bytes are
+    ``np.savez_compressed``'s (without ``compress``, ``np.savez``'s).  An
+    array named ``<key>__<name>`` with ``name`` in ``stored`` is stored even
+    inside a deflated payload.  A non-empty C-contiguous bool or numeric
+    ndarray is written as its cached ``.npy`` header and then its own
+    memory; everything else — the 0-d unicode manifest, empty, Fortran-order
+    or strided arrays, object dtypes — goes through numpy's ``write_array``,
+    which raises what it always did.  Written front to back, so ``path`` may
+    be a file name or any binary file object.
     """
     if not hasattr(path, "write"):
         path = os.fspath(path)
         if not path.endswith(".npz"):
             path += ".npz"
-    default = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
+        with open(path, "wb") as out:
+            _write_payload(out, manifest, arrays, compress, stored=stored)
+        return
+    out = path
     members = {"manifest": np.asarray(json.dumps(manifest)), **arrays}
-    with zipfile.ZipFile(path, "w", compression=default, allowZip64=True) as archive:
-        for key, value in members.items():
-            info = zipfile.ZipInfo(key + ".npy")
-            keep = key.rpartition("__")[2] in stored
-            info.compress_type = zipfile.ZIP_STORED if keep else default
-            # numpy forces zip64 on every member (gh-10776); equal bytes need it.
-            with archive.open(info, "w", force_zip64=True) as out:
-                _write_member(out, np.asanyarray(value))
+    directory, offset = [], 0
+    for key, value in members.items():
+        name = f"{key}.npy".encode("ascii")
+        deflate = None
+        if compress and key.rpartition("__")[2] not in stored:
+            deflate = zlib.compressobj(
+                zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -zlib.MAX_WBITS
+            )
+        array = np.asanyarray(value)
+        if (
+            type(array) is np.ndarray
+            and array.dtype.kind in "biufc"
+            and array.size
+            and array.flags.c_contiguous
+        ):
+            header = _npy_header(array.dtype.str, array.shape)
+            chunks = [header, memoryview(array).cast("B")]
+        else:
+            chunks = _Chunks()
+            np.lib.format.write_array(chunks, array, allow_pickle=False)
+        data, crc, size = [], 0, 0
+        for chunk in chunks:
+            crc = zlib.crc32(chunk, crc)
+            size += len(chunk)
+            data.append(deflate.compress(chunk) if deflate else chunk)
+        if deflate:
+            data.append(deflate.flush())
+        method, csize = 8 if deflate else 0, sum(map(len, data))
+        out.write(
+            _LOCAL.pack(
+                b"PK\x03\x04", 45, 0, 0, method, 0, _DOS_DATE, crc,
+                _FULL, _FULL, len(name), _LOCAL_ZIP64.size,
+            )
+            + name
+            + _LOCAL_ZIP64.pack(1, 16, size, csize)
+        )
+        out.writelines(data)
+        directory.append((name, method, crc, size, csize, offset))
+        offset += _LOCAL.size + len(name) + _LOCAL_ZIP64.size + csize
+    start, limit = offset, zipfile.ZIP64_LIMIT
+    for name, method, crc, size, csize, local in directory:
+        wide = max(size, csize) > limit
+        zip64 = ((size, csize) if wide else ()) + ((local,) if local > limit else ())
+        extra = b""
+        if zip64:
+            extra = struct.pack(f"<HH{len(zip64)}Q", 1, 8 * len(zip64), *zip64)
+        out.write(
+            _CENTRAL.pack(
+                b"PK\x01\x02", 45, _CREATE_SYSTEM, 45, 0, 0, method, 0,
+                _DOS_DATE, crc, _FULL if wide else csize, _FULL if wide else size,
+                len(name), len(extra), 0, 0, 0, 0o600 << 16,
+                _FULL if local > limit else local,
+            )
+            + name
+            + extra
+        )
+        offset += _CENTRAL.size + len(name) + len(extra)
+    count, size = len(directory), offset - start
+    if count > zipfile.ZIP_FILECOUNT_LIMIT or max(start, size) > limit:
+        out.write(
+            _END64.pack(b"PK\x06\x06", 44, 45, 45, 0, 0, count, count, size, start)
+            + _LOCATOR.pack(b"PK\x06\x07", 0, offset, 1)
+        )
+    entries, size, start = min(count, 0xFFFF), min(size, _FULL), min(start, _FULL)
+    out.write(_END.pack(b"PK\x05\x06", 0, 0, entries, entries, size, start, 0))
 
 
 @functools.lru_cache(maxsize=256)
@@ -269,26 +368,6 @@ def _npy_header(descr: str, shape: tuple) -> bytes:
         buffer, {"descr": descr, "fortran_order": False, "shape": shape}
     )
     return buffer.getvalue()
-
-
-def _write_member(out, array: np.ndarray) -> None:
-    """Write one ``.npy`` member, byte for byte as ``np.lib.format.write_array``.
-
-    A non-empty C-contiguous bool or numeric ndarray is its cached header
-    and then its own memory.  Everything else — the 0-d unicode manifest,
-    empty, Fortran-order or strided arrays, object dtypes — goes to numpy's
-    writer, which raises what it always did.
-    """
-    if (
-        type(array) is np.ndarray
-        and array.dtype.kind in "biufc"
-        and array.size
-        and array.flags.c_contiguous
-    ):
-        out.write(_npy_header(array.dtype.str, array.shape))
-        out.write(memoryview(array).cast("B"))
-    else:
-        np.lib.format.write_array(out, array, allow_pickle=False)
 
 
 #: How an NPZ starts: a zip's first local file header, or an empty zip's
@@ -308,7 +387,7 @@ _NPY_V1 = re.compile(
 _npy_dtype = functools.lru_cache(maxsize=256)(np.dtype)
 
 
-def _read_member(data: bytes) -> np.ndarray:
+def _read_member(data) -> np.ndarray:
     """Decode one ``.npy`` member to what ``np.lib.format.read_array`` returns.
 
     The fast path takes only :data:`_NPY_V1` headers whose shape reads as
@@ -337,17 +416,128 @@ def _read_member(data: bytes) -> np.ndarray:
     return np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
 
 
-def _open_npz(path) -> Optional[zipfile.ZipFile]:
-    """``path`` (a file name or a binary file object) as an open zip, or
-    ``None`` when it does not start the way an NPZ does."""
+def _zip_members(data: memoryview) -> Optional[Dict[str, tuple]]:
+    """``name -> (method, crc, size, start, stop)`` for every member of an
+    archive laid out as :func:`_write_payload` (and every earlier writer of
+    this format) lays it out, or ``None`` for any other layout.
+
+    That layout: no archive comment, no data descriptor, no encryption,
+    stored or deflated members with unique plain-ASCII names, each local
+    header agreeing with its central entry on name, method and zip64 sizes,
+    members in order, apart and before the central directory, and the
+    directory right before the (zip64) end records.  Whatever it accepts,
+    ``zipfile`` reads to the same members.
+    """
+    try:
+        end = len(data) - _END.size
+        if end < 0:
+            return None
+        sig, _, _, _, count, cd_size, cd_start, comment = _END.unpack_from(data, end)
+        if sig != b"PK\x05\x06" or comment:
+            return None
+        locator = end - _LOCATOR.size
+        if locator >= 0 and data[locator : locator + 4] == b"PK\x06\x07":
+            _, disk, _, disks = _LOCATOR.unpack_from(data, locator)
+            end = locator - _END64.size
+            if disk or disks > 1 or end < 0:
+                return None
+            sig, *_, count, cd_size, cd_start = _END64.unpack_from(data, end)
+            if sig != b"PK\x06\x06":
+                return None
+        if cd_start + cd_size != end:
+            return None
+        members, pos, stop = {}, cd_start, 0
+        for _ in range(count):
+            (sig, _, _, version, _, flags, method, _, _, crc, csize, size, name_length,
+             extra_length, comment, _, _, _, offset) = _CENTRAL.unpack_from(data, pos)
+            pos += _CENTRAL.size + name_length
+            name = bytes(data[pos - name_length : pos])
+            extra = data[pos : pos + extra_length]
+            fields = [size, csize, offset]
+            wide = [i for i, value in enumerate(fields) if value == _FULL]
+            if wide:
+                tag, length, *values = struct.unpack(f"<HH{len(wide)}Q", extra)
+                if tag != 1 or length != 8 * len(wide):
+                    return None
+                for i, value in zip(wide, values):
+                    fields[i] = value
+            elif extra_length:
+                return None
+            size, csize, offset = fields
+            pos += extra_length + comment
+            lsig, _, _, lflags, lmethod, *_, lname_length, lextra_length = (
+                _LOCAL.unpack_from(data, offset)
+            )
+            lextra = offset + _LOCAL.size + lname_length
+            start = lextra + lextra_length
+            if (
+                sig != b"PK\x01\x02" or version > 63 or flags or method not in (0, 8)
+                or comment or not name.isascii() or b"\0" in name
+                or name.decode() in members or (not method and csize != size)
+                or lsig != b"PK\x03\x04" or lflags or lmethod != method
+                or data[offset + _LOCAL.size : lextra] != name
+                or lextra_length != _LOCAL_ZIP64.size
+                or _LOCAL_ZIP64.unpack_from(data, lextra) != (1, 16, size, csize)
+                or offset < stop or start + csize > cd_start
+            ):
+                return None
+            stop = start + csize
+            members[name.decode()] = (method, crc, size, start, stop)
+        return members if pos == end else None
+    except (struct.error, OverflowError):  # a field pointing past the payload
+        return None
+
+
+class _Archive:
+    """The ``namelist`` / ``read`` part of ``zipfile.ZipFile`` the wire uses,
+    over an archive :func:`_zip_members` has mapped: the same members, the
+    same CRC check and the same error."""
+
+    def __init__(self, data: memoryview, members: Dict[str, tuple]) -> None:
+        self._data, self._members = data, members
+
+    def __enter__(self) -> "_Archive":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def namelist(self) -> List[str]:
+        return list(self._members)
+
+    def read(self, name: str):
+        method, crc, size, start, stop = self._members[name]
+        data = self._data[start:stop]
+        if method:
+            # As zipfile does: inflate the whole member, keep ``size`` bytes.
+            data = zlib.decompressobj(-zlib.MAX_WBITS).decompress(data)[:size]
+        if zlib.crc32(data) != crc:
+            raise zipfile.BadZipFile(f"Bad CRC-32 for file {name!r}")
+        return data
+
+
+def _open_npz(path):
+    """``path`` (a file name or a binary file object) as an open archive, or
+    ``None`` when it does not start the way an NPZ does.
+
+    The payload is read once (a ``BytesIO`` without a copy); an archive
+    :func:`_zip_members` maps is read from those bytes, any other goes to
+    ``zipfile``, so an NPZ written by other tools still loads.
+    """
     if isinstance(path, (str, os.PathLike)):
         with open(path, "rb") as handle:
-            magic = handle.read(4)
+            data = memoryview(handle.read())
     else:
         start = path.tell()
-        magic = path.read(4)
+        if isinstance(path, io.BytesIO):
+            data = memoryview(path.getvalue())[start:]
+        else:
+            data = memoryview(path.read())
         path.seek(start)
-    return zipfile.ZipFile(path) if magic in _NPZ_MAGIC else None
+    if data[:4] not in _NPZ_MAGIC:
+        return None
+    members = _zip_members(data)
+    return zipfile.ZipFile(path) if members is None else _Archive(data, members)
 
 
 @contextmanager

@@ -27,7 +27,11 @@ from repro.core.updater import UpdaterConfig, UpdateResult
 from repro.fingerprint.matrix import FingerprintMatrix
 from repro.service.shard import ShardPlan
 from repro.utils.random import RngLike
-from repro.utils.validation import check_2d, check_matching_shapes
+from repro.utils.validation import (
+    check_2d,
+    check_binary_mask,
+    check_matching_shapes,
+)
 
 __all__ = ["WarmFactors", "UpdateRequest", "UpdateReport", "FleetReport"]
 
@@ -138,8 +142,7 @@ class UpdateRequest:
                 f"no_decrease_matrix shape {self.no_decrease_matrix.shape} does not "
                 f"match the baseline {self.baseline.shape}"
             )
-        if not np.all(np.isin(self.no_decrease_mask, (0.0, 1.0))):
-            raise ValueError("no_decrease_mask must contain only 0 and 1")
+        check_binary_mask(self.no_decrease_mask, "no_decrease_mask")
         if self.reference_matrix.shape[0] != self.baseline.link_count:
             raise ValueError(
                 "reference_matrix must have one row per link "

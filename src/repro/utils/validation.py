@@ -20,6 +20,7 @@ __all__ = [
     "check_non_negative",
     "check_probability",
     "check_index",
+    "check_binary_mask",
     "as_float_array",
 ]
 
@@ -117,3 +118,14 @@ def check_indices(indices: Sequence[int], size: int, name: str = "indices") -> n
     if len(set(array.tolist())) != array.size:
         raise ValueError(f"{name} must not contain duplicates")
     return array
+
+
+def check_binary_mask(mask: np.ndarray, name: str = "mask") -> np.ndarray:
+    """Validate that every entry of ``mask`` is 0 or 1 and return it.
+
+    ``(mask == 0) | (mask == 1)`` gives ``np.isin(mask, (0.0, 1.0))``'s
+    verdict (NaN, ±0, ±inf and fractions alike) without its sort.
+    """
+    if not ((mask == 0) | (mask == 1)).all():
+        raise ValueError(f"{name} must contain only 0 and 1")
+    return mask

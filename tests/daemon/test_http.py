@@ -206,7 +206,8 @@ class TestErrorMapping:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30.0)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:  # closes the response's socket
+            assert error.code == 400
 
     @pytest.mark.parametrize(
         "path, body",

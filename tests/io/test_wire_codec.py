@@ -5,7 +5,7 @@ container mode.
 ``np.lib.format.read_array`` does — values, dtype, shape, memory order and
 writeability — taking its fast path only for the v1 header numpy writes for
 a plain C-order array and handing everything else to numpy.
-``_write_member`` must write every member's bytes exactly as
+``_write_payload`` must write every member's bytes exactly as
 ``np.lib.format.write_array`` does, from a cached header only for a
 non-empty C-order bool or numeric array.  One zip
 writer serves every family.  Files, saved payloads and the remote shard
@@ -33,9 +33,12 @@ from repro.io.delta import load_delta, save_delta
 from repro.io.query import load_answers, load_queries, save_answers, save_queries
 from repro.io.wire import (
     WirePayloadError,
+    _Archive,
+    _Family,
     _read_member,
-    _write_member,
+    _read_payload,
     _write_payload,
+    _zip_members,
     load_report,
     load_requests,
     payload_info,
@@ -187,12 +190,15 @@ def _arrays_to_write(draw):
 class TestWriteMemberMatchesNumpy:
     @staticmethod
     def write_both(array):
-        """``(fast bytes, numpy bytes, whether the fast writer fell back)``."""
+        """``(member bytes, numpy bytes, whether the writer fell back)``; the
+        manifest always goes through numpy's writer."""
         out = io.BytesIO()
         write_array = np.lib.format.write_array
         with mock.patch.object(np.lib.format, "write_array", wraps=write_array) as spy:
-            _write_member(out, array)
-        return out.getvalue(), _npy_bytes(array), spy.called
+            _write_payload(out, {"format": "x"}, {"a": array}, compress=False)
+        with zipfile.ZipFile(out) as archive:
+            fast = archive.read("a.npy")
+        return fast, _npy_bytes(array), spy.call_count > 1
 
     @settings(max_examples=200, deadline=None)
     @given(array=_arrays_to_write())
@@ -205,7 +211,7 @@ class TestWriteMemberMatchesNumpy:
 
     def test_an_object_array_is_refused(self):
         with pytest.raises(ValueError, match="allow_pickle"):
-            _write_member(io.BytesIO(), np.array([None, 1], dtype=object))
+            _write_payload(io.BytesIO(), {}, {"a": np.array([None, 1], dtype=object)})
 
     def test_a_member_past_numpys_write_chunk_deflates_alike(self):
         # numpy writes in 16 MiB chunks; one write of the whole buffer must
@@ -475,3 +481,213 @@ class TestNumpyLayout:
         writers["report"](str(tmp_path / "x"))
         assert [p.name for p in tmp_path.iterdir()] == ["x.npz"]
         assert (tmp_path / "x.npz").read_bytes() == payloads["report"]
+
+
+# ------------------------------------------------------------ zip container
+def _read_direct(data: bytes) -> dict:
+    """Every member of ``data`` through the direct reader, which must map it."""
+    view = memoryview(data)
+    members = _zip_members(view)
+    assert members is not None
+    archive = _Archive(view, members)
+    return {name: _read_member(archive.read(name)) for name in archive.namelist()}
+
+
+class TestContainerPastTheZip64Limits:
+    """The writer follows ``zipfile``'s zip64 rules: a central zip64 extra
+    for a size or offset past ``ZIP64_LIMIT`` and the zip64 end records past
+    65,535 members; the direct reader maps what it writes."""
+
+    def test_past_65535_members_the_bytes_are_numpys(self):
+        arrays = {f"a{i:05d}": np.array([i % 251], np.uint8) for i in range(65_536)}
+        out, expected = io.BytesIO(), io.BytesIO()
+        _write_payload(out, {"format": "x"}, arrays, compress=False)
+        np.savez(expected, manifest=np.asarray('{"format": "x"}'), **arrays)
+        data = out.getvalue()
+        assert data == expected.getvalue()
+        assert data[-98:-94] == b"PK\x06\x06"  # zip64 end record, then locator
+        members = _read_direct(data)
+        assert len(members) == 65_537
+        assert members["a65535.npy"].tolist() == [65_535 % 251]
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["stored", "deflated"])
+    def test_past_the_size_and_offset_limit_the_bytes_are_numpys(self, compress):
+        rng = np.random.default_rng(4)
+        arrays = {
+            "small": np.arange(3.0),
+            "large": rng.normal(size=400),  # 3,328 bytes, deflating little
+            "after": np.arange(5, dtype=np.int32),
+        }
+        with mock.patch.object(zipfile, "ZIP64_LIMIT", 1_000):
+            out = io.BytesIO()
+            _write_payload(out, {"format": "x"}, arrays, compress=compress)
+            data = out.getvalue()
+            save = np.savez_compressed if compress else np.savez
+            assert data == _numpy_writes(data, save)
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            extras = {i.filename: len(i.extra) for i in archive.infolist()}
+        # large: both sizes; after: its offset; and the directory lies past
+        # the limit, so the zip64 end records follow it.
+        assert extras == {
+            "manifest.npy": 0, "small.npy": 0, "large.npy": 20, "after.npy": 12
+        }
+        assert data[-98:-94] == b"PK\x06\x06"
+        members = _read_direct(data)
+        assert all(np.array_equal(members[f"{k}.npy"], v) for k, v in arrays.items())
+
+
+    def test_a_zip64_offset_past_any_buffer_is_a_payload_error(self):
+        with mock.patch.object(zipfile, "ZIP64_LIMIT", 1_000):
+            out = io.BytesIO()
+            _write_payload(out, {"format": "x"}, {"a": np.arange(200.0), "b": 1}, False)
+        data = bytearray(out.getvalue())
+        # The central entry of b.npy ends in a zip64 extra holding its offset.
+        at = data.rindex(b"b.npy") + len(b"b.npy") + 4
+        data[at : at + 8] = b"\xff" * 8
+        assert _zip_members(memoryview(bytes(data))) is None
+        with pytest.raises(WirePayloadError, match="too large"):
+            _read_payload(io.BytesIO(bytes(data)), _ANY)
+
+
+@pytest.mark.parametrize("family", sorted(LOADERS))
+def test_every_family_is_read_without_zipfile(family, payloads):
+    original = LOADERS[family](payloads[family])
+    with mock.patch.object(zipfile, "ZipFile", side_effect=AssertionError("zipfile")):
+        assert _same(LOADERS[family](payloads[family]), original)
+
+
+class _Unseekable(io.RawIOBase):
+    """A write-only stream ``zipfile`` cannot seek back in, so it writes a
+    data descriptor after each member."""
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, chunk) -> int:
+        self.data += chunk
+        return len(chunk)
+
+
+def _foreign(data: bytes, layout: str) -> bytes:
+    """``data`` rewritten by ``zipfile`` in a layout this writer never makes."""
+    if layout == "prefixed":
+        # Passes the magic check; zipfile reads past the prefix.
+        return data[:4] + b"junk" + data
+    target = _Unseekable() if layout == "data descriptor" else io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(data)) as source, zipfile.ZipFile(
+        target, "w", zipfile.ZIP_DEFLATED
+    ) as archive:
+        for info in source.infolist():
+            member = zipfile.ZipInfo(info.filename)
+            member.compress_type = info.compress_type
+            if layout == "extra field":
+                member.extra = struct.pack("<HH2s", 0xCAFE, 2, b"ok")
+            archive.writestr(member, source.read(info))
+        if layout == "non-ascii name":
+            archive.writestr("größe.npy", _npy_bytes(np.arange(3)))
+        if layout == "comment":
+            archive.comment = b"written elsewhere"
+    return bytes(target.data) if layout == "data descriptor" else target.getvalue()
+
+
+class TestForeignLayoutsGoToZipfile:
+    """Archives this writer never makes still load as they always did:
+    the direct reader declines them and ``zipfile`` reads them."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["comment", "data descriptor", "extra field", "non-ascii name", "prefixed"],
+    )
+    @pytest.mark.parametrize("family", ["queries", "report", "shard result"])
+    def test_loads_as_before(self, family, layout, payloads):
+        data = _foreign(payloads[family], layout)
+        assert _zip_members(memoryview(data)) is None
+        assert _same(LOADERS[family](data), LOADERS[family](payloads[family]))
+
+    def test_bytes_in_front_are_still_not_an_npz(self, payloads):
+        with pytest.raises(WirePayloadError, match="not an NPZ"):
+            LOADERS["queries"](b"\0" * 8 + payloads["queries"])
+
+
+@st.composite
+def _damage(draw, data: bytes) -> bytes:
+    """``data`` as it is, truncated, with 1-8 bits flipped or with 1-8 bytes
+    inserted."""
+    kind = draw(st.sampled_from(["none", "truncate", "flip", "insert"]))
+    data = bytearray(data)
+    position = st.integers(0, len(data) - 1)
+    if kind == "truncate":
+        del data[draw(position) :]
+    elif kind == "flip":
+        for _ in range(draw(st.integers(1, 8))):
+            data[draw(position)] ^= 1 << draw(st.integers(0, 7))
+    elif kind == "insert":
+        data[draw(position) : 0] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(data)
+
+
+@st.composite
+def _member_sets(draw):
+    """Random members written as any container mode."""
+    names = draw(
+        st.lists(st.from_regex(r"[a-z]{1,6}(__[a-z]{1,4})?", fullmatch=True),
+                 min_size=1, max_size=5, unique=True)
+    )
+    arrays = {name: draw(_arrays_to_write()) for name in names if name != "manifest"}
+    stored = frozenset(draw(st.lists(st.sampled_from(["a", "b", "ab"]), max_size=2)))
+    out = io.BytesIO()
+    _write_payload(out, {"format": "x"}, arrays, draw(st.booleans()), stored=stored)
+    return out.getvalue()
+
+
+_ANY = _Family("x", entries=None, versions=())
+
+
+def _outcome(decode, data):
+    """What ``decode(data)`` yields, or ``WirePayloadError`` if it raises so."""
+    try:
+        return decode(data)
+    except WirePayloadError:
+        return WirePayloadError
+
+
+def _both_readers(decode, data):
+    """``decode(data)`` through the direct reader and through ``zipfile``."""
+    direct = _outcome(decode, data)
+    with mock.patch("repro.io.wire._zip_members", return_value=None):
+        reference = _outcome(decode, data)
+    return direct, reference
+
+
+class TestDirectReaderMatchesZipfile:
+    """Whatever the bytes, the direct reader and ``zipfile`` decode equal
+    content or both raise WirePayloadError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_family_payloads(self, data, payloads):
+        family = data.draw(st.sampled_from(sorted(LOADERS)))
+        damaged = data.draw(_damage(payloads[family]))
+        direct, reference = _both_readers(LOADERS[family], damaged)
+        assert (direct is reference is WirePayloadError) or _same(direct, reference)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_member_sets(self, data):
+        damaged = data.draw(_damage(data.draw(_member_sets())))
+
+        def decode(payload):
+            return _read_payload(
+                io.BytesIO(payload), _ANY, finish=lambda _m, _d, arrays: arrays
+            )
+
+        direct, reference = _both_readers(decode, damaged)
+        if direct is WirePayloadError or reference is WirePayloadError:
+            assert direct is reference
+        else:  # bit for bit, NaNs included
+            assert direct.keys() == reference.keys()
+            for key, array in direct.items():
+                _assert_same_array(array, reference[key])

@@ -293,7 +293,8 @@ class TestWorkerServerEndpoints:
         with running_workers(1) as (worker,):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"{worker.url}/api/bogus")
-            assert excinfo.value.code == 404
+            with excinfo.value as error:  # closes the response's socket
+                assert error.code == 404
 
     def test_malformed_task_is_400(self):
         with running_workers(1) as (worker,):
@@ -302,7 +303,8 @@ class TestWorkerServerEndpoints:
             )
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
-            assert excinfo.value.code == 400
+            with excinfo.value as error:
+                assert error.code == 400
 
     def test_wrong_fingerprint_response_is_rejected(self, fleet_requests):
         """A completion answering a different dispatch must not be gathered."""

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.utils import validation
 
@@ -103,3 +106,33 @@ class TestIndexChecks:
     def test_check_indices_rejects_empty(self):
         with pytest.raises(ValueError):
             validation.check_indices([], 5)
+
+
+#: Mostly 0s and 1s, plus every value whose verdict could go either way.
+_MASK_VALUES = st.one_of(
+    st.sampled_from([0.0, 1.0, -0.0]),
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.5, -1.0, 1.0 + 1e-16, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestCheckBinaryMask:
+    @given(
+        mask=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=8),
+            elements=_MASK_VALUES,
+        )
+    )
+    @example(mask=np.array([[0.0, 1.0], [-0.0, 1.0]]))
+    @example(mask=np.array([0.0, np.nan]))
+    @example(mask=np.array([1.0, np.inf]))
+    @example(mask=np.array([0.5]))
+    def test_agrees_with_isin(self, mask):
+        binary = bool(np.all(np.isin(mask, (0.0, 1.0))))
+        if binary:
+            assert validation.check_binary_mask(mask, "m") is mask
+        else:
+            with pytest.raises(ValueError, match="m must contain only 0 and 1"):
+                validation.check_binary_mask(mask, "m")
+
