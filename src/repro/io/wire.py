@@ -510,6 +510,8 @@ class _Archive:
         data = self._data[start:stop]
         if method:
             # As zipfile does: inflate the whole member, keep ``size`` bytes.
+            # Stopping at ``size`` would pass a damaged stream tail that
+            # zipfile rejects.
             data = zlib.decompressobj(-zlib.MAX_WBITS).decompress(data)[:size]
         if zlib.crc32(data) != crc:
             raise zipfile.BadZipFile(f"Bad CRC-32 for file {name!r}")
@@ -547,8 +549,8 @@ def _read_manifest(path):
 
     Only the manifest member is decoded here (no format check), which is all
     :func:`payload_info` reads; ``read_arrays()`` decodes every other member
-    into a name → array dict.  Each member is read whole, so ``zipfile``
-    checks its CRC.
+    into a name → array dict.  Each member is read whole, so its CRC is
+    checked.
     """
     name = _payload_name(path)
     with _decoding(f"cannot read wire payload {name}"):
