@@ -66,12 +66,12 @@ def test_distributed_fleet_scaling(distributed_fleet_requests):
         }
         for name, executor in variants.items():
             start = time.perf_counter()
-            reports = service.update_fleet(
+            report = service.refresh_fleet(
                 distributed_fleet_requests, shards=shards, executor=executor
             )
             timings[name] = time.perf_counter() - start
-            estimates[name] = [report.estimate for report in reports]
-            plans[name] = service.last_plan
+            estimates[name] = [site.estimate for site in report.reports]
+            plans[name] = report.plan
 
     deviation = max(
         float(np.max(np.abs(a - b)))

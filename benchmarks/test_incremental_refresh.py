@@ -3,7 +3,7 @@
 A 10-site synthetic fleet is refreshed cold once (the previous generation),
 then re-refreshed at three drift magnitudes — unchanged data, a small
 additive measurement drift, and a large one — both cold and warm-started
-from the previous generation's factors (``update_fleet(..., warm_from=...)``).
+from the previous generation's factors (``refresh_fleet(..., warm_from=...)``).
 Sweeps-to-converge and wall time are printed as
 ``BENCH_incremental_refresh_*`` rows (JSON via ``REPRO_BENCH_JSON``); the
 small-drift pair, which carries the wall-clock check, is timed as the
@@ -34,7 +34,6 @@ import pytest
 from repro.core.self_augmented import SelfAugmentedConfig
 from repro.service.service import UpdateService
 from repro.service.synthetic import synthesize_fleet
-from repro.service.types import FleetReport
 
 from benchmarks._harness import record
 
@@ -56,10 +55,7 @@ def previous_generation():
         link_count=(3, 4),
         locations_per_link=4,
     )
-    service = UpdateService()
-    reports = service.update_fleet(requests)
-    report = FleetReport(elapsed_days=45.0, reports=tuple(reports))
-    return requests, report
+    return requests, UpdateService().refresh_fleet(requests, elapsed_days=45.0)
 
 
 def drifted_requests(base_requests, scale, seed=5):
@@ -108,15 +104,16 @@ def test_incremental_refresh_drift_schedule(previous_generation):
         cold_times, warm_times = [], []
         for _ in range(SMALL_DRIFT_REPEATS if label == "small" else 1):
             start = time.perf_counter()
-            cold = service.update_fleet(requests)
+            cold = service.refresh_fleet(requests).reports
             cold_times.append(time.perf_counter() - start)
 
             start = time.perf_counter()
-            warm = service.update_fleet(requests, warm_from=base_report)
+            warm_report = service.refresh_fleet(requests, warm_from=base_report)
             warm_times.append(time.perf_counter() - start)
         cold_seconds = float(np.median(cold_times))
         warm_seconds = float(np.median(warm_times))
 
+        warm = warm_report.reports
         cold_sweeps = sum(r.sweeps for r in cold)
         warm_sweeps = sum(r.sweeps for r in warm)
         accuracy_gap = max(
@@ -126,7 +123,7 @@ def test_incremental_refresh_drift_schedule(previous_generation):
         results[label] = {
             "cold": cold,
             "warm": warm,
-            "sweeps_saved": service.last_sweeps_saved,
+            "sweeps_saved": warm_report.sweeps_saved,
         }
         rows.update(
             {

@@ -139,7 +139,7 @@ def test_fleet_vs_looped_updates(paper_fleet_requests):
     Compares three ways of refreshing the office + hall + library databases
     from identical measurements:
 
-    * ``stacked``  — one ``UpdateService.update_fleet`` call; every sweep is
+    * ``stacked``  — one ``UpdateService.refresh_fleet`` call; every sweep is
       a single stacked batched solve across all sites.
     * ``persite``  — a Python loop over single-site service calls, each with
       the batched ALS solver (what looping ``IUpdater.update`` costs).
@@ -157,7 +157,7 @@ def test_fleet_vs_looped_updates(paper_fleet_requests):
     ]
 
     variants = {
-        "stacked": lambda: service.update_fleet(requests),
+        "stacked": lambda: service.refresh_fleet(requests).reports,
         "persite": lambda: [service.update(r) for r in requests],
         "looped": lambda: [update_looped(r) for r in requests],
     }
@@ -228,12 +228,14 @@ def test_shard_scaling(shard_fleet_requests):
     service = UpdateService()
     budget = 64 * 1024  # forces several shards per rank group at this size
 
+    def fleet(**kwargs):
+        report = service.refresh_fleet(shard_fleet_requests, **kwargs)
+        return report.reports, report.plan
+
     variants = {
-        "unsharded": lambda: service.update_fleet(shard_fleet_requests),
-        "sharded": lambda: service.update_fleet(
-            shard_fleet_requests, shards=ShardConfig(max_stack_bytes=budget)
-        ),
-        "persite": lambda: [service.update(r) for r in shard_fleet_requests],
+        "unsharded": fleet,
+        "sharded": lambda: fleet(shards=ShardConfig(max_stack_bytes=budget)),
+        "persite": lambda: ([service.update(r) for r in shard_fleet_requests], None),
     }
     rounds = {name: [] for name in variants}
     estimates = {}
@@ -243,10 +245,9 @@ def test_shard_scaling(shard_fleet_requests):
     for _ in range(5):
         for name, run in variants.items():
             start = time.perf_counter()
-            reports = run()
+            reports, plans[name] = run()
             rounds[name].append(time.perf_counter() - start)
             estimates[name] = [report.estimate for report in reports]
-            plans[name] = service.last_plan
     timings = {name: min(times) for name, times in rounds.items()}
 
     deviation = max(

@@ -27,7 +27,6 @@ import pytest
 from repro.query import QueryConfig, QueryEngine
 from repro.service.service import UpdateService
 from repro.service.synthetic import synthesize_fleet
-from repro.service.types import FleetReport
 from tests.oracles import localize_looped
 
 from benchmarks._harness import record
@@ -44,8 +43,7 @@ def served_site():
     requests = synthesize_fleet(
         1, elapsed_days=45.0, seed=11, link_count=8, locations_per_link=8
     )
-    reports = UpdateService().update_fleet(requests)
-    report = FleetReport(elapsed_days=45.0, reports=tuple(reports))
+    report = UpdateService().refresh_fleet(requests, elapsed_days=45.0)
     engine = QueryEngine(QueryConfig(matcher="knn"))
     engine.publish_report(report)
     cached = QueryEngine(QueryConfig(matcher="knn", cache_size=CACHE_SIZE))

@@ -220,44 +220,24 @@ class Coordinator:
             max_workers=job.workers,
         )
 
-    @staticmethod
-    def _shards_for(job: JobRecord):
-        from repro.service.shard import ShardConfig
-
-        if job.max_stack_bytes is None:
-            return ShardConfig()
-        if job.max_stack_bytes == 0:
-            return None
-        return ShardConfig(max_stack_bytes=job.max_stack_bytes)
-
     def _run_refresh(self, job: JobRecord) -> Tuple[Optional[str], Optional[int]]:
         """Built-in ``refresh_fleet`` runner: solve, save, auto-publish."""
         from repro.io import load_requests, payload_info, save_report
         from repro.service.service import UpdateService
-        from repro.service.types import FleetReport
+        from repro.service.shard import shard_config_for_budget
 
         payload_path = self.queue.payload_path(job)
         info = payload_info(payload_path)
         requests = load_requests(payload_path)
-        executor = self._executor_for(job)
-        service = UpdateService()
         fleet_key = tuple(sorted(request.site for request in requests))
         with self._warm_lock:
             warm_from = self._warm_reports.get(fleet_key)
-        reports = service.update_fleet(
+        report = UpdateService().refresh_fleet(
             requests,
-            shards=self._shards_for(job),
-            executor=executor,
-            warm_from=warm_from,
-        )
-        report = FleetReport(
             elapsed_days=float(info.get("elapsed_days") or 0.0),
-            reports=tuple(reports),
-            stacked_sweeps=service.last_stacked_sweeps,
-            plan=service.last_plan,
-            executor=executor.name,
-            workers=executor.workers,
-            sweeps_saved=service.last_sweeps_saved,
+            shards=shard_config_for_budget(job.max_stack_bytes),
+            executor=self._executor_for(job),
+            warm_from=warm_from,
         )
         with self._warm_lock:
             self._warm_reports[fleet_key] = report

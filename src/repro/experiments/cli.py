@@ -651,21 +651,16 @@ def run_fleet_export(args) -> int:
 def run_fleet_run(args) -> int:
     """Run ``fleet run``: refresh a from-disk payload through the sharded service."""
     from repro.io import load_report, load_requests, payload_info, save_report
-    from repro.service.executor import SerialExecutor
     from repro.service.remote import RemoteExecutor, RemoteShardError
     from repro.service.service import UpdateService
-    from repro.service.shard import ShardConfig
-    from repro.service.types import FleetReport
+    from repro.service.shard import shard_config_for_budget
 
-    if args.max_stack_bytes is None:
-        shards = ShardConfig()
-    elif args.max_stack_bytes == 0:
-        shards = None
-    elif args.max_stack_bytes > 0:
-        shards = ShardConfig(max_stack_bytes=args.max_stack_bytes)
-    else:
+    try:
+        shards = shard_config_for_budget(args.max_stack_bytes)
+    except ValueError:
         print("--max-stack-bytes must be non-negative", file=sys.stderr)
         return 2
+    executor = None
     endpoints = getattr(args, "endpoints", None)
     if endpoints:
         try:
@@ -679,8 +674,6 @@ def run_fleet_run(args) -> int:
         except ValueError as error:
             print(error, file=sys.stderr)
             return 2
-    else:
-        executor = SerialExecutor()
 
     try:
         info = payload_info(args.input)
@@ -692,10 +685,13 @@ def run_fleet_run(args) -> int:
         print(error, file=sys.stderr)
         return 2
 
-    service = UpdateService()
     try:
-        reports = service.update_fleet(
-            requests, shards=shards, executor=executor, warm_from=warm_from
+        report = UpdateService().refresh_fleet(
+            requests,
+            elapsed_days=float(info.get("elapsed_days") or 0.0),
+            shards=shards,
+            executor=executor,
+            warm_from=warm_from,
         )
     except RemoteShardError as error:
         print(error, file=sys.stderr)
@@ -703,24 +699,15 @@ def run_fleet_run(args) -> int:
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    plan = service.last_plan
-    report = FleetReport(
-        elapsed_days=float(info.get("elapsed_days") or 0.0),
-        reports=tuple(reports),
-        stacked_sweeps=service.last_stacked_sweeps,
-        plan=plan,
-        executor=executor.name,
-        workers=executor.workers,
-        sweeps_saved=service.last_sweeps_saved,
-    )
     print(f"loaded {len(requests)} requests from {args.input}")
     if warm_from is not None:
-        warm_sites = sum(r.warm_started for r in reports)
-        saved = sum(service.last_sweeps_saved.values())
+        warm_sites = sum(r.warm_started for r in report.reports)
+        saved = sum(report.sweeps_saved.values())
         print(
-            f"warm start from {args.warm_from}: {warm_sites}/{len(reports)} "
+            f"warm start from {args.warm_from}: {warm_sites}/{len(requests)} "
             f"sites resumed, {saved} sweeps saved"
         )
+    plan = report.plan
     if plan is not None and plan.shard_count:
         print(
             f"plan: {plan.shard_count} shards over {plan.site_count} sites "
@@ -743,7 +730,7 @@ def run_fleet_run(args) -> int:
                 f"{executor.last_duplicates_dropped} duplicate(s) dropped)"
             )
         else:
-            print(f"executor: {executor.name}")
+            print(f"executor: {report.executor}")
     print()
     print(format_fleet_report(report))
     if args.out:
@@ -1019,13 +1006,11 @@ def run_query_bench(args) -> int:
     else:
         from repro.service.service import UpdateService
         from repro.service.synthetic import synthesize_fleet
-        from repro.service.types import FleetReport
 
         requests = synthesize_fleet(
             1, link_count=8, locations_per_link=8, seed=args.seed
         )
-        reports = UpdateService().update_fleet(requests)
-        report = FleetReport(elapsed_days=45.0, reports=tuple(reports))
+        report = UpdateService().refresh_fleet(requests, elapsed_days=45.0)
         print("no --report given; refreshed a 1-site fleet in-process")
 
     engine = QueryEngine(QueryConfig(matcher=args.matcher))

@@ -15,7 +15,7 @@ database at a time, this package makes the multi-site workload primary:
   stacked batched solves — bit-identical per site for any shard split.
 * :class:`~repro.service.executor.SerialExecutor` /
   :class:`~repro.service.remote.RemoteExecutor` — pluggable execution
-  backends behind ``update_fleet(requests, executor=...)``: in-process by
+  backends behind ``refresh_fleet(requests, executor=...)``: in-process by
   default, or scatter-gather over
   HTTP :class:`~repro.service.remote.WorkerServer` machines with retry,
   straggler re-dispatch, failover and fingerprint-deduplicated results —

@@ -7,7 +7,7 @@ defines that seam and its reference backend:
 
 * :class:`SerialExecutor` — the default and the reference semantics: every
   shard advances in this process, one lockstep run after another, exactly
-  as ``UpdateService.update_fleet`` has always behaved.
+  as the update service has always behaved.
 * :class:`~repro.service.remote.RemoteExecutor` (in
   :mod:`repro.service.remote`) — the one scatter-gather backend: each
   shard's member requests travel as :func:`repro.io.wire.requests_to_bytes`
@@ -193,7 +193,7 @@ class SerialExecutor(ShardExecutor):
 def resolve_executor(
     executor: Union[ShardExecutor, str, None]
 ) -> ShardExecutor:
-    """Normalise the ``executor=`` argument of ``UpdateService.update_fleet``.
+    """Normalise the ``executor=`` argument of ``UpdateService.refresh_fleet``.
 
     ``None`` and ``"serial"`` keep the in-process behaviour; an instance
     (such as a configured :class:`~repro.service.remote.RemoteExecutor`)

@@ -5,7 +5,7 @@
 whole evaluation: it builds the office / hall / library deployments (or any
 registered subset, or caller-supplied specs), surveys each site's
 ground-truth database, and at every survey stamp refreshes *all* sites with
-one :meth:`UpdateService.update_fleet` call — the per-sweep normal equations
+one :meth:`UpdateService.refresh_fleet` call — the per-sweep normal equations
 of every site land in a single stacked batched solve.
 """
 
@@ -154,17 +154,19 @@ class FleetCampaign:
         """Refresh every site's database at ``elapsed_days`` in one stacked solve.
 
         ``shards``, ``executor`` and ``warm_from`` are forwarded to
-        :meth:`UpdateService.update_fleet`; the executed plan, the executor
-        choice and the per-site sweeps a warm start saved are recorded on
-        the returned :class:`FleetReport`.
+        :meth:`UpdateService.refresh_fleet`, whose report gains the per-site
+        errors against ground truth.
         """
-        requests = self.build_requests(elapsed_days)
-        reports = self.service.update_fleet(
-            requests, shards=shards, executor=executor, warm_from=warm_from
+        fleet = self.service.refresh_fleet(
+            self.build_requests(elapsed_days),
+            elapsed_days=elapsed_days,
+            shards=shards,
+            executor=executor,
+            warm_from=warm_from,
         )
         errors: Dict[str, float] = {}
         stale: Dict[str, float] = {}
-        for report in reports:
+        for report in fleet.reports:
             campaign = self.campaigns[report.site]
             if elapsed_days not in campaign.database:
                 # Refreshes between survey stamps are legal; there is simply
@@ -175,18 +177,7 @@ class FleetCampaign:
             stale[report.site] = campaign.database.original.reconstruction_error_db(
                 truth
             )
-        backend = self.service.last_executor
-        return FleetReport(
-            elapsed_days=elapsed_days,
-            reports=tuple(reports),
-            errors_db=errors,
-            stale_errors_db=stale,
-            stacked_sweeps=self.service.last_stacked_sweeps,
-            plan=self.service.last_plan,
-            executor=None if backend is None else backend.name,
-            workers=0 if backend is None else backend.workers,
-            sweeps_saved=self.service.last_sweeps_saved,
-        )
+        return replace(fleet, errors_db=errors, stale_errors_db=stale)
 
     def refresh_all(self) -> Dict[float, FleetReport]:
         """Refresh the fleet at every post-original campaign time stamp."""

@@ -1,9 +1,10 @@
 """The batched multi-site update service: an ingest → plan → execute pipeline.
 
-``UpdateService`` is the canonical way to refresh fingerprint databases.  It
-accepts any number of :class:`~repro.service.types.UpdateRequest` objects —
-sites with heterogeneous matrix shapes and factorisation ranks are fine —
-and runs the whole fleet through a three-stage pipeline:
+``UpdateService.refresh_fleet`` is the canonical way to refresh fingerprint
+databases.  It accepts any number of
+:class:`~repro.service.types.UpdateRequest` objects — sites with
+heterogeneous matrix shapes and factorisation ranks are fine — and runs
+the whole fleet through a three-stage pipeline:
 
 1. **Ingest / prepare** — per-site Inherent Correlation Acquisition (MIC +
    LRR, skipped when the request carries a precomputed ``correlation``), the
@@ -31,10 +32,10 @@ and runs the whole fleet through a three-stage pipeline:
    sites individually, so co-tenants are never left with the abandoned
    run's partially-advanced sweeps (a site that fails even in isolation
    raises a ``RuntimeError`` naming it, so the caller can exclude it and
-   resubmit).  Reports are reassembled in request order, and the executed
-   plan is available as :attr:`UpdateService.last_plan` and travels on
-   :class:`~repro.service.types.FleetReport` along with the executor name
-   and worker count.
+   resubmit).  Reports are reassembled in request order into the one
+   :class:`~repro.service.types.FleetReport` the call returns, along with
+   the executed plan, the executor name and worker count and the sweeps a
+   warm start saved.
 
 Per-site results are bit-identical to independent
 :meth:`~repro.core.updater.IUpdater.update` runs for every shard split and
@@ -73,45 +74,30 @@ class UpdateService:
     """Fleet-first fingerprint update service over the stacked ALS core."""
 
     def __init__(self) -> None:
-        self._last_stacked_sweeps = 0
-        self._last_plan: Optional[ShardPlan] = None
-        self._last_executor: Optional[ShardExecutor] = None
-        self._last_sweeps_saved: Dict[str, int] = {}
+        self._report = self.refresh_fleet([])
 
+    # The three views below exist only because perfbench's refresh helper
+    # reads them after ``update_fleet``; new code reads the report.
     @property
     def last_stacked_sweeps(self) -> int:
-        """Lockstep sweeps the most recent :meth:`update_fleet` executed.
-
-        With a sharded plan this is the maximum over the per-shard sweep
-        counts, which equals the maximum over the per-site sweep counts —
-        the same fleet-level iteration number the unsharded lockstep
-        reported.
-        """
-        return self._last_stacked_sweeps
+        """``stacked_sweeps`` of the last :meth:`update_fleet` report (for perfbench)."""
+        return self._report.stacked_sweeps
 
     @property
     def last_plan(self) -> Optional[ShardPlan]:
-        """The executed shard plan of the most recent :meth:`update_fleet`."""
-        return self._last_plan
-
-    @property
-    def last_executor(self) -> Optional[ShardExecutor]:
-        """The execution backend the most recent :meth:`update_fleet` used."""
-        return self._last_executor
+        """``plan`` of the last :meth:`update_fleet` report (for perfbench)."""
+        return self._report.plan
 
     @property
     def last_sweeps_saved(self) -> Dict[str, int]:
-        """Per-site sweeps the most recent warm-started refresh saved.
-
-        ``previous generation's sweeps - this refresh's sweeps`` for every
-        site that warm-started from a ``warm_from`` report; empty for cold
-        refreshes.
-        """
-        return dict(self._last_sweeps_saved)
+        """``sweeps_saved`` of the last :meth:`update_fleet` report (for
+        perfbench): each warm-started site's lineage cold sweeps minus its
+        sweeps."""
+        return dict(self._report.sweeps_saved)
 
     def update(self, request: UpdateRequest) -> UpdateReport:
         """Refresh a single site (a one-request fleet)."""
-        return self.update_fleet([request])[0]
+        return self.refresh_fleet([request]).reports[0]
 
     def update_fleet(
         self,
@@ -120,6 +106,21 @@ class UpdateService:
         executor: Union[ShardExecutor, str, None] = None,
         warm_from: Optional[FleetReport] = None,
     ) -> List[UpdateReport]:
+        """:meth:`refresh_fleet`'s per-site reports; the report backs the views."""
+        self._report = self.refresh_fleet(
+            requests, shards=shards, executor=executor, warm_from=warm_from
+        )
+        return list(self._report.reports)
+
+    def refresh_fleet(
+        self,
+        requests: Sequence[UpdateRequest],
+        *,
+        elapsed_days: float = 0.0,
+        shards: Union[ShardConfig, int, None] = None,
+        executor: Union[ShardExecutor, str, None] = None,
+        warm_from: Optional[FleetReport] = None,
+    ) -> FleetReport:
         """Refresh every requested site through the prepare/plan/execute pipeline.
 
         Parameters
@@ -127,6 +128,8 @@ class UpdateService:
         requests:
             The fleet, one request per site; heterogeneous shapes and ranks
             are fine.
+        elapsed_days:
+            The time stamp the refresh is run at, recorded on the report.
         shards:
             Shard scheduling: ``None`` (default) plans one unbounded shard
             per rank group — the historical all-in-lockstep behaviour; a
@@ -145,20 +148,22 @@ class UpdateService:
             Sites present in it (with matching shapes and rank) resume from
             its factors instead of a cold init; sites it does not cover —
             or whose geometry changed — fall back to the cold path
-            unchanged.  Per-site sweeps saved land in
-            :attr:`last_sweeps_saved`.
+            unchanged.
 
-        Returns the per-site reports in request order; any shard split and
-        any executor backend yields bit-identical per-site results.
+        Returns the one :class:`~repro.service.types.FleetReport` of the
+        run (per-site reports in request order, plan, stacked sweeps,
+        executor, workers and sweeps saved); any shard split and any
+        executor backend yields bit-identical per-site results.
         """
         requests = list(requests)
         backend = resolve_executor(executor)
         if not requests:
-            self._last_stacked_sweeps = 0
-            self._last_plan = None
-            self._last_executor = backend
-            self._last_sweeps_saved = {}
-            return []
+            return FleetReport(
+                elapsed_days=float(elapsed_days),
+                reports=(),
+                executor=backend.name,
+                workers=backend.workers,
+            )
         sites = [request.site for request in requests]
         if len(set(sites)) != len(sites):
             raise ValueError(f"duplicate site identifiers in fleet request: {sites}")
@@ -170,30 +175,27 @@ class UpdateService:
         prepared = [self._prepare(request) for request in requests]
         plan = self._plan(prepared, resolve_shard_config(shards))
         plan, solver_results = backend.execute(prepared, plan)
-
-        self._last_plan = plan
-        self._last_executor = backend
-        self._last_stacked_sweeps = max(
-            (shard.sweeps for shard in plan.shards), default=0
-        )
-
-        reports = [
+        reports = tuple(
             site.report(solver_results[index]) for index, site in enumerate(prepared)
-        ]
-
-        self._last_sweeps_saved = {}
-        if warm_from is not None:
-            for report in reports:
-                if not report.warm_started:
-                    continue
-                try:
-                    previous = warm_from.report_for(report.site)
-                except KeyError:
-                    continue
-                self._last_sweeps_saved[report.site] = (
-                    previous.sweeps - report.sweeps
-                )
-        return reports
+        )
+        # Each site's lineage cold count, carried forward along a warm chain.
+        cold = {} if warm_from is None else {
+            r.site: r.sweeps + warm_from.sweeps_saved.get(r.site, 0)
+            for r in warm_from.reports
+        }
+        return FleetReport(
+            elapsed_days=float(elapsed_days),
+            reports=reports,
+            stacked_sweeps=max((shard.sweeps for shard in plan.shards), default=0),
+            plan=plan,
+            executor=backend.name,
+            workers=backend.workers,
+            sweeps_saved={
+                r.site: cold[r.site] - r.sweeps
+                for r in reports
+                if r.warm_started and r.site in cold
+            },
+        )
 
     # ------------------------------------------------------------ preparation
     def _prepare(self, request: UpdateRequest) -> PreparedSite:
@@ -242,3 +244,4 @@ class UpdateService:
             stack_bytes=[sweep_stack_nbytes(site.state) for site in prepared],
             config=config,
         )
+

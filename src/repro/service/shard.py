@@ -34,6 +34,7 @@ __all__ = [
     "plan_shards",
     "mark_executed",
     "resolve_shard_config",
+    "shard_config_for_budget",
 ]
 
 DEFAULT_MAX_STACK_BYTES = 32 * 1024 * 1024
@@ -189,7 +190,7 @@ class ShardPlan:
 def resolve_shard_config(
     shards: Union[ShardConfig, int, None]
 ) -> ShardConfig:
-    """Normalise the ``shards=`` argument of ``UpdateService.update_fleet``.
+    """Normalise the ``shards=`` argument of ``UpdateService.refresh_fleet``.
 
     ``None`` keeps the pre-sharding behaviour (unbounded shards, one per
     rank group); an integer is shorthand for ``ShardConfig(max_stack_bytes=n)``.
@@ -203,6 +204,20 @@ def resolve_shard_config(
     raise TypeError(
         f"shards must be a ShardConfig, a byte budget, or None, got {type(shards).__name__}"
     )
+
+
+def shard_config_for_budget(max_stack_bytes: Optional[int]) -> ShardConfig:
+    """The shard config of a job's or ``fleet run``'s ``max_stack_bytes``.
+
+    ``None`` is the default :class:`ShardConfig`, ``0`` plans unbounded
+    shards (one per rank group) and ``n > 0`` caps each shard at ``n``
+    bytes; a negative budget raises ``ValueError``.
+    """
+    if max_stack_bytes is None:
+        return ShardConfig()
+    if max_stack_bytes < 0:
+        raise ValueError(f"max_stack_bytes must be non-negative, got {max_stack_bytes}")
+    return ShardConfig(max_stack_bytes=max_stack_bytes or None)
 
 
 def plan_shards(

@@ -226,6 +226,9 @@ class UpdateReport:
 class FleetReport:
     """One fleet-wide refresh: per-site reports plus aggregate summaries.
 
+    Built by :meth:`~repro.service.service.UpdateService.refresh_fleet` (and
+    rebuilt by the wire decoder).
+
     Attributes
     ----------
     elapsed_days:
@@ -256,9 +259,10 @@ class FleetReport:
         execution).  Purely bookkeeping: results are
         bit-identical for any worker count.
     sweeps_saved:
-        Per-site sweeps the warm start saved versus the previous
-        generation's cold count (``prev sweeps - this refresh's sweeps``),
-        recorded only for warm-started sites.
+        Per-site sweeps the warm start saved below the lineage's cold
+        count: the previous report's sweeps plus its own ``sweeps_saved``
+        for the site, minus this refresh's sweeps.  Recorded only for
+        warm-started sites.
     """
 
     elapsed_days: float

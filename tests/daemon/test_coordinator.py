@@ -18,7 +18,6 @@ from repro.io import load_report, save_report
 from repro.query import QueryConfig, QueryEngine
 from repro.service.service import UpdateService
 from repro.service.shard import ShardConfig
-from repro.service.types import FleetReport
 
 from tests.workers import running_workers
 
@@ -26,15 +25,8 @@ from tests.workers import running_workers
 @pytest.fixture(scope="module")
 def offline_report(daemon_fleet_requests):
     """The reference: a serial in-process refresh of the same payload."""
-    service = UpdateService()
-    reports = service.update_fleet(daemon_fleet_requests, shards=ShardConfig())
-    return FleetReport(
-        elapsed_days=30.0,
-        reports=tuple(reports),
-        stacked_sweeps=service.last_stacked_sweeps,
-        plan=service.last_plan,
-        executor="serial",
-        workers=0,
+    return UpdateService().refresh_fleet(
+        daemon_fleet_requests, elapsed_days=30.0, shards=ShardConfig(), executor="serial"
     )
 
 

@@ -21,7 +21,6 @@ from repro.io import load_report
 from repro.query import QueryConfig, QueryEngine
 from repro.service.service import UpdateService
 from repro.service.shard import ShardConfig
-from repro.service.types import FleetReport
 
 
 @pytest.fixture(scope="module")
@@ -45,15 +44,8 @@ def client(server):
 
 @pytest.fixture(scope="module")
 def offline_report(daemon_fleet_requests):
-    service = UpdateService()
-    reports = service.update_fleet(daemon_fleet_requests, shards=ShardConfig())
-    return FleetReport(
-        elapsed_days=30.0,
-        reports=tuple(reports),
-        stacked_sweeps=service.last_stacked_sweeps,
-        plan=service.last_plan,
-        executor="serial",
-        workers=0,
+    return UpdateService().refresh_fleet(
+        daemon_fleet_requests, elapsed_days=30.0, shards=ShardConfig(), executor="serial"
     )
 
 

@@ -149,6 +149,15 @@ class TestFleetWireCommands:
             np.testing.assert_array_equal(local.estimate, wire.estimate)
         assert saved.plan is not None
         assert saved.plan.peak_stack_bytes <= 4096
+        # The run facts on the file are the in-process report's, field for field.
+        sharded = UpdateService().refresh_fleet(
+            load_requests(requests_path), elapsed_days=45.0, shards=4096
+        )
+        assert saved.elapsed_days == sharded.elapsed_days
+        assert saved.plan.to_json() == sharded.plan.to_json()
+        assert saved.stacked_sweeps == sharded.stacked_sweeps
+        assert (saved.executor, saved.workers) == (sharded.executor, sharded.workers)
+        assert saved.sweeps_saved == sharded.sweeps_saved == {}
 
     def test_run_on_hundred_site_payload(self, tmp_path, capsys):
         """One process refreshes a ≥100-site from-disk payload (sharded)."""

@@ -20,16 +20,11 @@ from repro.io.delta import (
 from repro.io.wire import WIRE_VERSION, WirePayloadError, load_report, save_report
 from repro.service.service import UpdateService
 from repro.service.synthetic import synthesize_fleet
-from repro.service.types import FleetReport
 
 
 def refresh(requests, warm_from=None, **kwargs):
-    service = UpdateService()
-    reports = service.update_fleet(requests, warm_from=warm_from, **kwargs)
-    return FleetReport(
-        elapsed_days=45.0,
-        reports=tuple(reports),
-        sweeps_saved=service.last_sweeps_saved,
+    return UpdateService().refresh_fleet(
+        requests, elapsed_days=45.0, warm_from=warm_from, **kwargs
     )
 
 

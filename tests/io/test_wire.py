@@ -31,7 +31,6 @@ from repro.service.service import UpdateService
 from repro.service.shard import ShardConfig
 from repro.service.synthetic import synthesize_fleet
 from repro.query import QueryConfig
-from repro.service.types import FleetReport
 
 
 @pytest.fixture(scope="module")
@@ -250,17 +249,11 @@ class TestCorruptPayloads:
 class TestReportRoundTrip:
     @pytest.fixture(scope="class")
     def solved(self, fleet_requests):
-        service = UpdateService()
-        reports = service.update_fleet(
-            fleet_requests, shards=ShardConfig(max_stack_bytes=4096)
+        report = UpdateService().refresh_fleet(
+            fleet_requests, elapsed_days=45.0, shards=ShardConfig(max_stack_bytes=4096)
         )
-        return FleetReport(
-            elapsed_days=45.0,
-            reports=tuple(reports),
-            errors_db={"office-000": 1.25},
-            stale_errors_db={"office-000": 2.5},
-            stacked_sweeps=service.last_stacked_sweeps,
-            plan=service.last_plan,
+        return replace(
+            report, errors_db={"office-000": 1.25}, stale_errors_db={"office-000": 2.5}
         )
 
     def test_report_round_trip_is_exact(self, solved, tmp_path):
@@ -309,7 +302,7 @@ class TestReportRoundTrip:
 
     def test_unrecorded_executor_stays_none(self, solved, tmp_path):
         path = tmp_path / "report.npz"
-        save_report(path, solved)
+        save_report(path, replace(solved, executor=None))
         loaded = load_report(path)
         assert loaded.executor is None
         assert loaded.workers == 0
@@ -344,7 +337,7 @@ class TestLegacyBackendKeys:
 
     @pytest.fixture(scope="class")
     def solved_locally(self, fleet_requests):
-        return UpdateService().update_fleet(fleet_requests)
+        return UpdateService().refresh_fleet(fleet_requests, elapsed_days=45.0)
 
     @pytest.mark.parametrize(
         "top, nested",
@@ -364,7 +357,7 @@ class TestLegacyBackendKeys:
         _rewrite_manifest(requests_path, legacy, mutate)
         loaded = load_requests(legacy)
         assert [r.config for r in loaded] == [r.config for r in fleet_requests]
-        for a, b in zip(solved_locally, UpdateService().update_fleet(loaded)):
+        for a, b in zip(solved_locally.reports, UpdateService().update_fleet(loaded)):
             np.testing.assert_array_equal(a.estimate, b.estimate)
 
     @pytest.mark.parametrize("where", ("top", "nested"))
@@ -382,7 +375,7 @@ class TestLegacyBackendKeys:
     @pytest.fixture(scope="class")
     def report_path(self, solved_locally, tmp_path_factory):
         path = tmp_path_factory.mktemp("report") / "report.npz"
-        save_report(path, FleetReport(elapsed_days=45.0, reports=tuple(solved_locally)))
+        save_report(path, solved_locally)
         return path
 
     @pytest.mark.parametrize("backend", ("batched", "looped"))
@@ -396,7 +389,7 @@ class TestLegacyBackendKeys:
                 entry["solver_backend"] = backend
 
         _rewrite_manifest(report_path, legacy, mutate)
-        for a, b in zip(solved_locally, load_report(legacy).reports):
+        for a, b in zip(solved_locally.reports, load_report(legacy).reports):
             np.testing.assert_array_equal(a.estimate, b.estimate)
 
     def test_unknown_report_backend_rejected(self, report_path, tmp_path):

@@ -56,7 +56,6 @@ from repro.query import QueryAnswer, QueryBatch, grid_locations
 from repro.service.remote import _solve_shard_payload
 from repro.service.service import UpdateService
 from repro.service.synthetic import synthesize_fleet
-from repro.service.types import FleetReport
 
 read_array = np.lib.format.read_array
 
@@ -239,9 +238,7 @@ def writers(requests):
     """family -> ``save(path)`` through that family's on-disk writer."""
 
     def refresh(batch):
-        return FleetReport(
-            elapsed_days=45.0, reports=tuple(UpdateService().update_fleet(batch))
-        )
+        return UpdateService().refresh_fleet(batch, elapsed_days=45.0)
 
     rng = np.random.default_rng(8)
     base, full = refresh(requests[:2]), refresh(requests)

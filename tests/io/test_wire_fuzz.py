@@ -255,9 +255,7 @@ def fleet_reports():
     )
 
     def refresh(batch):
-        return FleetReport(
-            elapsed_days=45.0, reports=tuple(UpdateService().update_fleet(batch))
-        )
+        return UpdateService().refresh_fleet(batch, elapsed_days=45.0)
 
     base = refresh(requests[:2])
     full = refresh(requests)

@@ -43,5 +43,4 @@ def refreshed_fleet() -> FleetReport:
     requests = synthesize_fleet(
         2, link_count=4, locations_per_link=6, seed=17
     )
-    reports = UpdateService().update_fleet(requests)
-    return FleetReport(elapsed_days=45.0, reports=tuple(reports))
+    return UpdateService().refresh_fleet(requests, elapsed_days=45.0)

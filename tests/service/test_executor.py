@@ -53,11 +53,10 @@ def fleet_requests():
 
 @pytest.fixture(scope="module")
 def serial_refresh(fleet_requests):
-    service = UpdateService()
-    reports = service.update_fleet(
+    report = UpdateService().refresh_fleet(
         fleet_requests, shards=ShardConfig(max_stack_bytes=SHARD_BUDGET)
     )
-    return service.last_plan, reports
+    return report.plan, report.reports
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +81,13 @@ class TestRemoteScatterParity:
         self, fleet_requests, serial_refresh, worker_urls, workers
     ):
         serial_plan, serial_reports = serial_refresh
-        service = UpdateService()
-        reports = service.update_fleet(
+        report = UpdateService().refresh_fleet(
             fleet_requests,
             shards=ShardConfig(max_stack_bytes=SHARD_BUDGET),
             executor=remote(worker_urls, max_workers=workers),
         )
-        assert len(reports) == FLEET_SITES
-        for expected, got in zip(serial_reports, reports):
+        assert len(report.reports) == FLEET_SITES
+        for expected, got in zip(serial_reports, report.reports):
             assert got.site == expected.site
             np.testing.assert_array_equal(
                 got.estimate,
@@ -106,8 +104,8 @@ class TestRemoteScatterParity:
             assert got.converged == expected.converged
         # The executed plan must also match shard for shard: same members,
         # same sweep counts, no fallbacks.
-        assert service.last_plan.shard_count == serial_plan.shard_count
-        for ours, theirs in zip(service.last_plan.shards, serial_plan.shards):
+        assert report.plan.shard_count == serial_plan.shard_count
+        for ours, theirs in zip(report.plan.shards, serial_plan.shards):
             assert ours.members == theirs.members
             assert ours.sweeps == theirs.sweeps
             assert not ours.fallback
@@ -117,20 +115,20 @@ class TestRemoteScatterParity:
     ):
         """shards=None (one shard per rank group) still round-trips workers."""
         _, serial_reports = serial_refresh
-        service = UpdateService()
-        reports = service.update_fleet(fleet_requests, executor=remote(worker_urls))
-        assert service.last_plan.shard_count == 2  # two ranks, unbounded
-        for expected, got in zip(serial_reports, reports):
+        report = UpdateService().refresh_fleet(
+            fleet_requests, executor=remote(worker_urls)
+        )
+        assert report.plan.shard_count == 2  # two ranks, unbounded
+        for expected, got in zip(serial_reports, report.reports):
             np.testing.assert_array_equal(got.estimate, expected.estimate)
 
-    def test_executor_recorded_on_service(self, fleet_requests, worker_urls):
-        service = UpdateService()
-        executor = remote(worker_urls, max_workers=3)
-        service.update_fleet(fleet_requests[:4], executor=executor)
-        assert service.last_executor is executor
-        assert service.last_executor.name == "remote"
+    def test_executor_recorded_on_report(self, fleet_requests, worker_urls):
+        report = UpdateService().refresh_fleet(
+            fleet_requests[:4], executor=remote(worker_urls, max_workers=3)
+        )
+        assert report.executor == "remote"
         # workers counts endpoints; max_workers only caps the dispatch width.
-        assert service.last_executor.workers == 2
+        assert report.workers == 2
 
 
 class TestWorkerPayloadPath:
@@ -292,18 +290,8 @@ class TestExecutorResolution:
 
 class TestReportBookkeeping:
     def test_fleet_report_records_executor(self, fleet_requests, worker_urls):
-        from repro.service.types import FleetReport
-
-        service = UpdateService()
-        reports = service.update_fleet(
-            fleet_requests[:4], executor=remote(worker_urls)
-        )
-        report = FleetReport(
-            elapsed_days=45.0,
-            reports=tuple(reports),
-            plan=service.last_plan,
-            executor=service.last_executor.name,
-            workers=service.last_executor.workers,
+        report = UpdateService().refresh_fleet(
+            fleet_requests[:4], elapsed_days=45.0, executor=remote(worker_urls)
         )
         assert report.executor == "remote"
         assert report.workers == 2
@@ -342,6 +330,38 @@ class TestReportBookkeeping:
         scattered = fleet.refresh(45.0, executor=remote(worker_urls))
         assert scattered.executor == "remote"
         assert scattered.workers == 2
+
+    @pytest.mark.parametrize("scatter", [False, True], ids=["serial", "remote"])
+    def test_update_fleet_is_a_view_of_refresh_fleet(
+        self, fleet_requests, worker_urls, scatter
+    ):
+        """``update_fleet``'s list and its ``last_*`` views (which perfbench
+        reads) equal the fields of the ``refresh_fleet`` report, cold and warm."""
+        requests = fleet_requests[:6]
+
+        def executor():
+            return remote(worker_urls) if scatter else "serial"
+
+        previous = None
+        for _ in ("cold", "warm"):
+            report = UpdateService().refresh_fleet(
+                requests, shards=SHARD_BUDGET, executor=executor(), warm_from=previous
+            )
+            service = UpdateService()
+            reports = service.update_fleet(
+                requests, shards=SHARD_BUDGET, executor=executor(), warm_from=previous
+            )
+            assert tuple(r.site for r in reports) == report.sites
+            for got, expected in zip(reports, report.reports):
+                np.testing.assert_array_equal(got.estimate, expected.estimate)
+                assert got.sweeps == expected.sweeps
+                assert got.warm_started == expected.warm_started
+            assert service.last_plan == report.plan
+            assert service.last_stacked_sweeps == report.stacked_sweeps
+            assert service.last_sweeps_saved == report.sweeps_saved
+            previous = report
+        assert all(r.warm_started for r in report.reports)
+        assert set(report.sweeps_saved) == set(report.sites)
 
 
 class TestWorkerCountValidation:

@@ -1,7 +1,7 @@
 """Parity: a fleet-stacked update must match independent per-site updates.
 
 The acceptance bar of the fleet service: refreshing N sites through one
-``UpdateService.update_fleet`` call (every sweep stacked into one batched
+``UpdateService.refresh_fleet`` call (every sweep stacked into one batched
 solve per distinct rank, heterogeneous shapes concatenated into one
 workload) produces, per site, the same estimate as N independent
 ``IUpdater.update()`` runs to ≤ 1e-10 — in practice bit-identical, because
@@ -10,6 +10,8 @@ batched LU factorises each slice independently.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.stacked import sweep_stack_nbytes
 from repro.core.updater import IUpdater
@@ -70,7 +72,7 @@ def requests(fleet):
 
 @pytest.fixture(scope="module")
 def fleet_reports(fleet, requests):
-    return fleet.service.update_fleet(requests)
+    return fleet.service.refresh_fleet(requests).reports
 
 
 class TestFleetParity:
@@ -100,9 +102,8 @@ class TestFleetParity:
 
     def test_sites_solve_on_the_batched_backend(self, requests):
         """Every site rides the stacked solve: the plan covers all of them."""
-        service = UpdateService()
-        service.update_fleet(requests)
-        planned = sorted(m for shard in service.last_plan.shards for m in shard.members)
+        plan = UpdateService().refresh_fleet(requests).plan
+        planned = sorted(m for shard in plan.shards for m in shard.members)
         assert planned == list(range(len(requests)))
 
     def test_solver_metadata_matches_shapes(self, fleet, fleet_reports):
@@ -174,10 +175,9 @@ class TestShardParity:
         budgets = {"singleton": 1, "pairs": pair_budget, "unbounded": None}
         variants = {}
         for label, budget in budgets.items():
-            service = UpdateService()
             shards = None if budget is None else ShardConfig(max_stack_bytes=budget)
-            reports = service.update_fleet(shard_requests, shards=shards)
-            variants[label] = (service.last_plan, reports)
+            report = UpdateService().refresh_fleet(shard_requests, shards=shards)
+            variants[label] = (report.plan, report.reports)
         return variants
 
     def test_budgets_produce_distinct_plans(self, shard_variants):
@@ -192,19 +192,41 @@ class TestShardParity:
             < shard_counts["singleton"]
         )
 
-    def test_all_shard_splits_are_bit_identical(self, shard_variants):
-        _, baseline = shard_variants["unbounded"]
-        for label in ("singleton", "pairs"):
-            _, reports = shard_variants[label]
-            for expected, got in zip(baseline, reports):
-                assert got.site == expected.site
-                np.testing.assert_array_equal(
-                    got.estimate,
-                    expected.estimate,
-                    err_msg=f"shard split {label!r} perturbed site {got.site}",
-                )
-                assert got.sweeps == expected.sweeps
-                assert got.converged == expected.converged
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_all_shard_splits_are_bit_identical(self, shard_requests, data):
+        """Any drawn sub-fleet (mixed ranks, any order) under any budget —
+        unbounded, tiny (singleton shards) or mid-sized — refreshes bit for
+        bit like its unsharded run, with a plan that covers each site once."""
+        fleet = data.draw(
+            st.permutations(shard_requests).flatmap(
+                lambda order: st.integers(1, len(order)).map(lambda k: order[:k])
+            ),
+            label="fleet",
+        )
+        budget = data.draw(
+            # Sites need 1,440-5,120 bytes, the rank-4 group 12,160 together.
+            st.one_of(st.none(), st.integers(1, 1_000), st.integers(4_000, 12_000)),
+            label="max_stack_bytes",
+        )
+        shards = None if budget is None else ShardConfig(max_stack_bytes=budget)
+        report = UpdateService().refresh_fleet(fleet, shards=shards)
+        baseline = UpdateService().refresh_fleet(fleet)
+        assert report.sites == tuple(request.site for request in fleet)
+        for expected, got in zip(baseline.reports, report.reports):
+            assert got.estimate.tobytes() == expected.estimate.tobytes(), got.site
+            assert got.objective == expected.objective
+            assert got.sweeps == expected.sweeps
+            assert got.converged == expected.converged
+        plan = report.plan
+        assert report.stacked_sweeps == max(shard.sweeps for shard in plan.shards)
+        assert report.stacked_sweeps == max(r.sweeps for r in report.reports)
+        assert sorted(m for shard in plan.shards for m in shard.members) == list(
+            range(len(fleet))
+        )
+        assert sorted(site for shard in plan.shards for site in shard.sites) == sorted(
+            report.sites
+        )
 
     def test_sharded_results_match_standalone_updates(
         self, shard_fleet, shard_requests, shard_variants
@@ -233,8 +255,7 @@ class TestShardParity:
 
     def test_plan_byte_estimates_match_states(self, shard_requests):
         service = UpdateService()
-        service.update_fleet(shard_requests, shards=1)
-        plan = service.last_plan
+        plan = service.refresh_fleet(shard_requests, shards=1).plan
         prepared = [service._prepare(request) for request in shard_requests]
         expected = {
             p.request.site: sweep_stack_nbytes(p.state) for p in prepared

@@ -30,7 +30,6 @@ from repro.io.delta import report_fingerprint
 from repro.service.fleet import FleetCampaign, FleetConfig
 from repro.service.service import UpdateService
 from repro.service.shard import ShardConfig
-from repro.service.types import FleetReport
 from repro.simulation.campaign import CampaignConfig
 from repro.simulation.collector import CollectionConfig
 
@@ -73,18 +72,8 @@ def golden_requests():
 
 @pytest.fixture(scope="module")
 def golden_report():
-    service = UpdateService()
-    reports = service.update_fleet(
-        golden_requests(), shards=ShardConfig(), executor="serial"
-    )
-    return FleetReport(
-        elapsed_days=DAY,
-        reports=tuple(reports),
-        stacked_sweeps=service.last_stacked_sweeps,
-        plan=service.last_plan,
-        executor="serial",
-        workers=0,
-        sweeps_saved=service.last_sweeps_saved,
+    return UpdateService().refresh_fleet(
+        golden_requests(), elapsed_days=DAY, shards=ShardConfig(), executor="serial"
     )
 
 

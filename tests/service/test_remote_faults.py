@@ -31,7 +31,6 @@ from repro.service.remote import (
 from repro.service.service import UpdateService
 from repro.service.shard import ShardConfig
 from repro.service.synthetic import synthesize_fleet
-from repro.service.types import FleetReport
 
 from tests.workers import running_workers
 
@@ -56,18 +55,12 @@ def fleet_requests():
 
 
 def refresh(fleet_requests, executor=None):
-    """One fleet refresh packaged as a ``FleetReport`` (the wire artifact)."""
-    service = UpdateService()
-    reports = service.update_fleet(
+    """One fleet refresh: its ``FleetReport`` is the wire artifact."""
+    return UpdateService().refresh_fleet(
         fleet_requests,
+        elapsed_days=45.0,
         shards=ShardConfig(max_stack_bytes=SHARD_BUDGET),
         executor=executor,
-    )
-    return FleetReport(
-        elapsed_days=45.0,
-        reports=tuple(reports),
-        stacked_sweeps=service.last_stacked_sweeps,
-        plan=service.last_plan,
     )
 
 

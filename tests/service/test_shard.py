@@ -13,6 +13,7 @@ from repro.service.shard import (
     mark_executed,
     plan_shards,
     resolve_shard_config,
+    shard_config_for_budget,
 )
 from repro.service.synthetic import synthesize_fleet
 from repro.utils.linalg import system_stack_nbytes
@@ -40,6 +41,15 @@ class TestShardConfig:
     def test_bool_is_not_a_budget(self):
         with pytest.raises(TypeError, match="shards must be"):
             resolve_shard_config(True)
+
+    def test_budget_rule(self):
+        """``fleet run --max-stack-bytes`` and a daemon job's budget: None is
+        the default config, 0 unbounded, n a cap of n bytes."""
+        assert shard_config_for_budget(None) == ShardConfig()
+        assert shard_config_for_budget(0) == ShardConfig(max_stack_bytes=None)
+        assert shard_config_for_budget(4096) == ShardConfig(max_stack_bytes=4096)
+        with pytest.raises(ValueError, match="non-negative"):
+            shard_config_for_budget(-1)
 
 
 class TestStackByteEstimates:
@@ -136,40 +146,43 @@ class TestServiceSharding:
         )
 
     def test_unsharded_plan_is_one_shard_per_rank_group(self, fleet_requests):
-        service = UpdateService()
-        service.update_fleet(fleet_requests)
-        plan = service.last_plan
+        plan = UpdateService().refresh_fleet(fleet_requests).plan
         assert plan.max_stack_bytes is None
         assert plan.shard_count == 2  # ranks 3 and 4
         assert plan.site_count == len(fleet_requests)
 
     def test_budget_bounds_peak_stack_bytes(self, fleet_requests):
-        unbounded = UpdateService()
-        unbounded.update_fleet(fleet_requests)
-        budget = unbounded.last_plan.peak_stack_bytes // 2
-        sharded = UpdateService()
-        sharded.update_fleet(fleet_requests, shards=ShardConfig(max_stack_bytes=budget))
-        plan = sharded.last_plan
-        assert plan.shard_count > unbounded.last_plan.shard_count
+        unbounded = UpdateService().refresh_fleet(fleet_requests).plan
+        budget = unbounded.peak_stack_bytes // 2
+        plan = (
+            UpdateService()
+            .refresh_fleet(fleet_requests, shards=ShardConfig(max_stack_bytes=budget))
+            .plan
+        )
+        assert plan.shard_count > unbounded.shard_count
         assert plan.peak_stack_bytes <= budget
         assert plan.site_count == len(fleet_requests)
 
     def test_every_shard_records_sweeps(self, fleet_requests):
-        service = UpdateService()
-        service.update_fleet(fleet_requests, shards=1)  # singleton shards
-        plan = service.last_plan
+        report = UpdateService().refresh_fleet(fleet_requests, shards=1)  # singletons
+        plan = report.plan
         assert plan.shard_count == len(fleet_requests)
         assert all(shard.sweeps >= 1 for shard in plan.shards)
         assert not any(shard.fallback for shard in plan.shards)
-        assert service.last_stacked_sweeps == max(s.sweeps for s in plan.shards)
+        assert report.stacked_sweeps == max(s.sweeps for s in plan.shards)
 
     def test_reports_stay_in_request_order(self, fleet_requests):
-        service = UpdateService()
-        reports = service.update_fleet(fleet_requests, shards=1)
-        assert [r.site for r in reports] == [r.site for r in fleet_requests]
+        report = UpdateService().refresh_fleet(fleet_requests, shards=1)
+        assert list(report.sites) == [r.site for r in fleet_requests]
 
-    def test_empty_fleet_clears_plan(self):
+    def test_empty_fleet_clears_plan(self, fleet_requests):
+        report = UpdateService().refresh_fleet([], elapsed_days=45.0)
+        assert report.sites == ()
+        assert report.plan is None
+        assert report.stacked_sweeps == 0
+        assert report.elapsed_days == 45.0
         service = UpdateService()
+        service.update_fleet(fleet_requests[:1])
         assert service.update_fleet([]) == []
         assert service.last_plan is None
         assert service.last_stacked_sweeps == 0

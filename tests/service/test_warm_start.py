@@ -1,4 +1,4 @@
-"""Warm-started fleet refreshes: ``update_fleet(..., warm_from=...)``.
+"""Warm-started fleet refreshes: ``refresh_fleet(..., warm_from=...)``.
 
 Covers the service-level warm-start seam end to end: unchanged fleets
 converging without sweeps bit for bit, the per-site ``sweeps_saved``
@@ -22,7 +22,7 @@ from repro.service.fleet import FleetCampaign, FleetConfig
 from repro.service.remote import RemoteExecutor
 from repro.service.service import UpdateService
 from repro.service.synthetic import synthesize_fleet
-from repro.service.types import FleetReport, WarmFactors
+from repro.service.types import WarmFactors
 from repro.simulation.campaign import CampaignConfig
 from repro.simulation.collector import CollectionConfig
 
@@ -46,10 +46,7 @@ def base_generation():
             solver=SelfAugmentedConfig(max_iterations=60, tolerance=1e-4)
         ),
     )
-    service = UpdateService()
-    reports = service.update_fleet(requests)
-    report = FleetReport(elapsed_days=45.0, reports=tuple(reports))
-    return requests, report
+    return requests, UpdateService().refresh_fleet(requests, elapsed_days=45.0)
 
 
 class TestWarmFrom:
@@ -57,9 +54,8 @@ class TestWarmFrom:
         self, base_generation
     ):
         requests, base = base_generation
-        service = UpdateService()
-        warm = service.update_fleet(requests, warm_from=base)
-        for previous, report in zip(base.reports, warm):
+        warm = UpdateService().refresh_fleet(requests, warm_from=base)
+        for previous, report in zip(base.reports, warm.reports):
             assert report.warm_started
             assert report.sweeps == 0
             np.testing.assert_array_equal(previous.estimate, report.estimate)
@@ -72,11 +68,22 @@ class TestWarmFrom:
 
     def test_sweeps_saved_recorded_per_site(self, base_generation):
         requests, base = base_generation
-        service = UpdateService()
-        service.update_fleet(requests, warm_from=base)
-        saved = service.last_sweeps_saved
+        saved = UpdateService().refresh_fleet(requests, warm_from=base).sweeps_saved
         assert saved == {r.site: r.sweeps for r in base.reports}
         assert all(v > 0 for v in saved.values())
+
+    def test_sweeps_saved_counts_from_the_lineage_cold_run(self, base_generation):
+        """Along cold -> warm -> warm on identical data, the third report
+        still saves every cold sweep: each warm report carries the
+        lineage's cold count forward in ``sweeps_saved``."""
+        requests, cold = base_generation
+        service = UpdateService()
+        first = service.refresh_fleet(requests, warm_from=cold)
+        second = service.refresh_fleet(requests, warm_from=first)
+        assert all(r.sweeps == 0 for r in first.reports + second.reports)
+        expected = {r.site: r.sweeps for r in cold.reports}
+        assert first.sweeps_saved == expected
+        assert second.sweeps_saved == expected
 
     def test_cold_run_resets_sweeps_saved(self, base_generation):
         requests, base = base_generation
@@ -93,12 +100,12 @@ class TestWarmFrom:
     def test_missing_site_falls_back_to_cold(self, base_generation):
         requests, base = base_generation
         shrunken = replace(base, reports=base.reports[1:])
-        service = UpdateService()
-        reports = service.update_fleet(requests, warm_from=shrunken)
+        report = UpdateService().refresh_fleet(requests, warm_from=shrunken)
+        reports = report.reports
         assert not reports[0].warm_started
         assert reports[0].sweeps > 0
         assert all(r.warm_started for r in reports[1:])
-        assert requests[0].site not in service.last_sweeps_saved
+        assert requests[0].site not in report.sweeps_saved
 
     def test_explicit_warm_start_on_request_wins(self, base_generation):
         requests, base = base_generation
@@ -111,42 +118,34 @@ class TestWarmFrom:
                 objective=previous.objective,
             ),
         )
-        service = UpdateService()
-        reports = service.update_fleet([explicit], warm_from=base)
-        assert reports[0].warm_started
-        assert reports[0].sweeps == 0
+        report = UpdateService().refresh_fleet([explicit], warm_from=base).reports[0]
+        assert report.warm_started
+        assert report.sweeps == 0
 
     def test_warm_parity_serial_vs_remote(self, base_generation):
         requests, base = base_generation
-        serial = UpdateService().update_fleet(requests, warm_from=base)
+        serial = UpdateService().refresh_fleet(requests, warm_from=base)
         with running_workers(2) as servers:
-            scattered = UpdateService().update_fleet(
+            scattered = UpdateService().refresh_fleet(
                 requests,
                 shards=2,
                 executor=RemoteExecutor([server.url for server in servers]),
                 warm_from=base,
             )
-        for a, b in zip(serial, scattered):
+        assert serial.sweeps_saved == scattered.sweeps_saved
+        for a, b in zip(serial.reports, scattered.reports):
             assert a.warm_started == b.warm_started
             assert a.sweeps == b.sweeps == 0
             np.testing.assert_array_equal(a.estimate, b.estimate)
 
     def test_fleet_report_aggregate_counts_warm_sites(self, base_generation):
         requests, base = base_generation
-        service = UpdateService()
-        reports = service.update_fleet(requests, warm_from=base)
-        warm_report = FleetReport(
-            elapsed_days=45.0,
-            reports=tuple(reports),
-            sweeps_saved=service.last_sweeps_saved,
-        )
+        warm_report = UpdateService().refresh_fleet(requests, warm_from=base)
         summary = warm_report.aggregate()
         assert summary["warm_sites"] == len(requests)
         assert summary["stop_unchanged"] == len(requests)
         assert summary["stop_tolerance"] == summary["stop_budget"] == 0.0
-        assert summary["sweeps_saved"] == sum(
-            service.last_sweeps_saved.values()
-        )
+        assert summary["sweeps_saved"] == sum(warm_report.sweeps_saved.values())
 
 
 @pytest.fixture(scope="module", params=(1, 2, 3))
@@ -166,9 +165,7 @@ def default_generations(request):
         )
     )
     before = campaign.build_requests(45.0)
-    previous = FleetReport(
-        elapsed_days=45.0, reports=tuple(UpdateService().update_fleet(before))
-    )
+    previous = UpdateService().refresh_fleet(before, elapsed_days=45.0)
     after = campaign.build_requests(46.0)
     truths = [campaign.campaign(site).ground_truth(46.0) for site in campaign.sites]
     return before, previous, after, truths
@@ -187,8 +184,8 @@ class TestWarmStartAtDefaultConfig:
             drift = np.abs(new.no_decrease_matrix - old.no_decrease_matrix)[both]
             assert drift.mean() >= 0.3
         service = UpdateService()
-        cold = service.update_fleet(after)
-        warm = service.update_fleet(after, warm_from=previous)
+        cold = service.refresh_fleet(after).reports
+        warm = service.refresh_fleet(after, warm_from=previous).reports
         for a, b, truth in zip(cold, warm, truths):
             assert b.warm_started and b.sweeps >= 1
             assert b.stop_reason != "warm-unchanged"
@@ -200,7 +197,7 @@ class TestWarmStartAtDefaultConfig:
         self, default_generations
     ):
         before, previous, _, _ = default_generations
-        reports = UpdateService().update_fleet(before, warm_from=previous)
+        reports = UpdateService().refresh_fleet(before, warm_from=previous).reports
         for old, report in zip(previous.reports, reports):
             assert report.sweeps == 0
             assert report.stop_reason == "warm-unchanged"
@@ -256,7 +253,7 @@ class TestWarmStartWire:
         ]
         path = tmp_path / "requests.npz"
         save_requests(path, warmed)
-        reports = UpdateService().update_fleet(load_requests(path))
+        reports = UpdateService().refresh_fleet(load_requests(path)).reports
         for previous, report in zip(base.reports, reports):
             assert report.warm_started
             assert report.sweeps == 0
@@ -264,17 +261,13 @@ class TestWarmStartWire:
 
     def test_report_round_trips_warm_metadata(self, base_generation, tmp_path):
         requests, base = base_generation
-        service = UpdateService()
-        reports = service.update_fleet(requests, warm_from=base)
-        warm_report = FleetReport(
-            elapsed_days=45.0,
-            reports=tuple(reports),
-            sweeps_saved=service.last_sweeps_saved,
+        warm_report = UpdateService().refresh_fleet(
+            requests, elapsed_days=45.0, warm_from=base
         )
         path = tmp_path / "report.npz"
         save_report(path, warm_report)
         loaded = load_report(path)
-        assert loaded.sweeps_saved == service.last_sweeps_saved
+        assert loaded.sweeps_saved == warm_report.sweeps_saved
         assert all(r.warm_started for r in loaded.reports)
         for a, b in zip(warm_report.reports, loaded.reports):
             np.testing.assert_array_equal(a.estimate, b.estimate)
@@ -324,7 +317,6 @@ class TestWarmFactorsValidation:
         broken = replace(
             base, reports=(broken_report,) + base.reports[1:]
         )
-        service = UpdateService()
-        reports = service.update_fleet(requests, warm_from=broken)
+        reports = UpdateService().refresh_fleet(requests, warm_from=broken).reports
         assert not reports[0].warm_started
         assert all(r.warm_started for r in reports[1:])

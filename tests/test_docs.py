@@ -170,6 +170,7 @@ class TestIncrementalDocsSync:
         """The warm-start seam must appear in API.md with its real names."""
         api = (REPO_ROOT / "docs" / "API.md").read_text()
         for name in (
+            "refresh_fleet",
             "warm_from",
             "WarmFactors",
             "warm_started",
