@@ -1,5 +1,6 @@
 """Unit tests for the experiment CLI."""
 
+import argparse
 import zipfile
 
 import numpy as np
@@ -8,6 +9,158 @@ import pytest
 from repro.experiments.cli import build_parser, main, render_result
 
 from tests.workers import running_workers
+
+# Every subcommand path's options: option strings (or a positional's dest)
+# -> (dest, default, choices, required, nargs).  "{subcommand}" is the
+# path's subparsers action.
+PARSER_SURFACE = {
+    "": {
+        "{subcommand}": ("command", None, ("list", "run", "fleet", "query", "daemon"), True, "A..."),
+    },
+    "daemon": {
+        "{subcommand}": ("daemon_command", None, ("start", "submit", "status", "result", "stop"), True, "A..."),
+    },
+    "daemon result": {
+        "--job": ("job", None, None, True, None),
+        "--out": ("out", None, None, True, None),
+        "--url": ("url", None, None, True, None),
+    },
+    "daemon start": {
+        "--cache": ("cache", 0, None, False, None),
+        "--endpoints": ("endpoints", None, None, False, None),
+        "--host": ("host", "127.0.0.1", None, False, None),
+        "--job-workers": ("job_workers", 2, None, False, None),
+        "--matcher": ("matcher", "knn", ("knn", "omp", "svr", "rass"), False, None),
+        "--port": ("port", 8753, None, False, None),
+        "--spool": ("spool", None, None, True, None),
+        "--verbose": ("verbose", False, None, False, 0),
+    },
+    "daemon status": {
+        "--job": ("job", None, None, False, None),
+        "--url": ("url", None, None, True, None),
+    },
+    "daemon stop": {
+        "--timeout": ("timeout", 120.0, None, False, None),
+        "--url": ("url", None, None, True, None),
+    },
+    "daemon submit": {
+        "--backoff": ("backoff", 0.5, None, False, None),
+        "--in": ("input", None, None, True, None),
+        "--kind": ("kind", "refresh_fleet", ("refresh_fleet", "serve_publish"), False, None),
+        "--label": ("label", "", None, False, None),
+        "--max-attempts": ("max_attempts", 3, None, False, None),
+        "--max-stack-bytes": ("max_stack_bytes", None, None, False, None),
+        "--priority": ("priority", 0, None, False, None),
+        "--timeout": ("timeout", 600.0, None, False, None),
+        "--upload": ("upload", False, None, False, 0),
+        "--url": ("url", None, None, True, None),
+        "--wait": ("wait", False, None, False, 0),
+        "--workers": ("workers", 0, None, False, None),
+    },
+    "fleet": {
+        "--days": ("days", None, None, False, None),
+        "--environments": ("environments", ["office", "hall", "library"], None, False, None),
+        "--link-count": ("link_count", None, None, False, None),
+        "--locations-per-link": ("locations_per_link", None, None, False, None),
+        "--preset": ("preset", "quick", ("quick", "full"), False, None),
+        "--seed": ("seed", None, None, False, None),
+        "{subcommand}": ("fleet_command", None, ("export", "run", "workers", "diff"), False, "A..."),
+    },
+    "fleet diff": {
+        "--base": ("base", None, None, True, None),
+        "--delta": ("delta", None, None, False, None),
+        "--out": ("out", None, None, False, None),
+        "--target": ("target", None, None, False, None),
+    },
+    "fleet export": {
+        "--day": ("day", 45.0, None, False, None),
+        "--environments": ("environments", "==SUPPRESS==", None, False, None),
+        "--link-count": ("link_count", "==SUPPRESS==", None, False, None),
+        "--locations-per-link": ("locations_per_link", "==SUPPRESS==", None, False, None),
+        "--out": ("out", None, None, True, None),
+        "--seed": ("seed", "==SUPPRESS==", None, False, None),
+        "--sites": ("sites", 3, None, False, None),
+    },
+    "fleet run": {
+        "--backoff": ("backoff", 0.1, None, False, None),
+        "--endpoints": ("endpoints", None, None, False, None),
+        "--in": ("input", None, None, True, None),
+        "--max-attempts": ("max_attempts", 3, None, False, None),
+        "--max-stack-bytes": ("max_stack_bytes", None, None, False, None),
+        "--out": ("out", None, None, False, None),
+        "--straggler-after": ("straggler_after", None, None, False, None),
+        "--timeout": ("timeout", 30.0, None, False, None),
+        "--warm-from": ("warm_from", None, None, False, None),
+    },
+    "fleet workers": {
+        "{subcommand}": ("workers_command", None, ("serve",), True, "A..."),
+    },
+    "fleet workers serve": {
+        "--fault": ("fault", None, None, False, None),
+        "--host": ("host", "127.0.0.1", None, False, None),
+        "--port": ("port", 0, None, False, None),
+        "--verbose": ("verbose", False, None, False, 0),
+    },
+    "list": {},
+    "query": {
+        "{subcommand}": ("query_command", None, ("export", "run", "bench"), True, "A..."),
+    },
+    "query bench": {
+        "--batch-sizes": ("batch_sizes", [1, 64, 1024], None, False, None),
+        "--matcher": ("matcher", "knn", ("knn", "omp", "svr", "rass"), False, None),
+        "--noise-db": ("noise_db", 0.5, None, False, None),
+        "--qps-target": ("qps_target", None, None, False, None),
+        "--repeats": ("repeats", 3, None, False, None),
+        "--report": ("report", None, None, False, None),
+        "--seed": ("seed", 7, None, False, None),
+    },
+    "query export": {
+        "--noise-db": ("noise_db", 0.5, None, False, None),
+        "--out": ("out", None, None, True, None),
+        "--per-site": ("per_site", 16, None, False, None),
+        "--report": ("report", None, None, True, None),
+        "--seed": ("seed", 7, None, False, None),
+    },
+    "query run": {
+        "--cache": ("cache", 0, None, False, None),
+        "--matcher": ("matcher", "knn", ("knn", "omp", "svr", "rass"), False, None),
+        "--out": ("out", None, None, False, None),
+        "--queries": ("queries", None, None, True, None),
+        "--report": ("report", None, None, True, None),
+    },
+    "run": {
+        "--jobs": ("jobs", 1, None, False, None),
+        "--preset": ("preset", "quick", ("quick", "full"), False, None),
+        "--seed": ("seed", None, None, False, None),
+        "names": ("names", None, None, True, "+"),
+    },
+}
+
+def _parser_surface(parser, path=""):
+    surface = {path: {}}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        key = ", ".join(action.option_strings) or action.dest
+        if isinstance(action, argparse._SubParsersAction):
+            key = "{subcommand}"
+            for name, subparser in action.choices.items():
+                surface.update(_parser_surface(subparser, f"{path} {name}".strip()))
+        choices = None if action.choices is None else tuple(action.choices)
+        surface[path][key] = (
+            action.dest,
+            action.default,
+            choices,
+            action.required,
+            action.nargs,
+        )
+    return surface
+
+
+class TestParserSurface:
+    def test_every_option_keeps_its_surface(self):
+        """Subcommands, flags, defaults and choices stay what users rely on."""
+        assert _parser_surface(build_parser()) == PARSER_SURFACE
 
 
 class TestParser:
