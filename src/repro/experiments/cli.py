@@ -43,15 +43,16 @@ from repro.experiments.reporting import (
     format_series_table,
 )
 from repro.experiments.runner import ExperimentRunner
+from repro.query.matchers import MATCHERS
 from repro.simulation.campaign import SITE_SEED_STRIDE
 
 __all__ = ["main", "build_parser", "render_result", "run_fleet"]
 
 
-def _parse_environments(value: str) -> list:
+def _parse_names(value: str) -> list:
     names = [name.strip() for name in value.split(",") if name.strip()]
     if not names:
-        raise argparse.ArgumentTypeError("expected a comma-separated environment list")
+        raise argparse.ArgumentTypeError("expected a comma-separated list")
     return names
 
 
@@ -76,30 +77,101 @@ def _parse_int_list(value: str) -> list:
     return numbers
 
 
+def _bounded(kind, low, high=float("inf")):
+    """An argparse ``type`` reading a ``kind`` number in ``[low, high]``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if value < low or value > high:
+            raise argparse.ArgumentTypeError(f"{value} is not in [{low}, {high}]")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+_POSITIVE_INT = _bounded(int, 1)
+_NON_NEGATIVE_INT = _bounded(int, 0)
+_NON_NEGATIVE_FLOAT = _bounded(float, 0.0)
+_PORT = _bounded(int, 0, 65535)
+
+
+def _add_preset_flags(parser) -> None:
+    """``--preset``/``--seed`` of the commands that build an ExperimentConfig."""
+    parser.add_argument(
+        "--preset",
+        choices=("quick", "full"),
+        default="quick",
+        help="experiment preset: 'quick' (CI-sized) or 'full' (paper protocol)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=None, help="override the substrate random seed"
+    )
+
+
+def _add_matcher_flag(parser) -> None:
+    """``--matcher``: one of ``MATCHERS``, by default ``QueryConfig``'s."""
+    from repro.query.engine import QueryConfig
+
+    parser.add_argument(
+        "--matcher",
+        choices=MATCHERS,
+        default=QueryConfig.matcher,
+        help="localization matcher the query engine binds per site",
+    )
+
+
+def _add_workload_flags(parser) -> None:
+    """``--noise-db``/``--seed`` of the sampled query workloads."""
+    parser.add_argument(
+        "--noise-db",
+        type=_NON_NEGATIVE_FLOAT,
+        default=0.5,
+        help="stddev of the Gaussian noise added to each sampled fingerprint",
+    )
+    parser.add_argument(
+        "--seed", type=_NON_NEGATIVE_INT, default=7, help="workload sampling seed"
+    )
+
+
+def _add_server_flags(parser, port: int) -> None:
+    """``--host``/``--port``/``--verbose`` of both HTTP servers."""
+    parser.add_argument(
+        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
+    )
+    parser.add_argument(
+        "--port",
+        type=_PORT,
+        default=port,
+        help=f"listen port (default {port}; 0 picks a free port, printed at startup)",
+    )
+    parser.add_argument(
+        "--verbose", action="store_true", help="log each HTTP request to stderr"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Build the CLI argument parser."""
+    """Build the CLI argument parser; each subcommand sets its ``handler``."""
+    # Config defaults are read here, not at import, so importing this module
+    # loads neither the daemon nor the query engine.
+    from repro.daemon.coordinator import DaemonConfig
+
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the evaluation figures of the iUpdater paper.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list the available experiments")
+    list_parser = subparsers.add_parser("list", help="list the available experiments")
+    list_parser.set_defaults(handler=run_list)
 
     run_parser = subparsers.add_parser("run", help="run one or more experiments")
+    run_parser.set_defaults(handler=run_experiments)
     run_parser.add_argument("names", nargs="+", help="experiment names (see 'list')")
-    run_parser.add_argument(
-        "--preset",
-        choices=("quick", "full"),
-        default="quick",
-        help="experiment preset: 'quick' (CI-sized) or 'full' (paper protocol)",
-    )
-    run_parser.add_argument(
-        "--seed", type=int, default=None, help="override the substrate random seed"
-    )
+    _add_preset_flags(run_parser)
     run_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_POSITIVE_INT,
         default=1,
         help="fan independent experiments out across N worker processes",
     )
@@ -108,14 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="refresh a fleet of environments through the batched update service",
     )
+    fleet_parser.set_defaults(handler=run_fleet)
     fleet_sub = fleet_parser.add_subparsers(dest="fleet_command")
 
     export_parser = fleet_sub.add_parser(
         "export",
         help="synthesize a fleet of N sites into an NPZ request payload",
     )
+    export_parser.set_defaults(handler=run_fleet_export)
     export_parser.add_argument(
-        "--sites", type=int, default=3, help="number of sites to synthesize"
+        "--sites", type=_POSITIVE_INT, default=3, help="number of sites to synthesize"
     )
     export_parser.add_argument(
         "--out", required=True, help="destination request payload (.npz)"
@@ -126,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the final defaults).
     export_parser.add_argument(
         "--environments",
-        type=_parse_environments,
+        type=_parse_names,
         default=argparse.SUPPRESS,
         help="registered environment names, cycled across the sites "
         "(default: office,hall,library)",
@@ -160,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="refresh a from-disk request payload through the sharded service",
     )
+    fleet_run_parser.set_defaults(handler=run_fleet_run)
     fleet_run_parser.add_argument(
         "--in",
         dest="input",
@@ -171,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_run_parser.add_argument(
         "--max-stack-bytes",
-        type=int,
+        type=_NON_NEGATIVE_INT,
         default=None,
         help=(
             "per-shard system-stack budget in bytes (default: the L3-ish "
@@ -189,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_run_parser.add_argument(
         "--endpoints",
+        type=_parse_names,
         default=None,
         help=(
             "comma-separated worker URLs ('fleet workers serve' machines); "
@@ -235,15 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve shard-solve requests over HTTP (a RemoteExecutor worker)",
     )
-    workers_serve_parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    workers_serve_parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="listen port (default 0: pick a free port, printed at startup)",
-    )
+    workers_serve_parser.set_defaults(handler=run_fleet_workers_serve)
+    _add_server_flags(workers_serve_parser, port=0)
     workers_serve_parser.add_argument(
         "--fault",
         action="append",
@@ -255,11 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(chaos testing)"
         ),
     )
-    workers_serve_parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="log each HTTP request to stderr",
-    )
 
     fleet_diff_parser = fleet_sub.add_parser(
         "diff",
@@ -268,17 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
             "report payloads"
         ),
     )
+    fleet_diff_parser.set_defaults(handler=run_fleet_diff)
     fleet_diff_parser.add_argument(
         "--base",
         required=True,
         help="base report payload (.npz) the delta is relative to",
     )
-    fleet_diff_parser.add_argument(
+    diff_mode = fleet_diff_parser.add_mutually_exclusive_group(required=True)
+    diff_mode.add_argument(
         "--target",
         default=None,
         help="target report payload (.npz); computes target - base",
     )
-    fleet_diff_parser.add_argument(
+    diff_mode.add_argument(
         "--delta",
         default=None,
         help="delta payload (.npz) to apply on top of --base instead",
@@ -303,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         "export",
         help="sample a query workload from a report payload into an NPZ",
     )
+    query_export_parser.set_defaults(handler=run_query_export)
     query_export_parser.add_argument(
         "--report", required=True, help="report payload written by 'fleet run' (.npz)"
     )
@@ -310,22 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", required=True, help="destination queries payload (.npz)"
     )
     query_export_parser.add_argument(
-        "--per-site", type=int, default=16, help="queries sampled per site"
+        "--per-site", type=_POSITIVE_INT, default=16, help="queries sampled per site"
     )
-    query_export_parser.add_argument(
-        "--noise-db",
-        type=float,
-        default=0.5,
-        help="stddev of the Gaussian noise added to each sampled fingerprint",
-    )
-    query_export_parser.add_argument(
-        "--seed", type=int, default=7, help="workload sampling seed"
-    )
+    _add_workload_flags(query_export_parser)
 
     query_run_parser = query_sub.add_parser(
         "run",
         help="answer a queries payload against a report through the QueryEngine",
     )
+    query_run_parser.set_defaults(handler=run_query_run)
     query_run_parser.add_argument(
         "--report", required=True, help="report payload the engine serves (.npz)"
     )
@@ -335,34 +395,19 @@ def build_parser() -> argparse.ArgumentParser:
     query_run_parser.add_argument(
         "--out", default=None, help="optional destination answers payload (.npz)"
     )
-    query_run_parser.add_argument(
-        "--matcher",
-        choices=("knn", "omp", "svr", "rass"),
-        default="knn",
-        help="localization matcher the engine binds per site",
-    )
-    query_run_parser.add_argument(
-        "--cache",
-        type=int,
-        default=0,
-        help="LRU result-cache capacity in entries (0 disables caching)",
-    )
+    _add_matcher_flag(query_run_parser)
 
     query_bench_parser = query_sub.add_parser(
         "bench",
         help="measure the engine's queries/sec at several batch sizes",
     )
+    query_bench_parser.set_defaults(handler=run_query_bench)
     query_bench_parser.add_argument(
         "--report",
         default=None,
         help="report payload to serve (default: refresh a small fleet in-process)",
     )
-    query_bench_parser.add_argument(
-        "--matcher",
-        choices=("knn", "omp", "svr", "rass"),
-        default="knn",
-        help="matcher to benchmark",
-    )
+    _add_matcher_flag(query_bench_parser)
     query_bench_parser.add_argument(
         "--batch-sizes",
         type=_parse_int_list,
@@ -370,14 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated query batch sizes (default 1,64,1024)",
     )
     query_bench_parser.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats (best is kept)"
+        "--repeats", type=_POSITIVE_INT, default=3, help="timing repeats (best is kept)"
     )
-    query_bench_parser.add_argument(
-        "--noise-db", type=float, default=0.5, help="query noise stddev"
-    )
-    query_bench_parser.add_argument(
-        "--seed", type=int, default=7, help="workload sampling seed"
-    )
+    _add_workload_flags(query_bench_parser)
     query_bench_parser.add_argument(
         "--qps-target",
         type=float,
@@ -398,28 +438,22 @@ def build_parser() -> argparse.ArgumentParser:
         "start",
         help="start the coordinator: job queue + HTTP API + query serving",
     )
+    daemon_start_parser.set_defaults(handler=run_daemon_start)
     daemon_start_parser.add_argument(
         "--spool",
         required=True,
         help="spool directory (journal + payloads + results); created if missing",
     )
-    daemon_start_parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    daemon_start_parser.add_argument(
-        "--port",
-        type=int,
-        default=8753,
-        help="listen port (default 8753; 0 picks a free port, printed at startup)",
-    )
+    _add_server_flags(daemon_start_parser, port=8753)
     daemon_start_parser.add_argument(
         "--job-workers",
         type=int,
-        default=2,
-        help="jobs executed concurrently (default 2)",
+        default=DaemonConfig.job_workers,
+        help=f"jobs executed concurrently (default {DaemonConfig.job_workers})",
     )
     daemon_start_parser.add_argument(
         "--endpoints",
+        type=_parse_names,
         default=None,
         help=(
             "comma-separated remote worker URLs ('fleet workers serve'); "
@@ -427,27 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
             "machines; without it every job solves in-process"
         ),
     )
-    daemon_start_parser.add_argument(
-        "--matcher",
-        choices=("knn", "omp", "svr", "rass"),
-        default="knn",
-        help="matcher the embedded query engine binds at each publish",
-    )
-    daemon_start_parser.add_argument(
-        "--cache",
-        type=int,
-        default=0,
-        help="LRU result-cache capacity of the query engine (0 disables)",
-    )
-    daemon_start_parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="log each HTTP request to stderr",
-    )
+    _add_matcher_flag(daemon_start_parser)
 
     daemon_submit_parser = daemon_sub.add_parser(
         "submit", help="submit a job to a running daemon over HTTP"
     )
+    daemon_submit_parser.set_defaults(handler=_daemon_client(run_daemon_submit))
     daemon_submit_parser.add_argument(
         "--url", required=True, help="daemon base URL, e.g. http://127.0.0.1:8753"
     )
@@ -517,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     daemon_status_parser = daemon_sub.add_parser(
         "status", help="show the daemon's health, or one job's record"
     )
+    daemon_status_parser.set_defaults(handler=_daemon_client(run_daemon_status))
     daemon_status_parser.add_argument("--url", required=True, help="daemon base URL")
     daemon_status_parser.add_argument(
         "--job", default=None, help="job id (default: overall health + queue)"
@@ -525,6 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     daemon_result_parser = daemon_sub.add_parser(
         "result", help="download a completed job's report payload"
     )
+    daemon_result_parser.set_defaults(handler=_daemon_client(run_daemon_result))
     daemon_result_parser.add_argument("--url", required=True, help="daemon base URL")
     daemon_result_parser.add_argument("--job", required=True, help="job id")
     daemon_result_parser.add_argument(
@@ -534,6 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     daemon_stop_parser = daemon_sub.add_parser(
         "stop", help="gracefully drain a running daemon over HTTP"
     )
+    daemon_stop_parser.set_defaults(handler=_daemon_client(run_daemon_stop))
     daemon_stop_parser.add_argument("--url", required=True, help="daemon base URL")
     daemon_stop_parser.add_argument(
         "--timeout",
@@ -544,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet_parser.add_argument(
         "--environments",
-        type=_parse_environments,
+        type=_parse_names,
         default=["office", "hall", "library"],
         help="comma-separated registered environment names (default: all three)",
     )
@@ -554,15 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated refresh stamps in days (default: the preset's stamps)",
     )
-    fleet_parser.add_argument(
-        "--preset",
-        choices=("quick", "full"),
-        default="quick",
-        help="collection preset: 'quick' (CI-sized) or 'full' (paper protocol)",
-    )
-    fleet_parser.add_argument(
-        "--seed", type=int, default=None, help="override the substrate random seed"
-    )
+    _add_preset_flags(fleet_parser)
     fleet_parser.add_argument(
         "--link-count",
         type=int,
@@ -620,9 +634,6 @@ def run_fleet_export(args) -> int:
     from repro.io import save_requests
     from repro.service.synthetic import synthesize_fleet
 
-    if args.sites <= 0:
-        print(f"--sites must be positive, got {args.sites}", file=sys.stderr)
-        return 2
     # Flags may come from the export subparser or (when typed before the
     # `export` word) from the parent `fleet` parser, whose defaults differ.
     seed = getattr(args, "seed", None)
@@ -655,17 +666,12 @@ def run_fleet_run(args) -> int:
     from repro.service.service import UpdateService
     from repro.service.shard import shard_config_for_budget
 
-    try:
-        shards = shard_config_for_budget(args.max_stack_bytes)
-    except ValueError:
-        print("--max-stack-bytes must be non-negative", file=sys.stderr)
-        return 2
+    shards = shard_config_for_budget(args.max_stack_bytes)
     executor = None
-    endpoints = getattr(args, "endpoints", None)
-    if endpoints:
+    if args.endpoints:
         try:
             executor = RemoteExecutor(
-                endpoints=[e for e in endpoints.split(",") if e.strip()],
+                endpoints=args.endpoints,
                 timeout=args.timeout,
                 max_attempts=args.max_attempts,
                 backoff=args.backoff,
@@ -801,13 +807,6 @@ def run_fleet_diff(args) -> int:
         save_report,
     )
 
-    if (args.target is None) == (args.delta is None):
-        print(
-            "fleet diff needs exactly one of --target (compute a delta) or "
-            "--delta (apply one)",
-            file=sys.stderr,
-        )
-        return 2
     try:
         base = load_report(args.base)
         if args.target is not None:
@@ -861,15 +860,6 @@ def run_query_export(args) -> int:
     from repro.io import load_report, save_queries
     from repro.query import QueryBatch, grid_locations
 
-    if args.per_site <= 0:
-        print(f"--per-site must be positive, got {args.per_site}", file=sys.stderr)
-        return 2
-    if args.noise_db < 0:
-        print("--noise-db must be non-negative", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print(f"--seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return 2
     try:
         report = load_report(args.report)
     except ValueError as error:
@@ -910,9 +900,6 @@ def run_query_run(args) -> int:
     from repro.localization.metrics import localization_errors
     from repro.query import QueryConfig, QueryEngine
 
-    if args.cache < 0:
-        print("--cache must be non-negative", file=sys.stderr)
-        return 2
     try:
         report = load_report(args.report)
         batches = load_queries(args.queries)
@@ -920,9 +907,7 @@ def run_query_run(args) -> int:
         print(error, file=sys.stderr)
         return 2
 
-    engine = QueryEngine(
-        QueryConfig(matcher=args.matcher, cache_size=args.cache)
-    )
+    engine = QueryEngine(QueryConfig(matcher=args.matcher))
     locations = {
         batch.site: batch.locations
         for batch in batches
@@ -963,9 +948,6 @@ def run_query_run(args) -> int:
     print(
         f"answered {total_queries} queries in {elapsed:.3f}s ({qps:,.0f} queries/s)"
     )
-    if args.cache:
-        hits = sum(answer.cache_hits for answer in answers)
-        print(f"cache: {hits}/{total_queries} hits")
     if errors:
         errors = np.asarray(errors)
         print(
@@ -986,15 +968,6 @@ def run_query_bench(args) -> int:
 
     from repro.query import QueryConfig, QueryEngine
 
-    if args.repeats <= 0:
-        print("--repeats must be positive", file=sys.stderr)
-        return 2
-    if args.noise_db < 0:
-        print("--noise-db must be non-negative", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print(f"--seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return 2
     if args.report is not None:
         from repro.io import load_report
 
@@ -1055,9 +1028,7 @@ def run_fleet(args) -> int:
     from repro.environments import environment_by_name
     from repro.service.fleet import FleetCampaign, FleetConfig
 
-    config = ExperimentConfig.full() if args.preset == "full" else ExperimentConfig.quick()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = _experiment_config(args)
     days = list(args.days) if args.days else list(config.later_timestamps)
     config = replace(config, timestamps_days=(0.0, *sorted(set(days))))
 
@@ -1099,19 +1070,11 @@ def run_daemon_start(args) -> int:
     from repro.daemon import Coordinator, DaemonConfig, DaemonServer
     from repro.query import QueryConfig
 
-    if args.cache < 0:
-        print("--cache must be non-negative", file=sys.stderr)
-        return 2
     try:
-        endpoints = None
-        if getattr(args, "endpoints", None):
-            endpoints = tuple(
-                e.strip() for e in args.endpoints.split(",") if e.strip()
-            )
         config = DaemonConfig(
             job_workers=args.job_workers,
-            query=QueryConfig(matcher=args.matcher, cache_size=args.cache),
-            endpoints=endpoints,
+            query=QueryConfig(matcher=args.matcher),
+            endpoints=args.endpoints,
         )
         coordinator = Coordinator(args.spool, config=config)
     except ValueError as error:
@@ -1125,7 +1088,11 @@ def run_daemon_start(args) -> int:
             file=sys.stderr,
         )
 
-    server = DaemonServer(coordinator, host=args.host, port=args.port)
+    try:
+        server = DaemonServer(coordinator, host=args.host, port=args.port)
+    except OSError as error:
+        print(f"cannot bind {args.host}:{args.port}: {error}", file=sys.stderr)
+        return 2
     server.verbose = args.verbose
     _serve_until_signalled(
         server,
@@ -1134,6 +1101,21 @@ def run_daemon_start(args) -> int:
     )
     print("daemon drained; queued jobs are journaled for the next start", flush=True)
     return 0
+
+
+def _daemon_client(run):
+    """Wrap a daemon client subcommand: a daemon error or timeout exits 1."""
+
+    def handler(args) -> int:
+        from repro.daemon import DaemonError
+
+        try:
+            return run(args)
+        except (DaemonError, TimeoutError) as error:
+            print(error, file=sys.stderr)
+            return 1
+
+    return handler
 
 
 def run_daemon_submit(args) -> int:
@@ -1212,72 +1194,43 @@ def run_daemon_stop(args) -> int:
     return 1
 
 
-def main(argv: Optional[Iterable[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else None)
-
-    if args.command == "list":
-        for name in ExperimentRunner.available():
-            print(name)
-        return 0
-
-    if args.command == "fleet":
-        fleet_command = getattr(args, "fleet_command", None)
-        if fleet_command == "export":
-            return run_fleet_export(args)
-        if fleet_command == "run":
-            return run_fleet_run(args)
-        if fleet_command == "workers":
-            return run_fleet_workers_serve(args)
-        if fleet_command == "diff":
-            return run_fleet_diff(args)
-        return run_fleet(args)
-
-    if args.command == "daemon":
-        if args.daemon_command == "start":
-            return run_daemon_start(args)
-        from repro.daemon import DaemonError
-
-        try:
-            if args.daemon_command == "submit":
-                return run_daemon_submit(args)
-            if args.daemon_command == "status":
-                return run_daemon_status(args)
-            if args.daemon_command == "result":
-                return run_daemon_result(args)
-            return run_daemon_stop(args)
-        except (DaemonError, TimeoutError) as error:
-            print(error, file=sys.stderr)
-            return 1
-
-    if args.command == "query":
-        if args.query_command == "export":
-            return run_query_export(args)
-        if args.query_command == "run":
-            return run_query_run(args)
-        return run_query_bench(args)
-
+def _experiment_config(args) -> ExperimentConfig:
+    """The ``--preset`` config, with ``--seed`` applied when given."""
     config = ExperimentConfig.full() if args.preset == "full" else ExperimentConfig.quick()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    runner = ExperimentRunner(config)
+    return config
 
+
+def run_list(args) -> int:
+    """Run the ``list`` subcommand: print the experiment names."""
+    for name in ExperimentRunner.available():
+        print(name)
+    return 0
+
+
+def run_experiments(args) -> int:
+    """Run the ``run`` subcommand: run and render the named experiments."""
     available = set(ExperimentRunner.available())
     unknown = [name for name in args.names if name not in available]
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         print("use 'list' to see the available names", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
 
-    results = runner.run_many(args.names, jobs=args.jobs)
+    results = ExperimentRunner(_experiment_config(args)).run_many(
+        args.names, jobs=args.jobs
+    )
     for name in args.names:
         print(render_result(name, results[name]))
         print()
     return 0
+
+
+def main(argv: Optional[Iterable[str]] = None) -> int:
+    """CLI entry point; returns the process exit code."""
+    args = build_parser().parse_args(list(argv) if argv is not None else None)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -178,12 +178,16 @@ class TestWarmStart:
         np.testing.assert_array_equal(warm.left, cold.left)
         np.testing.assert_array_equal(warm.right, cold.right)
 
-    def test_small_drift_converges_in_fewer_sweeps(self, rng):
+    def small_drift(self, rng):
+        """Warm-start from a solve of slightly older data, and re-solve cold.
+
+        Returns the truth, the warm-started state's ``warm_start`` answer,
+        the warm result and the cold re-solve of the drifted data.
+        """
         truth, observed, mask = make_problem(rng)
         prediction = truth + rng.normal(0.0, 0.3, size=truth.shape)
         config = SelfAugmentedConfig(tolerance=1e-4)
         cold = self.solve(observed, mask, prediction, config=config, rng=7)
-        left, right, objective = cold.left, cold.right, cold.objective
 
         drifted = observed + 1e-4 * mask * rng.normal(size=observed.shape)
         recold = self_augmented_rsvd(
@@ -192,10 +196,23 @@ class TestWarmStart:
         warm_state = SweepState(
             drifted, mask, 6, prediction=prediction, config=config, rng=7
         )
-        warm_state.warm_start(left, right, objective)
-        warm = solve_state(warm_state)
+        shortcut = warm_state.warm_start(cold.left, cold.right, cold.objective)
+        return truth, shortcut, solve_state(warm_state), recold
+
+    def test_small_drift_converges_in_fewer_sweeps(self, rng):
+        _, _, warm, recold = self.small_drift(rng)
         assert warm.iterations <= 1
         assert warm.iterations < recold.iterations
+
+    def test_small_drift_zero_sweep_shortcut_keeps_accuracy(self, rng):
+        """The objective-match shortcut skips every sweep on a small drift,
+        and its estimate stays within the sweep-budget accuracy gate
+        (+0.05 dB, as in benchmarks/test_sweep_budget.py) of a cold solve."""
+        truth, shortcut, warm, recold = self.small_drift(rng)
+        assert shortcut and warm.iterations == 0
+        warm_error = np.mean(np.abs(warm.estimate - truth))
+        cold_error = np.mean(np.abs(recold.estimate - truth))
+        assert warm_error <= cold_error + 0.05
 
     def test_without_objective_needs_at_least_one_sweep(self, rng):
         truth, observed, mask = make_problem(rng)

@@ -7,6 +7,7 @@ and must exit 0 with its queued work journaled.
 
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -30,7 +31,6 @@ class TestParser:
         assert args.port == 8753
         assert args.job_workers == 2
         assert args.matcher == "knn"
-        assert args.cache == 0
 
     def test_start_requires_spool(self):
         with pytest.raises(SystemExit):
@@ -78,6 +78,24 @@ class TestParser:
     def test_daemon_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["daemon"])
+
+
+class TestStartErrors:
+    def test_taken_port_exits_2(self, tmp_path, capsys):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            argv = ["daemon", "start", "--spool", str(tmp_path / "spool")]
+            assert main(argv + ["--port", str(port)]) == 2
+        assert f"cannot bind 127.0.0.1:{port}" in capsys.readouterr().err
+
+    def test_out_of_range_port_exits_2(self, tmp_path, capsys):
+        argv = ["daemon", "start", "--spool", str(tmp_path / "spool")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--port", "99999"])
+        assert excinfo.value.code == 2
+        assert "--port" in capsys.readouterr().err
 
 
 class TestUnreachableDaemon:

@@ -26,7 +26,6 @@ PARSER_SURFACE = {
         "--url": ("url", None, None, True, None),
     },
     "daemon start": {
-        "--cache": ("cache", 0, None, False, None),
         "--endpoints": ("endpoints", None, None, False, None),
         "--host": ("host", "127.0.0.1", None, False, None),
         "--job-workers": ("job_workers", 2, None, False, None),
@@ -122,7 +121,6 @@ PARSER_SURFACE = {
         "--seed": ("seed", 7, None, False, None),
     },
     "query run": {
-        "--cache": ("cache", 0, None, False, None),
         "--matcher": ("matcher", "knn", ("knn", "omp", "svr", "rass"), False, None),
         "--out": ("out", None, None, False, None),
         "--queries": ("queries", None, None, True, None),
@@ -155,6 +153,14 @@ def _parser_surface(parser, path=""):
             action.nargs,
         )
     return surface
+
+
+def _argparse_error(argv, capsys) -> str:
+    """Run ``main(argv)``, expect argparse's exit 2, return its stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    return capsys.readouterr().err
 
 
 class TestParserSurface:
@@ -395,14 +401,18 @@ class TestFleetWireCommands:
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_workers_serve_rejects_out_of_range_port(self, capsys):
+        argv = ["fleet", "workers", "serve", "--port", "99999"]
+        assert "--port" in _argparse_error(argv, capsys)
+
     def test_run_rejects_missing_payload(self, tmp_path, capsys):
         assert main(["fleet", "run", "--in", str(tmp_path / "nope.npz")]) == 2
         assert "cannot read wire payload" in capsys.readouterr().err
 
     def test_export_rejects_bad_sites(self, tmp_path, capsys):
         out = str(tmp_path / "x.npz")
-        assert main(["fleet", "export", "--sites", "0", "--out", out]) == 2
-        assert "--sites" in capsys.readouterr().err
+        argv = ["fleet", "export", "--sites", "0", "--out", out]
+        assert "--sites" in _argparse_error(argv, capsys)
 
     def test_export_parser_rejects_bad_link_counts(self):
         with pytest.raises(SystemExit):
@@ -431,7 +441,6 @@ class TestQueryParser:
         )
         assert args.query_command == "run"
         assert args.matcher == "knn"
-        assert args.cache == 0
         assert args.out is None
 
     def test_run_has_no_backend_flag(self, capsys):
@@ -567,41 +576,6 @@ class TestQueryCommands:
             np.testing.assert_array_equal(answer.indices, expected.indices)
             np.testing.assert_allclose(answer.points, expected.points)
 
-    def test_run_with_cache_reports_hits(self, report_path, tmp_path, capsys):
-        queries_path = str(tmp_path / "queries.npz")
-        assert (
-            main(
-                [
-                    "query",
-                    "export",
-                    "--report",
-                    report_path,
-                    "--out",
-                    queries_path,
-                    "--per-site",
-                    "4",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "query",
-                    "run",
-                    "--report",
-                    report_path,
-                    "--queries",
-                    queries_path,
-                    "--cache",
-                    "64",
-                ]
-            )
-            == 0
-        )
-        assert "cache:" in capsys.readouterr().out
-
     def test_bench_smoke(self, report_path, capsys):
         assert (
             main(
@@ -660,29 +634,15 @@ class TestQueryCommands:
         assert "cannot read wire payload" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [("--per-site", "0"), ("--seed", "-5")])
-    def test_export_rejects_bad_per_site(self, report_path, tmp_path, capsys, flag, value):
-        assert (
-            main(
-                [
-                    "query",
-                    "export",
-                    "--report",
-                    report_path,
-                    "--out",
-                    str(tmp_path / "q.npz"),
-                    flag,
-                    value,
-                ]
-            )
-            == 2
-        )
-        assert flag in capsys.readouterr().err
+    def test_export_rejects_bad_per_site(self, tmp_path, capsys, flag, value):
+        argv = ["query", "export", "--report", str(tmp_path / "r.npz")]
+        argv += ["--out", str(tmp_path / "q.npz"), flag, value]
+        assert flag in _argparse_error(argv, capsys)
 
     @pytest.mark.parametrize("flag", ["--seed", "--noise-db"])
-    def test_bench_rejects_negative_flag(self, report_path, capsys, flag):
-        args = ["query", "bench", "--report", report_path, flag, "-1"]
-        assert main(args) == 2
-        assert flag in capsys.readouterr().err
+    def test_bench_rejects_negative_flag(self, tmp_path, capsys, flag):
+        argv = ["query", "bench", "--report", str(tmp_path / "r.npz"), flag, "-1"]
+        assert flag in _argparse_error(argv, capsys)
 
 
 def _flip_member_bytes(path, suffix=""):
@@ -796,8 +756,8 @@ class TestParallelRun:
         assert args.jobs == 2
 
     def test_invalid_jobs_rejected(self, capsys):
-        assert main(["run", "labor_cost_savings", "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
+        argv = ["run", "labor_cost_savings", "--jobs", "0"]
+        assert "--jobs" in _argparse_error(argv, capsys)
 
     def test_two_job_smoke(self, capsys):
         """Two cheap experiments across two worker processes."""
