@@ -79,6 +79,27 @@ class TestInternalLinks:
 
 
 class TestCliDocsSync:
+    def test_workers_flag_documented(self):
+        """The distributed-execution flag must be in the CLI's own docs."""
+        api = (REPO_ROOT / "docs" / "API.md").read_text()
+        assert "--workers" in api
+        from repro.experiments.cli import build_parser
+
+        help_text = build_parser().format_help()
+        assert "fleet" in help_text
+
+    def test_query_subcommand_documented(self):
+        """The read-path CLI and its serving flags must be in the API docs."""
+        api = (REPO_ROOT / "docs" / "API.md").read_text()
+        for flag in ("query export", "query run", "query bench"):
+            assert flag in api, f"docs/API.md does not document `{flag}`"
+        for flag in ("--matcher", "--qps-target", "--batch-sizes", "--repeats"):
+            assert flag in api, f"docs/API.md does not document `{flag}`"
+        assert "--backend" not in api, "docs/API.md documents the removed --backend"
+        from repro.experiments.cli import build_parser
+
+        assert "query" in build_parser().format_help()
+
     def test_every_command_and_flag_documented(self):
         """Every subcommand path and long option of the CLI parser is in API.md."""
         from repro.experiments.cli import build_parser
@@ -103,10 +124,26 @@ class TestCliDocsSync:
                         if flag.startswith("--") and flag not in api
                     ]
         assert not missing, f"docs/API.md does not document {missing}"
-        assert "--backend" not in api, "docs/API.md documents the removed --backend"
 
 
 class TestDaemonDocsSync:
+    def test_daemon_cli_documented(self):
+        """Every daemon subcommand and its serving flags must be in API.md."""
+        api = (REPO_ROOT / "docs" / "API.md").read_text()
+        for sub in (
+            "daemon start",
+            "daemon submit",
+            "daemon status",
+            "daemon result",
+            "daemon stop",
+        ):
+            assert sub in api, f"docs/API.md does not document `{sub}`"
+        for flag in ("--spool", "--job-workers", "--wait"):
+            assert flag in api, f"docs/API.md does not document `{flag}`"
+        from repro.experiments.cli import build_parser
+
+        assert "daemon" in build_parser().format_help()
+
     def test_http_routes_documented(self):
         """The HTTP API table must cover every route the server exposes."""
         api = (REPO_ROOT / "docs" / "API.md").read_text()
@@ -185,6 +222,17 @@ class TestIncrementalDocsSync:
         for key in ("warm_left", "warm_right", "warm_started", "sweeps_saved"):
             assert key in text, f"docs/WIRE_FORMAT.md is missing {key!r}"
 
+    def test_incremental_cli_documented(self):
+        """`fleet run --warm-from` and `fleet diff` must be in API.md and
+        actually exist on the parser."""
+        api = (REPO_ROOT / "docs" / "API.md").read_text()
+        for flag in ("--warm-from", "fleet diff", "--base", "--delta"):
+            assert flag in api, f"docs/API.md does not document `{flag}`"
+        from repro.experiments.cli import build_parser
+
+        help_text = build_parser().format_help()
+        assert "fleet" in help_text
+
     def test_refresh_loop_in_architecture(self):
         """ARCHITECTURE.md must describe the steady-state refresh loop."""
         text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
@@ -213,6 +261,22 @@ class TestRemoteDocsSync:
             "shard_fingerprint",
         ):
             assert name in api, f"docs/API.md does not document {name!r}"
+
+    def test_remote_cli_documented(self):
+        """`fleet workers serve` and the remote run flags must be in API.md
+        and actually exist on the parser."""
+        api = (REPO_ROOT / "docs" / "API.md").read_text()
+        for flag in (
+            "fleet workers serve",
+            "--endpoints",
+            "--fault",
+            "--straggler-after",
+        ):
+            assert flag in api, f"docs/API.md does not document `{flag}`"
+        from repro.experiments.cli import build_parser
+
+        help_text = build_parser().format_help()
+        assert "fleet" in help_text
 
     def test_fault_kinds_documented(self):
         """Every injectable fault class must be named in API.md."""
