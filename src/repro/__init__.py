@@ -6,8 +6,9 @@ The package is organised around the paper's pipeline:
   substrate that stands in for the paper's physical Wi-Fi testbeds.
 * :mod:`repro.fingerprint` holds the fingerprint matrix machinery.
 * :mod:`repro.core` implements the paper's contribution: MIC selection,
-  low-rank representation, the basic and self-augmented RSVD solvers and the
-  high-level :class:`~repro.core.updater.IUpdater` pipeline.
+  low-rank representation, the self-augmented RSVD solver (with both
+  constraints off, the basic RSVD) and the high-level
+  :class:`~repro.core.updater.IUpdater` pipeline.
 * :mod:`repro.service` is the canonical entry point for refreshing
   fingerprint databases: the :class:`~repro.service.service.UpdateService`
   request/response API runs whole fleets of sites through rank-grouped,

@@ -7,10 +7,11 @@
   selection of Section IV-B.
 * :mod:`repro.core.lrr` — low-rank representation (inherent correlation
   matrix ``Z``) solved with an inexact augmented Lagrange multiplier method.
-* :mod:`repro.core.rsvd` — the basic regularized-SVD matrix factorisation of
-  Section IV-A.
 * :mod:`repro.core.self_augmented` — the self-augmented RSVD solver
-  (Algorithm 1) combining the basic RSVD with both constraints.
+  (Algorithm 1).  The basic regularized-SVD factorisation of Section IV-A
+  (Eq. 11) is the same solver with both constraints turned off
+  (``SelfAugmentedConfig(use_reference_constraint=False,
+  use_structure_constraint=False)``).
 * :mod:`repro.core.stacked` — the lockstep driver advancing many sites'
   :class:`~repro.core.self_augmented.SweepState` solves through one stacked
   batched solve per sweep (the fleet service's engine).
@@ -35,9 +36,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "low_rank_representation": "repro.core.lrr",
         "MICResult": "repro.core.mic",
         "select_reference_locations": "repro.core.mic",
-        "RSVDConfig": "repro.core.rsvd",
-        "RSVDResult": "repro.core.rsvd",
-        "rsvd_complete": "repro.core.rsvd",
         "SelfAugmentedConfig": "repro.core.self_augmented",
         "SelfAugmentedResult": "repro.core.self_augmented",
         "SweepState": "repro.core.self_augmented",

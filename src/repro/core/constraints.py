@@ -36,8 +36,6 @@ __all__ = [
     "degree_matrix",
     "continuity_matrix",
     "similarity_matrix",
-    "continuity_penalty",
-    "similarity_penalty",
 ]
 
 
@@ -130,21 +128,3 @@ def similarity_matrix(link_count: int) -> np.ndarray:
     for i in range(1, link_count):
         h[i, i - 1] = -1.0
     return h
-
-
-def continuity_penalty(xd: np.ndarray, g: np.ndarray | None = None) -> float:
-    """Squared Frobenius norm of ``X_D @ G`` (the continuity penalty term)."""
-    xd = np.asarray(xd, dtype=float)
-    if g is None:
-        g = continuity_matrix(xd.shape[1])
-    value = xd @ g
-    return float(np.sum(value**2))
-
-
-def similarity_penalty(xd: np.ndarray, h: np.ndarray | None = None) -> float:
-    """Squared Frobenius norm of ``H @ X_D`` (the similarity penalty term)."""
-    xd = np.asarray(xd, dtype=float)
-    if h is None:
-        h = similarity_matrix(xd.shape[0])
-    value = h @ xd
-    return float(np.sum(value**2))

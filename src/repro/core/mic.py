@@ -22,7 +22,7 @@ rule is numerically fragile.  Two strategies are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

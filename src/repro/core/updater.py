@@ -123,8 +123,7 @@ class IUpdater:
 
         Selects the MIC reference locations from the baseline matrix and
         solves the LRR problem for the correlation matrix ``Z``.  The result
-        is cached; call :meth:`reset_correlation` to force recomputation
-        (e.g. after replacing the baseline).
+        is cached for the updater's lifetime.
         """
         if self._mic is None or self._lrr is None:
             self._mic = select_reference_locations(
@@ -138,11 +137,6 @@ class IUpdater:
                 config=self.config.lrr,
             )
         return self._mic, self._lrr
-
-    def reset_correlation(self) -> None:
-        """Drop the cached MIC / LRR results."""
-        self._mic = None
-        self._lrr = None
 
     @property
     def reference_indices(self) -> tuple:

@@ -26,7 +26,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "JOB_KINDS": "repro.daemon.coordinator",
         "JOB_STATES": "repro.io.jobs",
         "REFRESH_FLEET": "repro.daemon.coordinator",
         "SERVE_PUBLISH": "repro.daemon.coordinator",

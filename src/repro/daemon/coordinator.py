@@ -46,16 +46,13 @@ from repro.daemon.queue import JobQueue
 from repro.io.jobs import JobRecord
 from repro.query.engine import QueryConfig, QueryEngine
 
-__all__ = ["JOB_KINDS", "REFRESH_FLEET", "SERVE_PUBLISH", "DaemonConfig", "Coordinator"]
+__all__ = ["REFRESH_FLEET", "SERVE_PUBLISH", "DaemonConfig", "Coordinator"]
 
 REFRESH_FLEET = "refresh_fleet"
 """Job kind: run a request payload through the update service."""
 
 SERVE_PUBLISH = "serve_publish"
 """Job kind: publish an existing report payload into the query engine."""
-
-JOB_KINDS = (REFRESH_FLEET, SERVE_PUBLISH)
-"""Job kinds the coordinator ships runners for."""
 
 #: A runner maps a claimed job to ``(result_path, generation_ordinal)``;
 #: the result path is spool-relative (or ``None`` for publish-only jobs).
@@ -128,8 +125,6 @@ class Coordinator:
         self.config = config or DaemonConfig()
         self.queue = JobQueue(spool)
         self.engine = QueryEngine(self.config.query)
-        self.engine.add_publish_listener(self._record_generation)
-        self._generations: List[Tuple[int, str]] = []
         self._runners: Dict[str, JobRunner] = {
             REFRESH_FLEET: self._run_refresh,
             SERVE_PUBLISH: self._run_publish,
@@ -258,9 +253,6 @@ class Coordinator:
         ).ordinal
         return None, generation
 
-    def _record_generation(self, generation) -> None:
-        self._generations.append((generation.ordinal, generation.label))
-
     # ----------------------------------------------------- same-process client
     def submit(
         self,
@@ -327,11 +319,6 @@ class Coordinator:
     def localize(self, site: str, measurements):
         """Answer a query batch from the current generation (read path)."""
         return self.engine.localize_batch(site, measurements)
-
-    @property
-    def generations(self) -> List[Tuple[int, str]]:
-        """(ordinal, label) of every generation published so far."""
-        return list(self._generations)
 
     def health(self) -> Dict[str, object]:
         """Flat status snapshot (the HTTP ``/api/health`` body)."""

@@ -13,7 +13,7 @@ diagonal of stripes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 

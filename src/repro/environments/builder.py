@@ -19,7 +19,7 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.environments.base import Deployment, EnvironmentSpec
-from repro.rf.channel import ChannelConfig, LinkChannel
+from repro.rf.channel import LinkChannel
 from repro.rf.geometry import Link, Point
 from repro.rf.multipath import MultipathConfig
 

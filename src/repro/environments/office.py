@@ -9,8 +9,6 @@ not change any of the matrix-structure arguments.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.environments.base import EnvironmentSpec
 from repro.rf.channel import ChannelConfig
 from repro.rf.propagation import PropagationConfig

@@ -29,6 +29,7 @@ rows can be compared directly against the paper's figures.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from typing import Iterable, Optional
@@ -94,6 +95,15 @@ _POSITIVE_INT = _bounded(int, 1)
 _NON_NEGATIVE_INT = _bounded(int, 0)
 _NON_NEGATIVE_FLOAT = _bounded(float, 0.0)
 _PORT = _bounded(int, 0, 65535)
+
+
+def _out_path(value: str) -> str:
+    """An argparse ``type`` for ``--out``: its directory must already exist,
+    so a bad destination fails before any work rather than after it."""
+    directory = os.path.dirname(value) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"directory {directory} does not exist")
+    return value
 
 
 def _add_preset_flags(parser) -> None:
@@ -192,7 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--sites", type=_POSITIVE_INT, default=3, help="number of sites to synthesize"
     )
     export_parser.add_argument(
-        "--out", required=True, help="destination request payload (.npz)"
+        "--out",
+        type=_out_path,
+        required=True,
+        help="destination request payload (.npz)",
     )
     # These four flags also exist on the parent `fleet` parser; SUPPRESS
     # keeps argparse's sub-namespace copy-over from silently clobbering a
@@ -242,7 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="request payload written by 'fleet export' (.npz)",
     )
     fleet_run_parser.add_argument(
-        "--out", default=None, help="optional destination report payload (.npz)"
+        "--out",
+        type=_out_path,
+        default=None,
+        help="optional destination report payload (.npz)",
     )
     fleet_run_parser.add_argument(
         "--max-stack-bytes",
@@ -351,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_diff_parser.add_argument(
         "--out",
+        type=_out_path,
         default=None,
         help=(
             "destination payload: the delta (with --target; optional, "
@@ -374,7 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--report", required=True, help="report payload written by 'fleet run' (.npz)"
     )
     query_export_parser.add_argument(
-        "--out", required=True, help="destination queries payload (.npz)"
+        "--out",
+        type=_out_path,
+        required=True,
+        help="destination queries payload (.npz)",
     )
     query_export_parser.add_argument(
         "--per-site", type=_POSITIVE_INT, default=16, help="queries sampled per site"
@@ -393,7 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--queries", required=True, help="queries payload from 'query export' (.npz)"
     )
     query_run_parser.add_argument(
-        "--out", default=None, help="optional destination answers payload (.npz)"
+        "--out",
+        type=_out_path,
+        default=None,
+        help="optional destination answers payload (.npz)",
     )
     _add_matcher_flag(query_run_parser)
 
@@ -549,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     daemon_result_parser.add_argument("--url", required=True, help="daemon base URL")
     daemon_result_parser.add_argument("--job", required=True, help="job id")
     daemon_result_parser.add_argument(
-        "--out", required=True, help="destination report payload (.npz)"
+        "--out", type=_out_path, required=True, help="destination report payload (.npz)"
     )
 
     daemon_stop_parser = daemon_sub.add_parser(
@@ -1079,6 +1102,9 @@ def run_daemon_start(args) -> int:
         coordinator = Coordinator(args.spool, config=config)
     except ValueError as error:
         print(error, file=sys.stderr)
+        return 2
+    except OSError as error:
+        print(f"cannot open spool {args.spool}: {error.strerror}", file=sys.stderr)
         return 2
     recovered = coordinator.queue.recovered_jobs
     if recovered:

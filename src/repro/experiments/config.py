@@ -9,7 +9,7 @@ localization trials) and a ``full()`` preset matching the paper's protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.environments import (

@@ -34,7 +34,6 @@ from repro.localization.rass import RASSLocalizer
 from repro.service.fleet import FleetCampaign, FleetConfig
 from repro.simulation.campaign import SurveyCampaign
 from repro.simulation.labor import LaborCostModel
-from repro.utils.cdf import empirical_cdf
 
 __all__ = [
     "CampaignCache",

@@ -8,7 +8,7 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 

@@ -9,8 +9,8 @@ MIC vectors and the inherent correlation matrix are derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Tuple
 
 from repro.fingerprint.matrix import FingerprintMatrix
 

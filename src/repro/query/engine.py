@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -159,20 +159,8 @@ class QueryEngine:
         self.cache = ResultCache(
             self.config.cache_size, self.config.cache_quantum_db
         )
-        self._publish_listeners: List[Callable[[Generation], None]] = []
 
     # ------------------------------------------------------------- publishing
-    def add_publish_listener(self, listener: Callable[[Generation], None]) -> None:
-        """Register a callback invoked after every generation hot-swap.
-
-        The listener receives the freshly-published :class:`Generation`
-        once it is already the current one — the hook the always-on
-        daemon uses to tie a completed refresh job to the generation it
-        published (journaling, metrics).  Listeners run synchronously on
-        the publishing thread, after the swap, so they must not block;
-        exceptions propagate to the publisher.
-        """
-        self._publish_listeners.append(listener)
     def publish_indexes(
         self, indexes: Mapping[str, QueryIndex], label: str = ""
     ) -> Generation:
@@ -197,10 +185,7 @@ class QueryEngine:
             )
             for site, index in indexes.items()
         }
-        generation = self.store.publish(sites, label=label)
-        for listener in self._publish_listeners:
-            listener(generation)
-        return generation
+        return self.store.publish(sites, label=label)
 
     def publish_report(
         self,

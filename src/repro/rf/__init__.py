@@ -17,7 +17,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "Link": "repro.rf.geometry",
         "Point": "repro.rf.geometry",
         "first_fresnel_radius": "repro.rf.geometry",
-        "point_segment_distance": "repro.rf.geometry",
         "MultipathField": "repro.rf.multipath",
         "MultipathConfig": "repro.rf.multipath",
         "PathLossModel": "repro.rf.propagation",

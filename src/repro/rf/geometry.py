@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,9 +28,6 @@ __all__ = [
     "WIFI_2G4_FREQUENCY_HZ",
     "wavelength",
     "first_fresnel_radius",
-    "point_segment_distance",
-    "projection_parameter",
-    "make_grid_centres",
     "hypot",
     "points_array",
     "project_onto_segments",
@@ -205,23 +202,6 @@ def project_onto_segments(
     return t, distance
 
 
-def projection_parameter(location: Point, start: Point, end: Point) -> float:
-    """Projection of ``location`` onto segment ``start``-``end`` normalised to [0, 1]."""
-    return float(_project_one(location, start, end)[0])
-
-
-def point_segment_distance(location: Point, start: Point, end: Point) -> float:
-    """Shortest distance from ``location`` to the segment ``start``-``end``."""
-    return float(_project_one(location, start, end)[1])
-
-
-def _project_one(location: Point, start: Point, end: Point) -> Tuple[np.ndarray, np.ndarray]:
-    fraction, distance = project_onto_segments(
-        points_array([start]), points_array([end]), points_array([location])
-    )
-    return fraction[0, 0], distance[0, 0]
-
-
 @dataclass(frozen=True)
 class LinkGeometry:
     """Where ``k`` points sit relative to ``m`` links, as ``(m, k)`` arrays.
@@ -282,46 +262,4 @@ class LinkArrays:
             fraction * length, (1.0 - fraction) * length, self.wavelength[:, None]
         )
         return LinkGeometry(fraction=fraction, distance=distance, fresnel=fresnel)
-
-
-def make_grid_centres(
-    width: float,
-    height: float,
-    grid_size: float,
-    origin: Tuple[float, float] = (0.0, 0.0),
-    excluded: Sequence[Tuple[float, float, float, float]] = (),
-) -> List[Point]:
-    """Generate grid-cell centres covering a ``width x height`` area.
-
-    Parameters
-    ----------
-    width, height:
-        Dimensions of the monitoring area in metres.
-    grid_size:
-        Edge length of a square grid cell (the paper uses 0.6 m).
-    origin:
-        Coordinates of the area's lower-left corner.
-    excluded:
-        Axis-aligned rectangles ``(x_min, y_min, x_max, y_max)`` that are not
-        part of the effective area (furniture, book racks, ...).  Cells whose
-        centre falls inside an excluded rectangle are dropped, mirroring the
-        paper's "effective area" grids.
-    """
-    if width <= 0 or height <= 0 or grid_size <= 0:
-        raise ValueError("width, height and grid_size must be positive")
-    ox, oy = origin
-    n_cols = int(round(width / grid_size))
-    n_rows = int(round(height / grid_size))
-    centres: List[Point] = []
-    for row in range(n_rows):
-        for col in range(n_cols):
-            cx = ox + (col + 0.5) * grid_size
-            cy = oy + (row + 0.5) * grid_size
-            if any(
-                x_min <= cx <= x_max and y_min <= cy <= y_max
-                for x_min, y_min, x_max, y_max in excluded
-            ):
-                continue
-            centres.append(Point(cx, cy))
-    return centres
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.rf.geometry import SPEED_OF_LIGHT, WIFI_2G4_FREQUENCY_HZ
 from repro.utils.random import RngLike, make_rng
 

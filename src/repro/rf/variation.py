@@ -98,10 +98,6 @@ class ShortTermNoise:
         """Reset the AR(1) state (start of a new measurement burst)."""
         self._state = 0.0
 
-    def sample(self) -> float:
-        """Draw the next noise sample (dB)."""
-        return float(self.sample_burst(1)[0])
-
     def sample_burst(self, count: int) -> np.ndarray:
         """Draw ``count`` consecutive samples (one measurement burst)."""
         if count <= 0:

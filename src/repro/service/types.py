@@ -17,7 +17,7 @@ The service speaks three value types:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -286,13 +286,6 @@ class FleetReport:
             if report.site == site:
                 return report
         raise KeyError(f"no report for site {site!r}; have {list(self.sites)}")
-
-    @property
-    def mean_error_db(self) -> float:
-        """Mean of the per-site reconstruction errors."""
-        if not self.errors_db:
-            return float("nan")
-        return float(np.mean(list(self.errors_db.values())))
 
     def aggregate(self) -> Dict[str, float]:
         """Flat scalar summary of the refresh (for reporting / CLI output)."""

@@ -10,7 +10,7 @@ running iUpdater updates and localization trials at any of those stamps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["EmpiricalCDF", "empirical_cdf", "percentile", "median", "cdf_at"]
+__all__ = ["EmpiricalCDF", "empirical_cdf", "percentile", "median"]
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,6 @@ class EmpiricalCDF:
         """The 50th percentile of the samples."""
         return self.percentile(0.5)
 
-    def probability_below(self, threshold: float) -> float:
-        """Fraction of samples that are <= ``threshold``."""
-        return float(np.mean(self.values <= threshold))
-
 
 def empirical_cdf(samples: Sequence[float]) -> EmpiricalCDF:
     """Build an :class:`EmpiricalCDF` from raw samples."""
@@ -58,8 +54,3 @@ def percentile(samples: Sequence[float], q: float) -> float:
 def median(samples: Sequence[float]) -> float:
     """Median of a collection of samples."""
     return percentile(samples, 0.5)
-
-
-def cdf_at(samples: Sequence[float], threshold: float) -> float:
-    """Fraction of ``samples`` that do not exceed ``threshold``."""
-    return empirical_cdf(samples).probability_below(threshold)

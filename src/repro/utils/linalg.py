@@ -2,63 +2,23 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.utils.validation import check_2d
 
 __all__ = [
-    "frobenius_norm",
-    "masked_frobenius_error",
     "normalized_singular_values",
     "relative_energy",
-    "effective_rank",
     "safe_solve",
     "batched_safe_solve",
     "masked_gram_stack",
     "stacked_rank_solve",
     "system_stack_nbytes",
-    "column_normalize",
-    "soft_threshold",
     "singular_value_threshold",
     "l21_column_shrink",
-    "mean_absolute_error",
-    "root_mean_square_error",
 ]
-
-
-def frobenius_norm(matrix: np.ndarray) -> float:
-    """Return the Frobenius norm of a matrix (or the 2-norm of a vector)."""
-    return float(np.linalg.norm(np.asarray(matrix, dtype=float)))
-
-
-def masked_frobenius_error(
-    estimate: np.ndarray, target: np.ndarray, mask: Optional[np.ndarray] = None
-) -> float:
-    """Frobenius error between two matrices, optionally restricted to a mask.
-
-    Parameters
-    ----------
-    estimate, target:
-        Matrices of identical shape.
-    mask:
-        Optional boolean / 0-1 matrix; only entries where the mask is nonzero
-        contribute to the error.
-    """
-    estimate = np.asarray(estimate, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if estimate.shape != target.shape:
-        raise ValueError(
-            f"estimate shape {estimate.shape} does not match target {target.shape}"
-        )
-    difference = estimate - target
-    if mask is not None:
-        mask = np.asarray(mask, dtype=float)
-        if mask.shape != estimate.shape:
-            raise ValueError("mask shape does not match the matrices")
-        difference = difference * mask
-    return float(np.linalg.norm(difference))
 
 
 def normalized_singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -82,17 +42,6 @@ def relative_energy(matrix: np.ndarray, count: int) -> float:
         return 1.0
     count = max(1, min(int(count), values.size))
     return float(values[:count].sum() / total)
-
-
-def effective_rank(matrix: np.ndarray, energy: float = 0.99) -> int:
-    """Smallest number of singular values capturing ``energy`` of the total."""
-    matrix = check_2d(matrix, "matrix")
-    values = np.linalg.svd(matrix, compute_uv=False)
-    total = float(values.sum())
-    if total == 0:
-        return 0
-    cumulative = np.cumsum(values) / total
-    return int(np.searchsorted(cumulative, energy) + 1)
 
 
 def safe_solve(lhs: np.ndarray, rhs: np.ndarray, ridge: float = 1e-10) -> np.ndarray:
@@ -269,25 +218,6 @@ def masked_gram_stack(factor: np.ndarray, weights: np.ndarray) -> np.ndarray:
     )
 
 
-def column_normalize(matrix: np.ndarray) -> np.ndarray:
-    """Normalise each column of ``matrix`` by the sum of absolute values.
-
-    Columns whose absolute sum is zero are left untouched.  Used to build the
-    continuity matrix ``G`` from ``T + G_diag`` as described in Section IV-C.
-    """
-    matrix = np.asarray(matrix, dtype=float).copy()
-    scale = np.abs(matrix).sum(axis=0)
-    nonzero = scale > 0
-    matrix[:, nonzero] = matrix[:, nonzero] / scale[nonzero]
-    return matrix
-
-
-def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
-    """Elementwise soft-thresholding operator used in ALM iterations."""
-    values = np.asarray(values, dtype=float)
-    return np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)
-
-
 def singular_value_threshold(matrix: np.ndarray, threshold: float) -> np.ndarray:
     """Singular-value soft thresholding (proximal operator of the nuclear norm)."""
     matrix = np.asarray(matrix, dtype=float)
@@ -311,21 +241,3 @@ def l21_column_shrink(matrix: np.ndarray, threshold: float) -> np.ndarray:
         scale = (norms[keep] - threshold) / norms[keep]
         result[:, keep] = matrix[:, keep] * scale
     return result
-
-
-def mean_absolute_error(estimate: np.ndarray, target: np.ndarray) -> float:
-    """Mean absolute elementwise error between two equal-shape arrays."""
-    estimate = np.asarray(estimate, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if estimate.shape != target.shape:
-        raise ValueError("shapes do not match")
-    return float(np.mean(np.abs(estimate - target)))
-
-
-def root_mean_square_error(estimate: np.ndarray, target: np.ndarray) -> float:
-    """Root-mean-square elementwise error between two equal-shape arrays."""
-    estimate = np.asarray(estimate, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if estimate.shape != target.shape:
-        raise ValueError("shapes do not match")
-    return float(np.sqrt(np.mean((estimate - target) ** 2)))

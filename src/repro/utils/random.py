@@ -7,11 +7,11 @@ from a single integer seed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Union
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs", "derive_rng"]
+__all__ = ["make_rng", "derive_rng"]
 
 RngLike = Union[int, np.random.Generator, None]
 
@@ -26,15 +26,6 @@ def make_rng(seed: RngLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: RngLike, count: int) -> List[np.random.Generator]:
-    """Create ``count`` statistically independent child generators."""
-    if count <= 0:
-        raise ValueError(f"count must be positive, got {count}")
-    parent = make_rng(seed)
-    seeds = parent.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]
 
 
 def derive_rng(seed: RngLike, *keys: int) -> np.random.Generator:

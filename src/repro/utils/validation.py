@@ -16,10 +16,6 @@ __all__ = [
     "check_2d",
     "check_1d",
     "check_matching_shapes",
-    "check_positive",
-    "check_non_negative",
-    "check_probability",
-    "check_index",
     "check_binary_mask",
     "as_float_array",
 ]
@@ -74,38 +70,6 @@ def check_matching_shapes(
             f"{first_name} shape {first.shape} does not match "
             f"{second_name} shape {second.shape}"
         )
-
-
-def check_positive(value: float, name: str = "value") -> float:
-    """Validate that ``value`` is a finite, strictly positive scalar."""
-    value = float(value)
-    if not np.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be a positive finite number, got {value}")
-    return value
-
-
-def check_non_negative(value: float, name: str = "value") -> float:
-    """Validate that ``value`` is a finite, non-negative scalar."""
-    value = float(value)
-    if not np.isfinite(value) or value < 0:
-        raise ValueError(f"{name} must be a non-negative finite number, got {value}")
-    return value
-
-
-def check_probability(value: float, name: str = "value") -> float:
-    """Validate that ``value`` lies in the closed interval [0, 1]."""
-    value = float(value)
-    if not np.isfinite(value) or value < 0 or value > 1:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
-def check_index(index: int, size: int, name: str = "index") -> int:
-    """Validate that ``index`` addresses an element of a length-``size`` axis."""
-    index = int(index)
-    if index < 0 or index >= size:
-        raise ValueError(f"{name} must lie in [0, {size - 1}], got {index}")
-    return index
 
 
 def check_indices(indices: Sequence[int], size: int, name: str = "indices") -> np.ndarray:

@@ -2,18 +2,18 @@
 
 The batched solver must reproduce the per-column reference loop
 (:mod:`tests.oracles`) to floating-point noise (≤ 1e-10 on the final
-estimates) across the solver matrix: basic RSVD and the self-augmented solver,
-with and without Constraints 1/2, on masked and fully-observed matrices.  The
-parity configurations use a moderate rank and regularisation so the per-sweep
-normal equations are well conditioned — with near-singular systems (rank = M,
-tiny lambda) both paths remain valid ALS iterates but BLAS summation-order noise is amplified beyond any sensible
+estimates) across the solver matrix: the self-augmented solver with and
+without Constraints 1/2 (both off is the basic RSVD of Eq. 11), on masked and
+fully-observed matrices.  The parity configurations use a moderate rank and
+regularisation so the per-sweep normal equations are well conditioned — with
+near-singular systems (rank = M, tiny lambda) both paths remain valid ALS
+iterates but BLAS summation-order noise is amplified beyond any sensible
 bitwise-comparison threshold.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.rsvd import RSVDConfig, rsvd_complete
 from repro.core.self_augmented import (
     SelfAugmentedConfig,
     _adjacent_link_stripes,
@@ -24,7 +24,7 @@ from repro.core.self_augmented import (
 )
 from repro.utils.linalg import batched_safe_solve, masked_gram_stack, safe_solve
 from tests import oracles
-from tests.oracles import rsvd_complete_looped, self_augmented_rsvd_looped
+from tests.oracles import self_augmented_rsvd_looped
 
 PARITY_TOL = 1e-10
 
@@ -81,24 +81,6 @@ class TestBatchedSolvePrimitives:
         for k in range(7):
             expected = (factor * weights[:, k][:, None]).T @ factor
             np.testing.assert_allclose(stack[k], expected, atol=1e-12)
-
-
-class TestRSVDBackendParity:
-    def test_estimates_agree(self, observation):
-        observed, mask, _ = observation
-        config = RSVDConfig(rank=5, regularization=0.5, max_iterations=10)
-        batched = rsvd_complete(observed, mask, config, rng=7)
-        looped = rsvd_complete_looped(observed, mask, config, rng=7)
-        np.testing.assert_allclose(
-            batched.estimate, looped.estimate, atol=PARITY_TOL, rtol=0.0
-        )
-        np.testing.assert_allclose(batched.objective, looped.objective, rtol=1e-10)
-        assert batched.iterations == looped.iterations
-
-    def test_invalid_backend_rejected(self):
-        """The solver has a single path: the backend knob is gone."""
-        with pytest.raises(TypeError):
-            RSVDConfig(solver_backend="batched")
 
 
 class TestSelfAugmentedBackendParity:

@@ -2,17 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from repro.core.constraints import (
     continuity_matrix,
-    continuity_penalty,
     degree_matrix,
     relationship_matrix,
     similarity_matrix,
-    similarity_penalty,
 )
 
 
@@ -96,37 +91,3 @@ class TestSimilarityMatrix:
     def test_rejects_single_link(self):
         with pytest.raises(ValueError):
             similarity_matrix(1)
-
-
-class TestPenalties:
-    def test_smooth_matrix_low_continuity_penalty(self):
-        smooth = np.tile(np.linspace(-70, -60, 6)[None, :], (4, 1))
-        rough = smooth.copy()
-        rough[2, 3] += 15.0
-        assert continuity_penalty(smooth) < continuity_penalty(rough)
-
-    def test_similar_links_low_similarity_penalty(self):
-        base = np.tile(np.linspace(-70, -60, 6)[None, :], (4, 1))
-        dissimilar = base + np.arange(4)[:, None] * 5.0
-        assert similarity_penalty(base) < similarity_penalty(dissimilar)
-
-    def test_penalties_non_negative(self):
-        xd = np.random.default_rng(0).normal(size=(4, 6))
-        assert continuity_penalty(xd) >= 0.0
-        assert similarity_penalty(xd) >= 0.0
-
-    @given(
-        hnp.arrays(
-            dtype=float,
-            shape=st.tuples(st.integers(2, 6), st.integers(2, 8)),
-            elements=st.floats(-80, -40, allow_nan=False),
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_penalties_scale_quadratically(self, xd):
-        assert continuity_penalty(2.0 * xd) == pytest.approx(
-            4.0 * continuity_penalty(xd), rel=1e-6, abs=1e-6
-        )
-        assert similarity_penalty(2.0 * xd) == pytest.approx(
-            4.0 * similarity_penalty(xd), rel=1e-6, abs=1e-6
-        )

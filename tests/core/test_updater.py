@@ -1,6 +1,5 @@
 """Unit / integration tests for :mod:`repro.core.updater` (the iUpdater pipeline)."""
 
-import numpy as np
 import pytest
 
 from repro.core.self_augmented import SelfAugmentedConfig
@@ -18,14 +17,6 @@ class TestCorrelationAcquisition:
         mic_b, lrr_b = updater.acquire_correlation()
         assert mic_a is mic_b
         assert lrr_a is lrr_b
-
-    def test_reset_correlation(self, small_database):
-        updater = IUpdater(small_database.original, rng=1)
-        mic_a, _ = updater.acquire_correlation()
-        updater.reset_correlation()
-        mic_b, _ = updater.acquire_correlation()
-        assert mic_a is not mic_b
-        assert mic_a.indices == mic_b.indices  # deterministic selection
 
     def test_reference_count_override(self, small_database):
         updater = IUpdater(

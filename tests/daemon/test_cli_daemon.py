@@ -90,6 +90,15 @@ class TestStartErrors:
             assert main(argv + ["--port", str(port)]) == 2
         assert f"cannot bind 127.0.0.1:{port}" in capsys.readouterr().err
 
+    def test_uncreatable_spool_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        spool = blocker / "spool"
+        assert main(["daemon", "start", "--spool", str(spool), "--port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot open spool {spool}" in err
+        assert "Traceback" not in err
+
     def test_out_of_range_port_exits_2(self, tmp_path, capsys):
         argv = ["daemon", "start", "--spool", str(tmp_path / "spool")]
         with pytest.raises(SystemExit) as excinfo:

@@ -73,7 +73,8 @@ class TestRefreshLifecycle:
                 np.testing.assert_array_equal(ours.estimate, theirs.estimate)
 
             # ... and so are the served answers (lifecycle unification).
-            assert coordinator.generations == [(0, "first")]
+            current = coordinator.engine.store.current()
+            assert (current.ordinal, current.label) == (0, "first")
             site = offline_report.sites[0]
             queries = make_queries(offline_engine, site)
             served = coordinator.localize(site, queries)
@@ -99,7 +100,8 @@ class TestRefreshLifecycle:
             assert done.state == "done"
             assert done.generation == 0
             assert done.result is None  # nothing solved, nothing spooled
-            assert coordinator.generations == [(0, "prebuilt")]
+            current = coordinator.engine.store.current()
+            assert (current.ordinal, current.label) == (0, "prebuilt")
             assert coordinator.health()["sites"] == sorted(offline_report.sites)
         finally:
             coordinator.drain(timeout=30.0)
@@ -465,7 +467,9 @@ class TestAcceptanceScenario:
             # Both reports auto-published: generation ordinal advanced.
             assert done_high.generation == 0
             assert done_low.generation == 1
-            assert coordinator.generations == [(0, "high"), (1, "low")]
+            current = coordinator.engine.store.current()
+            assert (current.ordinal, current.label) == (1, "low")
+            assert coordinator.engine.store.generation_count == 2
 
             # Served answers match the offline engine bit for bit.
             for site in offline_report.sites[:3]:

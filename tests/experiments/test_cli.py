@@ -673,27 +673,29 @@ def _flip_member_bytes(path, suffix=""):
     return member.compress_type
 
 
+@pytest.fixture(scope="module")
+def payloads(tmp_path_factory):
+    """A small requests payload, its report and a queries payload."""
+    root = tmp_path_factory.mktemp("payloads")
+    requests, report, queries = (
+        root / "requests.npz",
+        root / "report.npz",
+        root / "queries.npz",
+    )
+    export = ["fleet", "export", "--sites", "2", "--link-count", "3"]
+    export += ["--locations-per-link", "3", "--out", str(requests)]
+    assert main(export) == 0
+    assert main(["fleet", "run", "--in", str(requests), "--out", str(report)]) == 0
+    assert (
+        main(["query", "export", "--report", str(report), "--out", str(queries)])
+        == 0
+    )
+    return {"requests": requests, "report": report, "queries": queries}
+
+
 class TestCorruptPayloads:
     """A payload corrupted inside an array member, deflated or stored, ends
     in exit 2 and a one-line error naming the file, not a traceback."""
-
-    @pytest.fixture(scope="class")
-    def payloads(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("payloads")
-        requests, report, queries = (
-            root / "requests.npz",
-            root / "report.npz",
-            root / "queries.npz",
-        )
-        export = ["fleet", "export", "--sites", "2", "--link-count", "3"]
-        export += ["--locations-per-link", "3", "--out", str(requests)]
-        assert main(export) == 0
-        assert main(["fleet", "run", "--in", str(requests), "--out", str(report)]) == 0
-        assert (
-            main(["query", "export", "--report", str(report), "--out", str(queries)])
-            == 0
-        )
-        return {"requests": requests, "report": report, "queries": queries}
 
     @pytest.mark.parametrize(
         "command, corrupt, suffix, mode",
@@ -748,6 +750,38 @@ class TestCorruptPayloads:
         err = capsys.readouterr().err.strip()
         assert str(paths[corrupt]) in err
         assert "\n" not in err and "Traceback" not in err
+
+
+class TestMissingOutDirectory:
+    """``--out`` into a directory that does not exist ends in exit 2 naming
+    it, before any payload is read or solved, not in a late traceback."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fleet", "run", "--in", "{requests}"],
+            ["fleet", "diff", "--base", "{report}", "--target", "{report}"],
+            ["query", "run", "--report", "{report}", "--queries", "{queries}"],
+            ["fleet", "export", "--sites", "1"],
+            ["query", "export", "--report", "{report}"],
+            ["daemon", "result", "--url", "http://127.0.0.1:9", "--job", "j000000"],
+        ],
+        ids=[
+            "fleet-run",
+            "fleet-diff",
+            "query-run",
+            "fleet-export",
+            "query-export",
+            "daemon-result",
+        ],
+    )
+    def test_exits_2_naming_the_directory(self, payloads, tmp_path, capsys, command):
+        missing = tmp_path / "missing-dir"
+        argv = [arg.format(**{k: str(v) for k, v in payloads.items()}) for arg in command]
+        err = _argparse_error(argv + ["--out", str(missing / "out.npz")], capsys)
+        assert f"directory {missing} does not exist" in err
+        assert "Traceback" not in err
+        assert not missing.exists()
 
 
 class TestParallelRun:

@@ -14,7 +14,6 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from repro.core.rsvd import RSVDConfig
 from repro.core.self_augmented import SelfAugmentedConfig
 from repro.core.updater import UpdaterConfig
 from repro.io import (
@@ -410,6 +409,6 @@ class TestLegacyBackendKeys:
             assert entry["solver_backend"] == "batched"
 
     def test_no_config_field_names_a_backend(self):
-        for config in (RSVDConfig, SelfAugmentedConfig, UpdaterConfig, QueryConfig):
+        for config in (SelfAugmentedConfig, UpdaterConfig, QueryConfig):
             names = [f.name for f in fields(config)]
             assert not [n for n in names if n.endswith("_backend")], config

@@ -69,7 +69,8 @@ class TestSummarizeErrors:
 
     def test_cdf_accessible(self):
         report = summarize_errors([0.5, 1.5, 2.5])
-        assert report.cdf.probability_below(2.0) == pytest.approx(2 / 3)
+        np.testing.assert_allclose(report.cdf.values, [0.5, 1.5, 2.5])
+        assert report.cdf.probabilities[1] == pytest.approx(2 / 3)
 
     @given(st.lists(st.floats(0.0, 100.0, allow_nan=False), min_size=1, max_size=40))
     @settings(max_examples=40, deadline=None)

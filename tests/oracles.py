@@ -19,8 +19,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.rsvd import RSVDConfig, RSVDResult
-from repro.core.rsvd import _objective as _rsvd_objective
 from repro.core.self_augmented import SelfAugmentedConfig, SelfAugmentedResult, SweepState
 from repro.environments.base import Deployment
 from repro.fingerprint.masks import DecreaseClassification, ElementCategory
@@ -36,62 +34,8 @@ from repro.rf.variation import LongTermDrift, ShortTermNoise
 from repro.service.prepare import prepare_request
 from repro.service.types import UpdateReport, UpdateRequest
 from repro.utils.linalg import safe_solve
-from repro.utils.random import RngLike, derive_rng, make_rng
-from repro.utils.validation import check_2d, check_matching_shapes
-
-
-# ------------------------------------------------------------------ basic RSVD
-def rsvd_complete_looped(
-    observed: np.ndarray,
-    mask: np.ndarray,
-    config: Optional[RSVDConfig] = None,
-    rng: RngLike = None,
-) -> RSVDResult:
-    """:func:`repro.core.rsvd.rsvd_complete` with one ridge solve per column
-    of ``R`` and per row of ``L``."""
-    observed = check_2d(observed, "observed")
-    mask = check_2d(mask, "mask")
-    check_matching_shapes(observed, mask, "observed", "mask")
-    cfg = config or RSVDConfig()
-    rng = make_rng(rng)
-
-    m, n = observed.shape
-    rank = min(cfg.rank if cfg.rank is not None else m, m, n)
-    left = cfg.init_scale * rng.standard_normal((m, rank))
-    right = np.zeros((n, rank))
-    lam = cfg.regularization
-    identity = np.eye(rank)
-
-    previous_objective = np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        # Update each column of R^T given L: ridge LS on the observed rows.
-        for j in range(n):
-            lw = left * mask[:, j][:, None]
-            right[j, :] = safe_solve(lam * identity + lw.T @ left, lw.T @ observed[:, j])
-        # Update each row of L given R: symmetric problem on the transpose.
-        for i in range(m):
-            rw = right * mask[i, :][:, None]
-            left[i, :] = safe_solve(lam * identity + rw.T @ right, rw.T @ observed[i, :])
-
-        objective = _rsvd_objective(left, right, observed, mask, lam)
-        if previous_objective < np.inf:
-            change = abs(previous_objective - objective) / max(previous_objective, 1e-12)
-            if change < cfg.tolerance:
-                converged = True
-                previous_objective = objective
-                break
-        previous_objective = objective
-
-    return RSVDResult(
-        estimate=left @ right.T,
-        left=left,
-        right=right,
-        objective=float(previous_objective),
-        iterations=iterations,
-        converged=converged,
-    )
+from repro.utils.random import RngLike, derive_rng
+from repro.utils.validation import check_2d
 
 
 # ---------------------------------------------------------- self-augmented RSVD

@@ -276,7 +276,7 @@ class TestDrawOrder:
         slow._noise.reset()
         expected = [measure_rss_dbm_scalar(slow, 3, location, 45.0) for _ in range(10)]
         np.testing.assert_array_equal(series, expected)
-        assert noise_sample_scalar(slow._noise) == fast._noise.sample()
+        assert noise_sample_scalar(slow._noise) == float(fast._noise.sample_burst(1)[0])
 
     def test_measure_field_is_successive_vectors(self):
         fast, slow = _fresh_office(8).channel, _fresh_office(8).channel

@@ -13,10 +13,7 @@ from repro.rf.geometry import (
     Point,
     first_fresnel_radius,
     hypot,
-    make_grid_centres,
-    point_segment_distance,
     points_array,
-    projection_parameter,
     wavelength,
 )
 from tests.oracles import fresnel_radius_scalar, projection_scalar, segment_distance_scalar
@@ -72,27 +69,32 @@ class TestWavelengthAndFresnel:
         assert first_fresnel_radius(d1, d2, 0.123) >= 0.0
 
 
+def project(point: Point, start: Point, end: Point):
+    """``(fraction, distance)`` of ``point`` on segment ``start``-``end``."""
+    link = Link(index=0, transmitter=start, receiver=end)
+    geometry = LinkArrays.of([link]).geometry(points_array([point]))
+    return geometry.fraction[0, 0], geometry.distance[0, 0]
+
+
 class TestProjectionAndDistance:
     def test_projection_clipped_to_unit_interval(self):
         start, end = Point(0.0, 0.0), Point(10.0, 0.0)
-        assert projection_parameter(Point(-5.0, 0.0), start, end) == 0.0
-        assert projection_parameter(Point(15.0, 0.0), start, end) == 1.0
-        assert projection_parameter(Point(5.0, 3.0), start, end) == pytest.approx(0.5)
+        assert project(Point(-5.0, 0.0), start, end)[0] == 0.0
+        assert project(Point(15.0, 0.0), start, end)[0] == 1.0
+        assert project(Point(5.0, 3.0), start, end)[0] == pytest.approx(0.5)
 
     def test_degenerate_segment(self):
-        point = Point(1.0, 1.0)
-        assert projection_parameter(point, Point(0, 0), Point(0, 0)) == 0.0
-        assert point_segment_distance(point, Point(0, 0), Point(0, 0)) == pytest.approx(
-            math.sqrt(2)
-        )
+        fraction, distance = project(Point(1.0, 1.0), Point(0, 0), Point(0, 0))
+        assert fraction == 0.0
+        assert distance == pytest.approx(math.sqrt(2))
 
     def test_perpendicular_distance(self):
         start, end = Point(0.0, 0.0), Point(10.0, 0.0)
-        assert point_segment_distance(Point(5.0, 2.0), start, end) == pytest.approx(2.0)
+        assert project(Point(5.0, 2.0), start, end)[1] == pytest.approx(2.0)
 
     def test_distance_beyond_endpoint(self):
         start, end = Point(0.0, 0.0), Point(10.0, 0.0)
-        assert point_segment_distance(Point(13.0, 4.0), start, end) == pytest.approx(5.0)
+        assert project(Point(13.0, 4.0), start, end)[1] == pytest.approx(5.0)
 
 
 class TestLink:
@@ -106,12 +108,12 @@ class TestLink:
 
     def test_along_fraction(self):
         link = self.make_link()
-        fraction = projection_parameter(Point(2.5, 5.0), link.transmitter, link.receiver)
+        fraction, _ = project(Point(2.5, 5.0), link.transmitter, link.receiver)
         assert fraction == pytest.approx(0.25)
 
     def test_distance_from(self):
         link = self.make_link()
-        distance = point_segment_distance(Point(5.0, 4.0), link.transmitter, link.receiver)
+        _, distance = project(Point(5.0, 4.0), link.transmitter, link.receiver)
         assert distance == pytest.approx(3.0)
 
     def test_fresnel_radius_midpoint_largest(self):
@@ -189,16 +191,3 @@ class TestArrayGeometry:
                 assert geometry.distance[i, j] == segment_distance_scalar(p, start, end)
                 assert geometry.fresnel[i, j] == fresnel_radius_scalar(link, p)
 
-
-class TestGrid:
-    def test_grid_count(self):
-        centres = make_grid_centres(3.0, 2.0, 1.0)
-        assert len(centres) == 6
-
-    def test_grid_excluded_rectangle(self):
-        centres = make_grid_centres(3.0, 1.0, 1.0, excluded=[(0.0, 0.0, 1.0, 1.0)])
-        assert len(centres) == 2
-
-    def test_grid_rejects_bad_dimensions(self):
-        with pytest.raises(ValueError):
-            make_grid_centres(0.0, 2.0, 1.0)

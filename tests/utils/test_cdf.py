@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.cdf import cdf_at, empirical_cdf, median, percentile
+from repro.utils.cdf import empirical_cdf, median, percentile
 
 
 class TestEmpiricalCDF:
@@ -30,10 +30,6 @@ class TestEmpiricalCDF:
         with pytest.raises(ValueError):
             cdf.percentile(1.5)
 
-    def test_probability_below(self):
-        cdf = empirical_cdf([1.0, 2.0, 3.0, 4.0])
-        assert cdf.probability_below(2.5) == pytest.approx(0.5)
-
 
 class TestModuleHelpers:
     def test_percentile_helper(self):
@@ -41,9 +37,6 @@ class TestModuleHelpers:
 
     def test_median_helper(self):
         assert median([4.0, 1.0, 9.0]) == pytest.approx(4.0)
-
-    def test_cdf_at_helper(self):
-        assert cdf_at([1.0, 2.0, 3.0, 4.0], 3.0) == pytest.approx(0.75)
 
     @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=50))
     @settings(max_examples=50, deadline=None)

@@ -9,36 +9,6 @@ from hypothesis.extra import numpy as hnp
 from repro.utils import linalg
 
 
-class TestFrobeniusNorm:
-    def test_matches_numpy(self):
-        matrix = np.arange(12, dtype=float).reshape(3, 4)
-        assert linalg.frobenius_norm(matrix) == pytest.approx(np.linalg.norm(matrix))
-
-    def test_zero_matrix(self):
-        assert linalg.frobenius_norm(np.zeros((3, 3))) == 0.0
-
-
-class TestMaskedFrobeniusError:
-    def test_without_mask(self):
-        a = np.ones((2, 2))
-        b = np.zeros((2, 2))
-        assert linalg.masked_frobenius_error(a, b) == pytest.approx(2.0)
-
-    def test_with_mask(self):
-        a = np.ones((2, 2))
-        b = np.zeros((2, 2))
-        mask = np.array([[1.0, 0.0], [0.0, 0.0]])
-        assert linalg.masked_frobenius_error(a, b, mask) == pytest.approx(1.0)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            linalg.masked_frobenius_error(np.ones((2, 2)), np.ones((3, 2)))
-
-    def test_mask_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            linalg.masked_frobenius_error(np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 2)))
-
-
 class TestSingularValueHelpers:
     def test_normalized_singular_values_max_is_one(self, synthetic_low_rank_matrix):
         values = linalg.normalized_singular_values(synthetic_low_rank_matrix)
@@ -55,13 +25,6 @@ class TestSingularValueHelpers:
         ]
         assert all(a <= b + 1e-12 for a, b in zip(energies, energies[1:]))
 
-    def test_effective_rank_of_exact_low_rank(self, synthetic_low_rank_matrix):
-        # mean offset adds one rank-1 component on top of the rank-3 factors
-        assert linalg.effective_rank(synthetic_low_rank_matrix, 0.999) <= 4
-
-    def test_effective_rank_zero_matrix(self):
-        assert linalg.effective_rank(np.zeros((3, 3))) == 0
-
 
 class TestSafeSolve:
     def test_regular_system(self):
@@ -76,24 +39,7 @@ class TestSafeSolve:
         assert np.all(np.isfinite(solution))
 
 
-class TestColumnNormalize:
-    def test_columns_sum_to_one_in_absolute_value(self):
-        matrix = np.array([[1.0, -2.0], [3.0, 2.0]])
-        normalized = linalg.column_normalize(matrix)
-        np.testing.assert_allclose(np.abs(normalized).sum(axis=0), [1.0, 1.0])
-
-    def test_zero_column_untouched(self):
-        matrix = np.array([[0.0, 1.0], [0.0, 1.0]])
-        normalized = linalg.column_normalize(matrix)
-        np.testing.assert_allclose(normalized[:, 0], [0.0, 0.0])
-
-
 class TestProximalOperators:
-    def test_soft_threshold_shrinks_towards_zero(self):
-        values = np.array([-3.0, -0.5, 0.5, 3.0])
-        np.testing.assert_allclose(
-            linalg.soft_threshold(values, 1.0), [-2.0, 0.0, 0.0, 2.0]
-        )
 
     def test_singular_value_threshold_reduces_rank(self, rng):
         matrix = rng.normal(size=(6, 6))
@@ -126,20 +72,6 @@ class TestProximalOperators:
         original_norms = np.linalg.norm(matrix, axis=0)
         new_norms = np.linalg.norm(shrunk, axis=0)
         assert np.all(new_norms <= original_norms + 1e-9)
-
-
-class TestErrorMetrics:
-    def test_mean_absolute_error(self):
-        assert linalg.mean_absolute_error(np.ones(4), np.zeros(4)) == pytest.approx(1.0)
-
-    def test_rmse_at_least_mae(self, rng):
-        a = rng.normal(size=(5, 5))
-        b = rng.normal(size=(5, 5))
-        assert linalg.root_mean_square_error(a, b) >= linalg.mean_absolute_error(a, b) - 1e-12
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            linalg.mean_absolute_error(np.ones(3), np.ones(4))
 
 
 class TestStackedRankSolve:

@@ -1,9 +1,8 @@
 """Unit tests for :mod:`repro.utils.random`."""
 
 import numpy as np
-import pytest
 
-from repro.utils.random import derive_rng, make_rng, spawn_rngs
+from repro.utils.random import derive_rng, make_rng
 
 
 class TestMakeRng:
@@ -16,26 +15,6 @@ class TestMakeRng:
     def test_existing_generator_passthrough(self):
         generator = np.random.default_rng(7)
         assert make_rng(generator) is generator
-
-
-class TestSpawnRngs:
-    def test_count_respected(self):
-        assert len(spawn_rngs(1, 5)) == 5
-
-    def test_children_are_independent(self):
-        children = spawn_rngs(1, 2)
-        first = children[0].integers(0, 2**31)
-        second = children[1].integers(0, 2**31)
-        assert first != second
-
-    def test_reproducible_from_same_seed(self):
-        a = [g.integers(0, 1000) for g in spawn_rngs(3, 4)]
-        b = [g.integers(0, 1000) for g in spawn_rngs(3, 4)]
-        assert a == b
-
-    def test_invalid_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(1, 0)
 
 
 class TestDeriveRng:

@@ -55,41 +55,7 @@ class TestCheckMatchingShapes:
             validation.check_matching_shapes(np.zeros((2, 2)), np.ones((2, 3)))
 
 
-class TestScalarChecks:
-    @pytest.mark.parametrize("value", [1.0, 0.5, 1e-9])
-    def test_check_positive_accepts(self, value):
-        assert validation.check_positive(value) == value
-
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
-    def test_check_positive_rejects(self, value):
-        with pytest.raises(ValueError):
-            validation.check_positive(value)
-
-    def test_check_non_negative_accepts_zero(self):
-        assert validation.check_non_negative(0.0) == 0.0
-
-    def test_check_non_negative_rejects_negative(self):
-        with pytest.raises(ValueError):
-            validation.check_non_negative(-0.1)
-
-    @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
-    def test_check_probability_accepts(self, value):
-        assert validation.check_probability(value) == value
-
-    @pytest.mark.parametrize("value", [-0.1, 1.1, float("nan")])
-    def test_check_probability_rejects(self, value):
-        with pytest.raises(ValueError):
-            validation.check_probability(value)
-
-
 class TestIndexChecks:
-    def test_check_index_accepts_valid(self):
-        assert validation.check_index(3, 5) == 3
-
-    @pytest.mark.parametrize("index", [-1, 5, 99])
-    def test_check_index_rejects_out_of_range(self, index):
-        with pytest.raises(ValueError):
-            validation.check_index(index, 5)
 
     def test_check_indices_accepts_unique(self):
         result = validation.check_indices([0, 2, 4], 5)
