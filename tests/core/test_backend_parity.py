@@ -83,6 +83,37 @@ class TestBatchedSolvePrimitives:
             np.testing.assert_allclose(stack[k], expected, atol=1e-12)
 
 
+class TestRSVDBackendParity:
+    """The basic RSVD of Eq. 11: Algorithm 1 with both constraints off."""
+
+    def test_estimates_agree(self, observation):
+        observed, mask, _ = observation
+        config = SelfAugmentedConfig(
+            rank=5,
+            regularization=0.5,
+            max_iterations=10,
+            use_reference_constraint=False,
+            use_structure_constraint=False,
+        )
+        args = (observed, mask, STRIPE_WIDTH)
+        batched = self_augmented_rsvd(*args, config=config, rng=7)
+        looped = self_augmented_rsvd_looped(*args, config=config, rng=7)
+        np.testing.assert_allclose(
+            batched.estimate, looped.estimate, atol=PARITY_TOL, rtol=0.0
+        )
+        np.testing.assert_allclose(batched.objective, looped.objective, rtol=1e-10)
+        assert batched.iterations == looped.iterations
+
+    def test_invalid_backend_rejected(self):
+        """The solver has a single path: the backend knob is gone."""
+        with pytest.raises(TypeError):
+            SelfAugmentedConfig(
+                use_reference_constraint=False,
+                use_structure_constraint=False,
+                solver_backend="batched",
+            )
+
+
 class TestSelfAugmentedBackendParity:
     @pytest.mark.parametrize(
         "use_reference, use_structure",

@@ -158,37 +158,6 @@ class TestSolver:
             SweepState(np.zeros_like(observed), mask, 6)
 
 
-class TestBasicRSVD:
-    """Eq. 11 alone: Algorithm 1 with both constraints off."""
-
-    BASIC = dict(use_reference_constraint=False, use_structure_constraint=False)
-
-    @staticmethod
-    def make_low_rank(rng, rows=8, columns=24, rank=3, offset=-60.0):
-        return offset + rng.normal(size=(rows, rank)) @ rng.normal(size=(columns, rank)).T
-
-    def test_completes_missing_entries_of_low_rank_matrix(self, rng):
-        matrix = self.make_low_rank(rng, rank=2)
-        mask = (rng.random(matrix.shape) < 0.8).astype(float)
-        config = SelfAugmentedConfig(
-            rank=3, regularization=0.5, max_iterations=200, **self.BASIC
-        )
-        result = self_augmented_rsvd(matrix * mask, mask, 3, config=config, rng=1)
-        missing = mask == 0
-        assert np.abs(result.estimate - matrix)[missing].mean() < 2.0
-
-    def test_regularization_shrinks_factors(self, rng):
-        matrix = self.make_low_rank(rng)
-        mask = np.ones_like(matrix)
-
-        def factor_norm(regularization):
-            config = SelfAugmentedConfig(regularization=regularization, **self.BASIC)
-            result = self_augmented_rsvd(matrix, mask, 3, config=config, rng=1)
-            return np.linalg.norm(result.left) + np.linalg.norm(result.right)
-
-        assert factor_norm(100.0) < factor_norm(1e-3)
-
-
 class TestWarmStart:
     def solve(self, observed, mask, prediction, **kwargs):
         return solve_state(SweepState(observed, mask, 6, prediction=prediction, **kwargs))
